@@ -10,7 +10,6 @@ from .adm import (
     ProblemSpec,
     SolutionSeries,
     SolveError,
-    adomian_lambda_oracle,
     adomian_polynomial,
     residual,
     solve,
@@ -33,10 +32,8 @@ from .series import (
     FracSeries,
     FracTerm,
     NonIntegrableTermError,
-    QuadratureError,
     TermCapError,
     caputo_deriv,
-    caputo_quadrature_oracle,
     format_series,
     rl_integral,
 )
@@ -51,7 +48,6 @@ __all__ = [
     "GammaPoleError",
     "NonIntegrableTermError",
     "ProblemSpec",
-    "QuadratureError",
     "REFERENCE_TABLES",
     "SeriesParseError",
     "SolutionSeries",
@@ -59,11 +55,9 @@ __all__ = [
     "TableCell",
     "TableReport",
     "TermCapError",
-    "adomian_lambda_oracle",
     "adomian_polynomial",
     "builtin_problem",
     "caputo_deriv",
-    "caputo_quadrature_oracle",
     "exact_solution",
     "format_series",
     "gamma",

@@ -11,15 +11,13 @@ after which the recursion is
     u_{n+1} = -J_y^alpha A_n.
 
 For a bilinear nonlinearity the convolution is identical to the classical
-lambda-derivative construction of the decomposition polynomials;
-``adomian_lambda_oracle`` keeps that construction alive as an independent
+lambda-derivative construction of the decomposition polynomials; the test
+suite keeps that construction (``tests/oracles.py``) as an independent
 numerical check.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,7 +38,6 @@ __all__ = [
     "SolutionSeries",
     "SolveError",
     "adomian_polynomial",
-    "adomian_lambda_oracle",
     "solve",
     "residual",
 ]
@@ -97,6 +94,19 @@ class SolutionSeries:
         return self.partial_sums[n - 1]
 
 
+def _convolution(
+    components: Sequence[FracSeries],
+    derivs: Sequence[FracSeries],
+    n: int,
+    term_cap: int,
+) -> FracSeries:
+    """sum_{i=0}^{n} u_i * derivs[n-i], with derivs[j] = D_x^beta u_j."""
+    acc = FracSeries.zero()
+    for i in range(n + 1):
+        acc = acc + components[i].mul(derivs[n - i], term_cap)
+    return acc
+
+
 def adomian_polynomial(
     components: Sequence[FracSeries],
     n: int,
@@ -110,47 +120,8 @@ def adomian_polynomial(
         raise ValueError(
             f"A_{n} needs {n + 1} components, only {len(components)} given"
         )
-    acc = FracSeries.zero()
-    for i in range(n + 1):
-        acc = acc + components[i].mul(
-            caputo_deriv(components[n - i], beta, Axis.X), term_cap
-        )
-    return acc
-
-
-def adomian_lambda_oracle(
-    components: Sequence[FracSeries],
-    n: int,
-    beta: float,
-    probe_points: Iterable[tuple[float, float]],
-) -> list[float]:
-    """A_n via the lambda-coefficient construction, evaluated pointwise.
-
-    N(sum_i lambda**i u_i) is a polynomial of degree 2n in lambda; sampling
-    it at the (n+1)-st roots of unity and averaging against lambda**(-n)
-    recovers the lambda**n coefficient exactly, because the only aliased
-    coefficient indices (n + k*(n+1) for k >= 1) exceed the degree.
-    """
-    if len(components) < n + 1:
-        raise ValueError(
-            f"A_{n} needs {n + 1} components, only {len(components)} given"
-        )
-    m = n + 1
-    nodes = [cmath.exp(2j * math.pi * k / m) for k in range(m)]
-    if len(set(nodes)) != m:
-        raise ValueError("duplicate lambda samples")
-    derivs = [caputo_deriv(u, beta, Axis.X) for u in components[:m]]
-    results = []
-    for x, y in probe_points:
-        u_vals = [u.evaluate(x, y) for u in components[:m]]
-        du_vals = [d.evaluate(x, y) for d in derivs]
-        acc = 0j
-        for lam in nodes:
-            pu = sum(v * lam**i for i, v in enumerate(u_vals))
-            pdu = sum(v * lam**i for i, v in enumerate(du_vals))
-            acc += pu * pdu * lam ** (-n)
-        results.append((acc / m).real)
-    return results
+    derivs = [caputo_deriv(u, beta, Axis.X) for u in components[: n + 1]]
+    return _convolution(components, derivs, n, term_cap)
 
 
 def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSeries:
@@ -167,9 +138,7 @@ def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSer
         try:
             # differentiate lazily: u_{N-1} itself is never differentiated
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
-            a_n = FracSeries.zero()
-            for i in range(n + 1):
-                a_n = a_n + components[i].mul(derivs[n - i], term_cap)
+            a_n = _convolution(components, derivs, n, term_cap)
             nxt = rl_integral(a_n, alpha, Axis.Y).scale(-1.0)
         except (GammaPoleError, TermCapError, NonIntegrableTermError) as exc:
             raise SolveError(n + 1, str(exc)) from exc

@@ -13,6 +13,7 @@ domain error during computation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -32,7 +33,6 @@ from .series import (
     EvaluationDomainError,
     FracSeries,
     NonIntegrableTermError,
-    QuadratureError,
     TermCapError,
     format_series,
 )
@@ -45,7 +45,6 @@ _NUMERIC_ERRORS = (
     EvaluationDomainError,
     NonIntegrableTermError,
     TermCapError,
-    QuadratureError,
     SingularPointError,
 )
 
@@ -117,20 +116,24 @@ def _parse_axis_values(spec: str, axis: str) -> list[float]:
         fields = spec.split(":")
         if len(fields) != 3:
             raise UsageError(f"grid range for {axis} must be start:stop:step")
-        try:
-            start, stop, step = (float(f) for f in fields)
-        except ValueError:
-            raise UsageError(f"bad number in grid range for {axis}: {spec!r}")
+        start, stop, step = _parse_numbers(fields, axis, spec)
         if step <= 0:
             raise UsageError(f"grid step for {axis} must be positive")
         if stop < start:
             raise UsageError(f"grid range for {axis} is empty")
         count = int((stop - start) / step + 1e-9) + 1
         return [start + k * step for k in range(count)]
+    return _parse_numbers([f for f in spec.split(",") if f.strip()], axis, spec)
+
+
+def _parse_numbers(fields: list[str], axis: str, spec: str) -> list[float]:
     try:
-        return [float(f) for f in spec.split(",") if f.strip()]
+        values = [float(f) for f in fields]
     except ValueError:
-        raise UsageError(f"bad number in grid list for {axis}: {spec!r}")
+        raise UsageError(f"bad number in grid for {axis}: {spec!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"grid values for {axis} must be finite: {spec!r}")
+    return values
 
 
 def parse_grid(spec: str) -> tuple[list[float], list[float]]:

@@ -6,11 +6,13 @@ of Gamma (e.g. 2 - 2*beta at beta = 1).  Those coefficients must vanish
 cleanly rather than blow up, so the reciprocal 1/Gamma is treated as the
 entire function it is: exactly zero at non-positive integers.
 
-The core evaluation is a Lanczos approximation with Godfrey's 15-term
-coefficient set (g = 607/128), which keeps the relative error of gamma()
-below 1e-13 over [-170, 170] away from poles.  Reflection handles the
-negative half-line; ratios of large arguments go through log space to
-avoid intermediate overflow.
+Values come from the standard library's ``math.gamma`` and
+``math.lgamma``.  The wrappers here add what those lack: arguments within
+POLE_TOL of a non-positive integer count as poles (``math.gamma`` would
+return a huge finite value there, or raise ValueError exactly on one),
+gamma saturates to inf past the double range (``math.gamma`` raises
+OverflowError), and ratios of large arguments go through log space so
+they survive where both factors overflow.
 """
 
 from __future__ import annotations
@@ -35,28 +37,6 @@ _LOG_RATIO_CUTOFF = 20.0
 # Gamma exceeds the double range just past this argument.
 _OVERFLOW_CUTOFF = 171.6
 
-# Lanczos g = 607/128 and Godfrey's matching coefficients.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_SQRT_TWO_PI = 2.5066282746310005024
-
 
 class GammaPoleError(ArithmeticError):
     """Gamma evaluated at (or within POLE_TOL of) a non-positive integer."""
@@ -70,58 +50,32 @@ def _is_pole(z: float) -> bool:
     return z <= 0.5 and abs(z - round(z)) <= POLE_TOL
 
 
-def _lanczos_sum(z: float) -> float:
-    # valid for z >= 0.5; partial fractions in (z, z+1, ..., z+13)
-    s = _LANCZOS_COEFFS[0]
-    for k in range(1, 15):
-        s += _LANCZOS_COEFFS[k] / (z + k - 1.0)
-    return s
-
-
-def _sinpi(z: float) -> float:
-    # sin(pi*z) with exact argument reduction; plain math.sin(pi*z) loses
-    # accuracy for |z| >> 1, which the reflection formula cannot afford.
-    n = math.floor(z + 0.5)
-    r = z - n
-    s = math.sin(math.pi * r)
-    return -s if (n % 2) else s
-
-
 def gamma(z: float) -> float:
     """Gamma(z) for real z, raising GammaPoleError at non-positive integers."""
     if _is_pole(z):
         raise GammaPoleError(z)
-    if z < 0.5:
-        return math.pi / (_sinpi(z) * gamma(1.0 - z))
     if z > _OVERFLOW_CUTOFF:
         return math.inf
-    t = z + _LANCZOS_G - 0.5
-    # split the power so t**(z-0.5) cannot overflow before the exp(-t) damping
-    half_pow = t ** (0.5 * (z - 0.5))
-    return _SQRT_TWO_PI * _lanczos_sum(z) * half_pow * math.exp(-t) * half_pow
+    return math.gamma(z)
 
 
 def log_gamma(z: float) -> float:
     """log|Gamma(z)| for z > 0."""
     if z <= 0.0:
         raise ValueError(f"log_gamma requires z > 0, got {z!r}")
-    if z < 0.5:
-        return math.log(math.pi / abs(_sinpi(z))) - log_gamma(1.0 - z)
-    t = z + _LANCZOS_G - 0.5
-    return math.log(_SQRT_TWO_PI * _lanczos_sum(z)) + (z - 0.5) * math.log(t) - t
+    return math.lgamma(z)
 
 
 def rgamma(z: float) -> float:
     """1/Gamma(z), entire in z: exactly 0.0 at non-positive integers."""
     if _is_pole(z):
         return 0.0
-    if z < 0.5:
-        # 1 - z > 171.6 gives inf here, and inf/pi correctly saturates:
-        # 1/Gamma far down the negative axis is beyond double range anyway
-        return _sinpi(z) * gamma(1.0 - z) / math.pi
-    if z > _OVERFLOW_CUTOFF:
-        return 0.0
-    return 1.0 / gamma(z)
+    g = gamma(z)
+    if g == 0.0:
+        # Gamma underflows to a signed zero far down the negative axis, where
+        # 1/Gamma is beyond double range anyway: saturate with its sign
+        return math.copysign(math.inf, g)
+    return 1.0 / g
 
 
 def gamma_ratio(num: float, den: float) -> float:
@@ -143,5 +97,5 @@ def gamma_ratio(num: float, den: float) -> float:
             raise GammaPoleError(num, context="gamma_ratio numerator")
         return 0.0
     if num > _LOG_RATIO_CUTOFF and den > _LOG_RATIO_CUTOFF:
-        return math.exp(log_gamma(num) - log_gamma(den))
+        return math.exp(math.lgamma(num) - math.lgamma(den))
     return gamma(num) * rgamma(den)

@@ -10,9 +10,10 @@ provides the two operators the solver is built from:
 * ``rl_integral`` -- term-wise Riemann-Liouville fractional integral,
 
 both reduced to the power rule ``x**p -> Gamma(p+1)/Gamma(p+1 -+ order)
-* x**(p -+ order)``.  ``caputo_quadrature_oracle`` evaluates the Caputo
-integral definition directly by adaptive quadrature; it exists so the
-power rule can be validated against something that is not the power rule.
+* x**(p -+ order)``.  The test suite validates the power rule against the
+Caputo integral definition evaluated by adaptive quadrature
+(``tests/oracles.py``), so the runtime needs nothing beyond the standard
+library.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
-from scipy.integrate import quad
-
-from .gammafn import gamma_ratio, rgamma
+from .gammafn import gamma_ratio
 
 __all__ = [
     "Axis",
@@ -33,10 +32,8 @@ __all__ = [
     "TermCapError",
     "EvaluationDomainError",
     "NonIntegrableTermError",
-    "QuadratureError",
     "caputo_deriv",
     "rl_integral",
-    "caputo_quadrature_oracle",
     "format_series",
     "EXPONENT_TOL",
     "COEFF_DROP_REL",
@@ -72,10 +69,6 @@ class EvaluationDomainError(ValueError):
 
 class NonIntegrableTermError(ValueError):
     """Fractional integral applied to an exponent <= -1 on that axis."""
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -293,38 +286,6 @@ def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
         coeff = t.coeff * gamma_ratio(p + 1.0, p + 1.0 + order)
         out.append(_rebuild(coeff, p + order, q, axis))
     return FracSeries(out)
-
-
-def caputo_quadrature_oracle(p: float, order: float, x: float) -> float:
-    """Caputo derivative of x**p straight from its defining integral.
-
-    Evaluates (1/Gamma(1-order)) * int_0^x (x-e)**(-order) * p*e**(p-1) de
-    by adaptive quadrature with the endpoint singularities handled by an
-    algebraic weight.  Test oracle only; the solver uses the power rule.
-    """
-    if p <= 0.0:
-        raise ValueError(f"oracle requires p > 0, got {p!r}")
-    if not 0.0 < order < 1.0:
-        raise ValueError(f"oracle requires order in (0, 1), got {order!r}")
-    if x <= 0.0:
-        raise ValueError(f"oracle requires x > 0, got {x!r}")
-    # weight (e-0)**(p-1) * (x-e)**(-order) carries both singular factors
-    value, abserr = quad(
-        lambda _e: 1.0,
-        0.0,
-        x,
-        weight="alg",
-        wvar=(p - 1.0, -order),
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    if abserr > 1e-10:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr!r} exceeds 1e-10 "
-            f"for p={p!r}, order={order!r}, x={x!r}"
-        )
-    return p * rgamma(1.0 - order) * value
 
 
 # -- display ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import random
 import mpmath
 import pytest
 
-from fracadm.adm import adomian_lambda_oracle, adomian_polynomial, solve
+from fracadm.adm import adomian_polynomial, solve
 from fracadm.gammafn import gamma_ratio
 from fracadm.problems import (
     CLASSICAL_PAIR,
@@ -28,10 +28,10 @@ from fracadm.series import (
     FracSeries,
     FracTerm,
     caputo_deriv,
-    caputo_quadrature_oracle,
     rl_integral,
 )
 from helpers import random_series
+from oracles import adomian_lambda_oracle, caputo_quadrature_oracle
 
 mpmath.mp.dps = 50
 

@@ -8,7 +8,6 @@ import pytest
 from fracadm.adm import (
     ProblemSpec,
     SolveError,
-    adomian_lambda_oracle,
     adomian_polynomial,
     residual,
     solve,
@@ -17,6 +16,7 @@ from fracadm.problems import builtin_problem
 from fracadm.series import Axis, FracSeries, FracTerm, caputo_deriv
 from fracadm.gammafn import gamma_ratio
 from helpers import assert_series_close, random_series
+from oracles import adomian_lambda_oracle
 
 G = math.gamma
 

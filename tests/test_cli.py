@@ -43,7 +43,8 @@ def test_grid_mixed_forms():
 
 @pytest.mark.parametrize(
     "spec",
-    ["x=0.5", "y=0.1", "x=0.5;y=", "x=a;y=0.1", "x=1:0:0.1;y=0.1", "x=0:1:-1;y=0.1", "z=1;y=1"],
+    ["x=0.5", "y=0.1", "x=0.5;y=", "x=a;y=0.1", "x=1:0:0.1;y=0.1", "x=0:1:-1;y=0.1", "z=1;y=1",
+     "x=0:inf:1;y=0.1", "x=nan;y=0.1", "x=0:1:nan;y=0.1"],
 )
 def test_grid_rejects_malformed_specs(spec):
     with pytest.raises(UsageError):

@@ -66,6 +66,12 @@ def test_rgamma_is_total_and_zero_at_poles():
     assert rgamma(500.0) == 0.0  # beyond double range, saturates cleanly
 
 
+def test_rgamma_saturates_where_gamma_underflows():
+    # Gamma(-250.5) underflows to -0.0, so 1/Gamma is beyond double range
+    assert rgamma(-250.5) == -math.inf
+    assert rgamma(-199.5) == math.inf
+
+
 def test_rgamma_inverts_gamma():
     rng = random.Random(3)
     for _ in range(500):

@@ -1,0 +1,44 @@
+"""The installed package must run on the standard library alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(flags, *args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *flags, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("flags", [["-S"], []], ids=["no-site", "site"])
+def test_import_pulls_in_no_third_party_module(flags, tmp_path):
+    # -S leaves only the standard library and src importable; the run with
+    # site-packages catches an optional import that -S would hide
+    code = (
+        "import sys, fracadm, fracadm.cli\n"
+        "bad = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
+        "assert not bad, bad\n"
+    )
+    proc = _python(flags, "-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_without_site_packages(tmp_path):
+    proc = _python(
+        ["-S"], "-m", "fracadm.cli", "table", "--example", "4", "--terms", "6",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 28

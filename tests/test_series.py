@@ -15,11 +15,11 @@ from fracadm.series import (
     NonIntegrableTermError,
     TermCapError,
     caputo_deriv,
-    caputo_quadrature_oracle,
     format_series,
     rl_integral,
 )
 from helpers import assert_series_close, random_series
+from oracles import caputo_quadrature_oracle
 
 X, Y = Axis.X, Axis.Y
 
