@@ -18,8 +18,8 @@ numerical check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Optional, Sequence
 
 from .gammafn import GammaPoleError
 from .series import (
@@ -31,6 +31,7 @@ from .series import (
     TermCapError,
     caputo_deriv,
     rl_integral,
+    sum_of_products,
 )
 
 __all__ = [
@@ -44,10 +45,18 @@ __all__ = [
 
 
 class SolveError(ArithmeticError):
-    """Numeric failure during the recursion; carries the offending depth."""
+    """Numeric failure during the recursion; carries the offending depth.
 
-    def __init__(self, depth: int, message: str):
+    ``solution`` holds the components u_0..u_{depth-1} finished before the
+    failure (a SolutionSeries whose problem has n_terms = depth), or None
+    when u_0 itself failed.
+    """
+
+    def __init__(
+        self, depth: int, message: str, solution: Optional["SolutionSeries"] = None
+    ):
         self.depth = depth
+        self.solution = solution
         super().__init__(f"component u_{depth}: {message}")
 
 
@@ -101,10 +110,9 @@ def _convolution(
     term_cap: int,
 ) -> FracSeries:
     """sum_{i=0}^{n} u_i * derivs[n-i], with derivs[j] = D_x^beta u_j."""
-    acc = FracSeries.zero()
-    for i in range(n + 1):
-        acc = acc + components[i].mul(derivs[n - i], term_cap)
-    return acc
+    return sum_of_products(
+        ((components[i], derivs[n - i]) for i in range(n + 1)), term_cap
+    )
 
 
 def adomian_polynomial(
@@ -124,12 +132,21 @@ def adomian_polynomial(
     return _convolution(components, derivs, n, term_cap)
 
 
+# OverflowError: math.fsum overflowing while merging a cluster.
+_RECURSION_ERRORS = (GammaPoleError, TermCapError, NonIntegrableTermError, OverflowError)
+
+
 def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSeries:
-    """Run the recursion to problem.n_terms components."""
+    """Run the recursion to problem.n_terms components.
+
+    Components do not depend on n_terms, so partial_sum(n) of this solution
+    equals partial_sum(n) of a solve to depth n.  On failure at u_n the
+    SolveError carries u_0..u_{n-1} as its ``solution``.
+    """
     alpha, beta = problem.alpha, problem.beta
     try:
         u0 = problem.ic + rl_integral(problem.forcing, alpha, Axis.Y)
-    except (GammaPoleError, TermCapError, NonIntegrableTermError) as exc:
+    except _RECURSION_ERRORS as exc:
         raise SolveError(0, str(exc)) from exc
     components = [u0]
     sums = [u0]
@@ -140,10 +157,14 @@ def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSer
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
             a_n = _convolution(components, derivs, n, term_cap)
             nxt = rl_integral(a_n, alpha, Axis.Y).scale(-1.0)
-        except (GammaPoleError, TermCapError, NonIntegrableTermError) as exc:
-            raise SolveError(n + 1, str(exc)) from exc
+            phi = sums[-1] + nxt
+        except _RECURSION_ERRORS as exc:
+            done = SolutionSeries(
+                replace(problem, n_terms=n + 1), tuple(components), tuple(sums)
+            )
+            raise SolveError(n + 1, str(exc), done) from exc
         components.append(nxt)
-        sums.append(sums[-1] + nxt)
+        sums.append(phi)
     return SolutionSeries(problem, tuple(components), tuple(sums))
 
 

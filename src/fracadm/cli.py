@@ -46,6 +46,7 @@ _NUMERIC_ERRORS = (
     NonIntegrableTermError,
     TermCapError,
     SingularPointError,
+    OverflowError,
 )
 
 
@@ -160,7 +161,17 @@ def parse_grid(spec: str) -> tuple[list[float], list[float]]:
 def _fmt(value, digits: int) -> str:
     if value is None:
         return ""
+    if isinstance(value, int):  # a scan's depth prints whole at any --digits
+        return str(value)
     return format(value, f".{digits}g")
+
+
+def _render(header: str, rows, args) -> str:
+    """CSV/TSV text: the comma-separated header, then one line per row of values."""
+    sep = "," if args.format == "csv" else "\t"
+    lines = [header.replace(",", sep)]
+    lines.extend(sep.join(_fmt(v, args.digits) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _build_problem(args) -> ProblemSpec:
@@ -185,6 +196,9 @@ def _grid_for(args) -> tuple[list[float], list[float]]:
     raise UsageError("--grid is required for custom problems")
 
 
+_GRID_HEADER = "y,x,alpha,beta,approx,exact,abs_error"
+
+
 def _cmd_solve(args) -> str:
     problem = _build_problem(args)
     sol = solve(problem)
@@ -192,9 +206,8 @@ def _cmd_solve(args) -> str:
     if args.dump_series:
         return format_series(phi, args.digits) + "\n"
     xs, ys = _grid_for(args)
-    sep = "," if args.format == "csv" else "\t"
     with_exact = args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR
-    lines = ["y,x,alpha,beta,approx,exact,abs_error".replace(",", sep)]
+    rows = []
     for y in ys:
         for x in xs:
             approx = phi.evaluate(x, y)
@@ -202,48 +215,26 @@ def _cmd_solve(args) -> str:
             if with_exact:
                 exact = exact_solution(args.example, x, y)
                 abs_err = abs(exact - approx)
-            lines.append(
-                sep.join(
-                    _fmt(v, args.digits)
-                    for v in (y, x, args.alpha, args.beta, approx, exact, abs_err)
-                )
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((y, x, args.alpha, args.beta, approx, exact, abs_err))
+    return _render(_GRID_HEADER, rows, args)
 
 
 def _cmd_table(args) -> str:
     if args.example is None:
         raise UsageError("table requires --example (reference layout)")
     report = make_table(args.example, args.terms)
-    sep = "," if args.format == "csv" else "\t"
-    lines = ["y,x,alpha,beta,approx,exact,abs_error".replace(",", sep)]
-    for c in report.cells:
-        lines.append(
-            sep.join(
-                _fmt(v, args.digits)
-                for v in (c.y, c.x, c.alpha, c.beta, c.approx, c.exact, c.abs_error)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (c.y, c.x, c.alpha, c.beta, c.approx, c.exact, c.abs_error)
+        for c in report.cells
+    )
+    return _render(_GRID_HEADER, rows, args)
 
 
 def _cmd_scan(args) -> str:
     if args.example is None:
         raise UsageError("scan requires --example (reference tables)")
     rows = truncation_scan(args.example, args.terms)
-    sep = "," if args.format == "csv" else "\t"
-    lines = ["n,max_rel_deviation,error_column_deviation".replace(",", sep)]
-    for row in rows:
-        lines.append(
-            sep.join(
-                (
-                    str(row.n_terms),
-                    _fmt(row.max_deviation, args.digits),
-                    _fmt(row.error_column_deviation, args.digits),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _render("n,max_rel_deviation,error_column_deviation", rows, args)
 
 
 _COMMANDS = {"solve": _cmd_solve, "table": _cmd_table, "scan": _cmd_scan}

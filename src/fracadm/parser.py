@@ -10,11 +10,14 @@ Grammar (whitespace-insensitive):
 A sign is only admitted at the head of the expression; elsewhere "+"/"-"
 separate terms.  Variable exponents must be non-negative.  Repeated
 variables in one term multiply (``x*x^0.5`` is ``x^1.5``), and duplicate
-monomials across terms merge during normalization.
+monomials across terms merge during normalization.  A literal that
+overflows a double, or a term whose exponents add up past one, is rejected
+rather than read as ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .series import FracSeries, FracTerm
@@ -61,9 +64,12 @@ class _Tokens:
         m = _NUMBER_RE.match(self.text, self.pos)
         if not m:
             return None
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise SeriesParseError("number out of range", m.start())
         self.pos = m.end()
         self._skip_ws()
-        return float(m.group())
+        return value
 
     def variable(self) -> str | None:
         if self.peek() in ("x", "y"):
@@ -106,6 +112,8 @@ def _parse_term(toks: _Tokens, sign: float) -> FracTerm:
         saw_var = True
     if coeff is None and not saw_var:
         raise SeriesParseError("expected number or variable", start)
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise SeriesParseError("exponent out of range", start)
     return FracTerm(sign * (1.0 if coeff is None else coeff), px, py)
 
 

@@ -235,38 +235,39 @@ def _rel_dev(mine: float, ref: float) -> float:
 def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
     """Deviation of each truncation depth's table from the reference table.
 
-    For every n <= n_max the full table is recomputed and compared cell by
-    cell against REFERENCE_TABLES.  ``max_deviation`` covers all columns;
-    ``error_column_deviation`` covers only the classical-pair absolute
-    errors, which is the column that actually pins down the depth (the
-    fractional columns have no independent ground truth).  Depths whose
-    solve fails at fractional orders still report the columns that exist;
-    a column that cannot be computed at all contributes ``inf``.
+    Each order pair is solved once, to n_max, and the table at depth n is
+    tabulated from that solution's partial sum Phi_n, which equals a solve
+    to depth n because components do not depend on the truncation depth.
+    Every depth's table is compared cell by cell against REFERENCE_TABLES.
+    ``max_deviation`` covers all columns; ``error_column_deviation`` covers
+    only the classical-pair absolute errors, which is the column that
+    actually pins down the depth (the fractional columns have no
+    independent ground truth).  A pair whose solve fails at u_k still
+    supplies depths 1..k; at deeper depths its columns contribute ``inf``.
     """
     if example not in _CATALOGUE:
         raise ValueError(f"unknown example id {example!r}; valid ids are 1..4")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     ref = REFERENCE_TABLES[example]
+    sols = {}
+    for pair in ORDER_PAIRS:
+        try:
+            sols[pair] = solve(builtin_problem(example, pair[0], pair[1], n_max))
+        except SolveError as exc:
+            sols[pair] = exc.solution
     rows = []
     for n in range(1, n_max + 1):
-        phis = {}
-        for pair in ORDER_PAIRS:
-            try:
-                sol = solve(builtin_problem(example, pair[0], pair[1], n))
-                phis[pair] = sol.partial_sum(n)
-            except SolveError:
-                phis[pair] = None
         devs = []
         err_devs = []
         for (y, x), row in ref.items():
             exact = exact_solution(example, x, y)
             for col, pair in enumerate(ORDER_PAIRS):
-                phi = phis[pair]
-                if phi is None:
+                sol = sols[pair]
+                if sol is None or n > len(sol.components):
                     devs.append(math.inf)
                     continue
-                approx = phi.evaluate(x, y)
+                approx = sol.partial_sum(n).evaluate(x, y)
                 devs.append(_rel_dev(approx, row[col]))
                 if pair == CLASSICAL_PAIR and _error_resolvable(row[4], exact):
                     err_dev = _rel_dev(abs(exact - approx), row[4])

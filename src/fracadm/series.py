@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 from .gammafn import gamma_ratio
@@ -34,6 +35,7 @@ __all__ = [
     "NonIntegrableTermError",
     "caputo_deriv",
     "rl_integral",
+    "sum_of_products",
     "format_series",
     "EXPONENT_TOL",
     "COEFF_DROP_REL",
@@ -80,32 +82,95 @@ class FracTerm:
     py: float = 0.0
 
 
-def _cluster(values_with_payload, key):
-    """Sort by key and group runs whose keys differ by <= EXPONENT_TOL."""
-    ordered = sorted(values_with_payload, key=key)
-    groups = []
-    for item in ordered:
-        if groups and key(item) - key(groups[-1][0]) <= EXPONENT_TOL:
-            groups[-1].append(item)
+def _cluster(values: Iterable[float]) -> list[list[float]]:
+    """Sort distinct values and group runs within EXPONENT_TOL of each run's first."""
+    groups: list[list[float]] = []
+    for v in sorted(values):
+        if groups and v - groups[-1][0] <= EXPONENT_TOL:
+            groups[-1].append(v)
         else:
-            groups.append([item])
+            groups.append([v])
     return groups
 
 
-def _normalize(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
+# Exact-exponent buckets: px -> py -> coefficients, each level in insertion
+# order, so an exponent keeps the spelling (e.g. -0.0 vs 0.0) it first had.
+_Buckets = dict[float, dict[float, list[float]]]
+
+
+def _merge(buckets: _Buckets) -> tuple[FracTerm, ...]:
+    """Normalized terms from exact-exponent buckets.
+
+    Two-level clustering over the distinct exponent values: runs in px first,
+    then py inside each run, so near-equal px values cannot be split apart by
+    differing py ordering.  A cluster is represented by its smallest exponent
+    and sums its coefficients with one fsum, which is what sorting and
+    clustering every raw term gives, since fsum ignores input order.
+    """
     merged = []
-    # two-level clustering: exponent runs in px first, then py inside each run,
-    # so near-equal px values cannot be split apart by differing py ordering
-    for px_group in _cluster(list(terms), key=lambda t: t.px):
-        px_rep = px_group[0].px
-        for py_group in _cluster(px_group, key=lambda t: t.py):
-            coeff = math.fsum(t.coeff for t in py_group)
-            merged.append(FracTerm(coeff, px_rep, py_group[0].py))
+    for px_run in _cluster(buckets):
+        px_rep = px_run[0]
+        row = buckets[px_rep]
+        if len(px_run) > 1:
+            row = {}
+            for px in px_run:
+                for py, coeffs in buckets[px].items():
+                    row.setdefault(py, []).extend(coeffs)
+        for py_run in _cluster(row):
+            if len(py_run) == 1:
+                coeff = math.fsum(row[py_run[0]])
+            else:
+                coeff = math.fsum(chain.from_iterable(row[py] for py in py_run))
+            merged.append(FracTerm(coeff, px_rep, py_run[0]))
     if not merged:
         return ()
     cutoff = COEFF_DROP_REL * max(1.0, max(abs(t.coeff) for t in merged))
-    kept = tuple(t for t in merged if abs(t.coeff) > cutoff)
-    return tuple(sorted(kept, key=lambda t: (t.px, t.py)))
+    # clusters come out in (px, py) order already
+    return tuple(t for t in merged if abs(t.coeff) > cutoff)
+
+
+def _normalize(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
+    buckets: _Buckets = {}
+    for t in terms:
+        row = buckets.get(t.px)
+        if row is None:
+            buckets[t.px] = {t.py: [t.coeff]}
+            continue
+        cell = row.get(t.py)
+        if cell is None:
+            row[t.py] = [t.coeff]
+        else:
+            cell.append(t.coeff)
+    return _merge(buckets)
+
+
+def sum_of_products(
+    pairs: Iterable[tuple["FracSeries", "FracSeries"]],
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> "FracSeries":
+    """sum of a*b over the pairs, normalized once over all raw product terms.
+
+    Each Cauchy product is checked against the term cap on its own; the raw
+    terms go straight into exact-exponent buckets, never into FracTerms.
+    """
+    buckets: _Buckets = {}
+    for a, b in pairs:
+        would_be = len(a.terms) * len(b.terms)
+        if would_be > term_cap:
+            raise TermCapError(would_be, term_cap)
+        for s in a.terms:
+            c, px, py = s.coeff, s.px, s.py
+            for t in b.terms:
+                row = buckets.get(px + t.px)
+                if row is None:
+                    buckets[px + t.px] = {py + t.py: [c * t.coeff]}
+                    continue
+                cell = row.get(py + t.py)
+                if cell is None:
+                    row[py + t.py] = [c * t.coeff]
+                else:
+                    cell.append(c * t.coeff)
+    return FracSeries._from_normalized(_merge(buckets))
 
 
 class FracSeries:
@@ -114,6 +179,7 @@ class FracSeries:
     The constructor *is* the normalization: terms are merged within
     EXPONENT_TOL per exponent, sorted lexicographically by (px, py), and
     negligible coefficients dropped.  The empty series is the zero series.
+    ``sum_of_products`` is the one other way in; it runs the same merge.
     """
 
     __slots__ = ("terms",)
@@ -125,6 +191,12 @@ class FracSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("FracSeries is immutable")
+
+    @classmethod
+    def _from_normalized(cls, terms: tuple[FracTerm, ...]) -> "FracSeries":
+        s = object.__new__(cls)
+        object.__setattr__(s, "terms", terms)
+        return s
 
     # -- constructors -------------------------------------------------------
 
@@ -193,14 +265,7 @@ class FracSeries:
 
     def mul(self, other: "FracSeries", term_cap: int = DEFAULT_TERM_CAP) -> "FracSeries":
         """Full Cauchy product, guarded by the term cap."""
-        would_be = len(self.terms) * len(other.terms)
-        if would_be > term_cap:
-            raise TermCapError(would_be, term_cap)
-        return FracSeries(
-            FracTerm(a.coeff * b.coeff, a.px + b.px, a.py + b.py)
-            for a in self.terms
-            for b in other.terms
-        )
+        return sum_of_products(((self, other),), term_cap)
 
     # -- evaluation ----------------------------------------------------------
 

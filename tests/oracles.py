@@ -1,14 +1,18 @@
 """Independent reference implementations the test suite checks fracadm against.
 
-Neither oracle shares code with the path it validates:
+Each oracle takes another route than the code it checks:
 
 * ``caputo_quadrature_oracle`` evaluates the Caputo integral definition by
   adaptive quadrature, not by the power rule ``caputo_deriv`` applies;
 * ``adomian_lambda_oracle`` builds A_n by the lambda-coefficient
-  construction, not by the convolution ``adomian_polynomial`` sums.
+  construction, not by the convolution ``adomian_polynomial`` sums;
+* ``sort_cluster_normalize_oracle`` normalizes by sorting and clustering
+  every raw term, not through exact-exponent buckets;
+* ``per_depth_scan_oracle`` solves afresh for every truncation depth, not
+  once per order pair.
 
-They live here, not in the package, because quadrature needs scipy and the
-runtime depends on the standard library alone.
+They live here, not in the package: quadrature needs scipy, which the
+runtime does without, and the runtime keeps one implementation of each step.
 """
 
 from __future__ import annotations
@@ -19,8 +23,26 @@ from typing import Iterable, Sequence
 
 from scipy.integrate import quad
 
+from fracadm.adm import SolveError, solve
 from fracadm.gammafn import rgamma
-from fracadm.series import Axis, FracSeries, caputo_deriv
+from fracadm.problems import (
+    CLASSICAL_PAIR,
+    ORDER_PAIRS,
+    REFERENCE_TABLES,
+    ScanRow,
+    _error_resolvable,
+    _rel_dev,
+    builtin_problem,
+    exact_solution,
+)
+from fracadm.series import (
+    COEFF_DROP_REL,
+    EXPONENT_TOL,
+    Axis,
+    FracSeries,
+    FracTerm,
+    caputo_deriv,
+)
 
 
 class QuadratureError(ArithmeticError):
@@ -92,3 +114,68 @@ def adomian_lambda_oracle(
             acc += pu * pdu * lam ** (-n)
         results.append((acc / m).real)
     return results
+
+
+def sort_cluster_normalize_oracle(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
+    """Normalization by sorting and clustering every raw term.
+
+    This is the algorithm ``series._normalize`` replaced with exact-exponent
+    buckets; the two must agree bit for bit on every input, signed zeros
+    included.
+    """
+
+    def cluster(items, key):
+        groups = []
+        for item in sorted(items, key=key):
+            if groups and key(item) - key(groups[-1][0]) <= EXPONENT_TOL:
+                groups[-1].append(item)
+            else:
+                groups.append([item])
+        return groups
+
+    merged = []
+    for px_group in cluster(list(terms), key=lambda t: t.px):
+        px_rep = px_group[0].px
+        for py_group in cluster(px_group, key=lambda t: t.py):
+            coeff = math.fsum(t.coeff for t in py_group)
+            merged.append(FracTerm(coeff, px_rep, py_group[0].py))
+    if not merged:
+        return ()
+    cutoff = COEFF_DROP_REL * max(1.0, max(abs(t.coeff) for t in merged))
+    kept = tuple(t for t in merged if abs(t.coeff) > cutoff)
+    return tuple(sorted(kept, key=lambda t: (t.px, t.py)))
+
+
+def per_depth_scan_oracle(example: int, n_max: int) -> list[ScanRow]:
+    """``truncation_scan`` by one fresh solve per depth and order pair.
+
+    This is the O(n_max^3) algorithm the scan replaced by one solve per
+    order pair; the rows must agree exactly.
+    """
+    ref = REFERENCE_TABLES[example]
+    rows = []
+    for n in range(1, n_max + 1):
+        phis = {}
+        for pair in ORDER_PAIRS:
+            try:
+                sol = solve(builtin_problem(example, pair[0], pair[1], n))
+                phis[pair] = sol.partial_sum(n)
+            except SolveError:
+                phis[pair] = None
+        devs = []
+        err_devs = []
+        for (y, x), row in ref.items():
+            exact = exact_solution(example, x, y)
+            for col, pair in enumerate(ORDER_PAIRS):
+                phi = phis[pair]
+                if phi is None:
+                    devs.append(math.inf)
+                    continue
+                approx = phi.evaluate(x, y)
+                devs.append(_rel_dev(approx, row[col]))
+                if pair == CLASSICAL_PAIR and _error_resolvable(row[4], exact):
+                    err_dev = _rel_dev(abs(exact - approx), row[4])
+                    devs.append(err_dev)
+                    err_devs.append(err_dev)
+        rows.append(ScanRow(n, max(devs), max(err_devs, default=math.inf)))
+    return rows

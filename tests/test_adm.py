@@ -191,6 +191,28 @@ def test_solve_error_carries_depth():
     assert err.value.depth == 2
 
 
+def test_solve_error_carries_finished_components():
+    problem = builtin_problem(1, 0.75, 0.75, 6)
+    with pytest.raises(SolveError) as err:
+        solve(problem)
+    assert err.value.depth == 5
+    done = err.value.solution
+    shallow = solve(builtin_problem(1, 0.75, 0.75, 5))
+    assert done.components == shallow.components
+    assert done.partial_sum(5) == shallow.partial_sum(5)
+    assert done.problem.n_terms == 5
+
+
+def test_solve_overflow_error_carries_depth():
+    # u_0 = a*x + b*x^2 puts 2ab and ab on x^2 in A_0; their sum overflows
+    problem = ProblemSpec(1.0, 1.0, S((1e154, 1, 0), (6e153, 2, 0)), FracSeries.zero(), 3)
+    with pytest.raises(SolveError) as err:
+        solve(problem)
+    assert err.value.depth == 1
+    assert "overflow" in str(err.value)
+    assert err.value.solution.components == (problem.ic,)
+
+
 def test_solve_term_cap_error_carries_depth():
     ic = FracSeries(FracTerm(1.0, float(i) / 4.0, 0.0) for i in range(1, 30))
     problem = ProblemSpec(0.5, 0.5, ic, FracSeries.zero(), 4)

@@ -218,6 +218,20 @@ def test_numeric_error_exits_2(capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ic", ["1e400", "x^1e400"])
+def test_non_finite_expression_exits_1(ic, capsys):
+    assert run(["solve", "--ic", ic, "--terms", "3", "--grid", "x=0.5;y=0.1"]) == 1
+    assert "out of range at offset" in capsys.readouterr().err
+
+
+def test_coefficient_overflow_exits_2(capsys):
+    code = run(
+        ["solve", "--ic", "1e308*x + 1e308*x", "--terms", "3", "--grid", "x=0.5;y=0.1"]
+    )
+    assert code == 2
+    assert "fracadm: numeric error:" in capsys.readouterr().err
+
+
 def test_solver_pole_error_exits_2(capsys):
     code = run(
         ["solve", "--example", "3", "--alpha", "0.75", "--beta", "0.75",

@@ -76,6 +76,23 @@ def test_parse_errors_carry_offsets(text, offset_hint):
     assert err.value.offset == offset_hint
 
 
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("1e400", 0),
+        ("x + 2e400*y", 4),
+        ("x^1e400", 2),
+        # each exponent is finite, their sum is not
+        ("x^1e308*x^1e308", 0),
+        ("1 + y^1e308*y^1e308", 4),
+    ],
+)
+def test_non_finite_numbers_rejected(text, offset):
+    with pytest.raises(SeriesParseError, match="out of range") as err:
+        parse_series(text)
+    assert err.value.offset == offset
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(SeriesParseError) as err:
         parse_series("x^-1")

@@ -6,6 +6,7 @@ import pytest
 
 from fracadm.problems import (
     CLASSICAL_PAIR,
+    EXAMPLE_IDS,
     ORDER_PAIRS,
     REFERENCE_TABLES,
     X_GRID,
@@ -20,6 +21,7 @@ from fracadm.problems import (
 from fracadm.adm import solve
 from fracadm.series import FracSeries, FracTerm
 from helpers import assert_series_close
+from oracles import per_depth_scan_oracle
 
 G = math.gamma
 
@@ -227,6 +229,13 @@ def test_truncation_scan_survives_fractional_failures():
     assert math.isinf(by_n[8].max_deviation)
     assert math.isfinite(by_n[8].error_column_deviation)
     assert by_n[4].error_column_deviation < 1e-3
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_truncation_scan_matches_one_solve_per_depth(example):
+    # examples 1-3 fail at u_5 for (0.75, 0.75), so this covers the depths a
+    # failed pair still supplies and the ones it cannot
+    assert truncation_scan(example, 8) == per_depth_scan_oracle(example, 8)
 
 
 def test_truncation_scan_validation():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracadm.gammafn import gamma_ratio
@@ -15,11 +15,13 @@ from fracadm.series import (
     NonIntegrableTermError,
     TermCapError,
     caputo_deriv,
+    _normalize,
     format_series,
     rl_integral,
+    sum_of_products,
 )
 from helpers import assert_series_close, random_series
-from oracles import caputo_quadrature_oracle
+from oracles import caputo_quadrature_oracle, sort_cluster_normalize_oracle
 
 X, Y = Axis.X, Axis.Y
 
@@ -53,6 +55,54 @@ def test_normalize_merge_within_tolerance():
     s = S((1, 1.0, 2.0), (1, 1.0 + 1e-14, 2.0 - 1e-14))
     assert len(s) == 1
     assert s.terms[0].coeff == pytest.approx(2.0)
+
+
+# Exponents that stress the bucketed merge: exact duplicates, both zeros, and
+# chains whose links are 0.9 * EXPONENT_TOL apart (each link merges with its
+# predecessor, but the chain splits once it is more than EXPONENT_TOL long).
+_exp_bases = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, -1.25, 2.0])
+_exponents = st.one_of(
+    _exp_bases,
+    st.builds(lambda b, k: b + k * 0.9e-12 if k else b, _exp_bases, st.integers(0, 4)),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+_raw_coeffs = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 1e-12]),
+)
+_raw_terms = st.lists(st.builds(FracTerm, _raw_coeffs, _exponents, _exponents), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_terms)
+# the representative zero is the first by (exponent, input order) ...
+@example([FracTerm(1.0, 0.0, 1.0), FracTerm(1.0, -0.0, 0.5)])
+# ... also for py across the px values of one run
+@example([FracTerm(1.0, 1.0, 0.0), FracTerm(1.0, 1.0 + 0.9e-12, -0.0)])
+def test_bucketed_normalize_matches_sort_and_cluster(terms):
+    # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
+    assert repr(_normalize(terms)) == repr(sort_cluster_normalize_oracle(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_raw_terms.map(lambda ts: ts[:12]), _raw_terms), max_size=4))
+def test_sum_of_products_normalizes_all_raw_products_once(pairs):
+    series_pairs = [(FracSeries(a), FracSeries(b)) for a, b in pairs]
+    raw = [
+        FracTerm(s.coeff * t.coeff, s.px + t.px, s.py + t.py)
+        for a, b in series_pairs
+        for s in a
+        for t in b
+    ]
+    got = sum_of_products(series_pairs).terms
+    assert repr(got) == repr(sort_cluster_normalize_oracle(raw))
+
+
+def test_sum_of_products_caps_each_product():
+    big = FracSeries(FracTerm(1.0, float(i), 0.0) for i in range(10))
+    assert len(sum_of_products([(big, big)] * 3, term_cap=100)) == 19
+    with pytest.raises(TermCapError):
+        sum_of_products([(big, big), (big, big.mul(big))], term_cap=100)
 
 
 def test_terms_sorted_lexicographically():
