@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from itertools import product
+from typing import Callable, Optional, Sequence
 
 from .adm import ProblemSpec, SolveError, solve
 from .gammafn import GammaPoleError
@@ -48,6 +49,10 @@ _NUMERIC_ERRORS = (
     SingularPointError,
     OverflowError,
 )
+
+
+# Largest grid `solve --grid` accepts, in points (x values times y values).
+MAX_GRID_POINTS = 1_000_000
 
 
 class UsageError(Exception):
@@ -112,7 +117,8 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
-def _parse_axis_values(spec: str, axis: str) -> list[float]:
+def _parse_axis(spec: str, axis: str) -> tuple[int, Callable[[], list[float]]]:
+    """(point count, function building the values): a range is counted, not built."""
     if ":" in spec:
         fields = spec.split(":")
         if len(fields) != 3:
@@ -122,9 +128,15 @@ def _parse_axis_values(spec: str, axis: str) -> list[float]:
             raise UsageError(f"grid step for {axis} must be positive")
         if stop < start:
             raise UsageError(f"grid range for {axis} is empty")
-        count = int((stop - start) / step + 1e-9) + 1
-        return [start + k * step for k in range(count)]
-    return _parse_numbers([f for f in spec.split(",") if f.strip()], axis, spec)
+        steps = (stop - start) / step + 1e-9  # may be inf
+        if steps >= MAX_GRID_POINTS:  # the count, int(steps) + 1, would exceed it
+            raise UsageError(
+                f"grid range for {axis} has more than {MAX_GRID_POINTS} points"
+            )
+        count = int(steps) + 1
+        return count, lambda: [start + k * step for k in range(count)]
+    values = _parse_numbers([f for f in spec.split(",") if f.strip()], axis, spec)
+    return len(values), lambda: values
 
 
 def _parse_numbers(fields: list[str], axis: str, spec: str) -> list[float]:
@@ -138,8 +150,12 @@ def _parse_numbers(fields: list[str], axis: str, spec: str) -> list[float]:
 
 
 def parse_grid(spec: str) -> tuple[list[float], list[float]]:
-    """Parse 'x=...;y=...' with range (a:b:step) or list (v1,v2) forms."""
-    axes: dict[str, list[float]] = {}
+    """Parse 'x=...;y=...' with range (a:b:step) or list (v1,v2) forms.
+
+    A grid of more than MAX_GRID_POINTS points is a usage error, found from
+    the point counts before any range is built.
+    """
+    axes: dict[str, tuple[int, Callable[[], list[float]]]] = {}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -150,27 +166,33 @@ def parse_grid(spec: str) -> tuple[list[float], list[float]]:
         axis = axis.strip()
         if axis not in ("x", "y"):
             raise UsageError(f"unknown grid axis {axis!r}")
-        axes[axis] = _parse_axis_values(values.strip(), axis)
+        axes[axis] = _parse_axis(values.strip(), axis)
     if "x" not in axes or "y" not in axes:
         raise UsageError("grid must specify both x and y")
-    if not axes["x"] or not axes["y"]:
+    (nx, xs), (ny, ys) = axes["x"], axes["y"]
+    if not nx or not ny:
         raise UsageError("grid axes must be non-empty")
-    return axes["x"], axes["y"]
-
-
-def _fmt(value, digits: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):  # a scan's depth prints whole at any --digits
-        return str(value)
-    return format(value, f".{digits}g")
+    if nx * ny > MAX_GRID_POINTS:
+        raise UsageError(
+            f"grid has {nx}x{ny} = {nx * ny} points, more than {MAX_GRID_POINTS}"
+        )
+    return xs(), ys()
 
 
 def _render(header: str, rows, args) -> str:
     """CSV/TSV text: the comma-separated header, then one line per row of values."""
     sep = "," if args.format == "csv" else "\t"
+    spec = f".{args.digits}g"
+
+    def fmt(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, int):  # a scan's depth prints whole at any --digits
+            return str(value)
+        return format(value, spec)
+
     lines = [header.replace(",", sep)]
-    lines.extend(sep.join(_fmt(v, args.digits) for v in row) for row in rows)
+    lines.extend(sep.join(map(fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -200,6 +222,11 @@ _GRID_HEADER = "y,x,alpha,beta,approx,exact,abs_error"
 
 
 def _cmd_solve(args) -> str:
+    """Phi_{--terms} on the grid, one row per point with y outer and x inner.
+
+    The whole grid is evaluated by one ``FracSeries.evaluate_grid`` call;
+    examples at the classical orders also get exact and error columns.
+    """
     problem = _build_problem(args)
     sol = solve(problem)
     phi = sol.partial_sum(problem.n_terms)
@@ -208,14 +235,12 @@ def _cmd_solve(args) -> str:
     xs, ys = _grid_for(args)
     with_exact = args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR
     rows = []
-    for y in ys:
-        for x in xs:
-            approx = phi.evaluate(x, y)
-            exact = abs_err = None
-            if with_exact:
-                exact = exact_solution(args.example, x, y)
-                abs_err = abs(exact - approx)
-            rows.append((y, x, args.alpha, args.beta, approx, exact, abs_err))
+    for (y, x), approx in zip(product(ys, xs), phi.evaluate_grid(xs, ys)):
+        exact = abs_err = None
+        if with_exact:
+            exact = exact_solution(args.example, x, y)
+            abs_err = abs(exact - approx)
+        rows.append((y, x, args.alpha, args.beta, approx, exact, abs_err))
     return _render(_GRID_HEADER, rows, args)
 
 

@@ -138,17 +138,22 @@ def make_table(
     y_values: tuple[float, ...] = Y_GRID,
     x_values: tuple[float, ...] = X_GRID,
 ) -> TableReport:
-    """Solve once per order pair and tabulate Phi_{n_terms} on the grid."""
-    phis = {}
+    """Solve once per order pair and tabulate Phi_{n_terms} on the grid.
+
+    Each pair's Phi is evaluated on the whole grid by one
+    ``FracSeries.evaluate_grid`` call, pairs in order; cells come out by y,
+    then x, then pair.
+    """
+    approxs = {}
     for pair in pairs:
         alpha, beta = pair
         sol = solve(builtin_problem(example, alpha, beta, n_terms))
-        phis[pair] = sol.partial_sum(n_terms)
+        approxs[pair] = iter(sol.partial_sum(n_terms).evaluate_grid(x_values, y_values))
     cells = []
     for y in y_values:
         for x in x_values:
             for pair in pairs:
-                approx = phis[pair].evaluate(x, y)
+                approx = next(approxs[pair])
                 if pair == CLASSICAL_PAIR:
                     exact = exact_solution(example, x, y)
                     cell = TableCell(y, x, *pair, approx, exact, abs(exact - approx))
@@ -258,16 +263,20 @@ def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
             sols[pair] = exc.solution
     rows = []
     for n in range(1, n_max + 1):
+        approxs = {}
+        for pair, sol in sols.items():
+            if sol is not None and n <= len(sol.components):
+                # the reference keys run over this grid in the same row order
+                approxs[pair] = iter(sol.partial_sum(n).evaluate_grid(X_GRID, Y_GRID))
         devs = []
         err_devs = []
         for (y, x), row in ref.items():
             exact = exact_solution(example, x, y)
             for col, pair in enumerate(ORDER_PAIRS):
-                sol = sols[pair]
-                if sol is None or n > len(sol.components):
+                if pair not in approxs:
                     devs.append(math.inf)
                     continue
-                approx = sol.partial_sum(n).evaluate(x, y)
+                approx = next(approxs[pair])
                 devs.append(_rel_dev(approx, row[col]))
                 if pair == CLASSICAL_PAIR and _error_resolvable(row[4], exact):
                     err_dev = _rel_dev(abs(exact - approx), row[4])

@@ -19,6 +19,7 @@ library.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -49,6 +50,8 @@ EXPONENT_TOL = 1e-12
 COEFF_DROP_REL = 1e-15
 # Cauchy products larger than this raise instead of silently blowing up.
 DEFAULT_TERM_CAP = 10_000
+# evaluate_grid holds at most this many x rows of coeff * x**px at a time.
+_GRID_BLOCK_ROWS = 256
 
 
 class Axis(Enum):
@@ -121,6 +124,11 @@ def _merge(buckets: _Buckets) -> tuple[FracTerm, ...]:
                 coeff = math.fsum(row[py_run[0]])
             else:
                 coeff = math.fsum(chain.from_iterable(row[py] for py in py_run))
+            if not math.isfinite(coeff):
+                # the cutoff below would be inf or nan and drop it silently
+                raise OverflowError(
+                    f"coefficient of x^{px_rep!r}*y^{py_run[0]!r} is {coeff!r}"
+                )
             merged.append(FracTerm(coeff, px_rep, py_run[0]))
     if not merged:
         return ()
@@ -270,12 +278,56 @@ class FracSeries:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x: float, y: float) -> float:
-        """Sum coeff * x**px * y**py with the 0**0 = 1 convention."""
-        if y < 0.0:
-            raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
-        return math.fsum(
-            t.coeff * _power(x, t.px, "x") * _power(y, t.py, "y") for t in self.terms
-        )
+        """Sum coeff * x**px * y**py with the 0**0 = 1 convention.
+
+        y must be >= 0, 0 has no negative powers and a negative x only
+        integer ones (within EXPONENT_TOL); otherwise EvaluationDomainError.
+        This is the one-point case of ``evaluate_grid``.
+        """
+        return self.evaluate_grid((x,), (y,))[0]
+
+    def evaluate_grid(self, xs: Iterable[float], ys: Iterable[float]) -> list[float]:
+        """``[evaluate(x, y) for y in ys for x in xs]``, bit for bit.
+
+        Each power is computed once per grid value and distinct exponent, not
+        once per point and term: a row ``coeff * x**px`` is formed once per x
+        and each point is one ``fsum`` of that row times the y powers, which
+        rounds as ``(coeff * x**px) * y**py`` just like the pointwise sum.  At
+        most ``_GRID_BLOCK_ROWS`` x rows are held at a time.  A failing grid
+        raises what the first failing point, in row order and then term order,
+        raises when evaluated alone.
+        """
+        xs, ys = tuple(xs), tuple(ys)
+        if not xs or not ys:
+            return []
+        coeffs = [t.coeff for t in self.terms]
+        x_powers = _Powers([t.px for t in self.terms], "x")
+        y_powers = _Powers([t.py for t in self.terms], "y")
+        nx = len(xs)
+        out = [0.0] * (nx * len(ys))
+        try:
+            if any(y < 0.0 for y in ys):
+                raise EvaluationDomainError("y must be >= 0")
+            for start in range(0, nx, _GRID_BLOCK_ROWS):
+                cx_rows = [
+                    list(map(operator.mul, coeffs, x_powers.row(x)))
+                    for x in xs[start : start + _GRID_BLOCK_ROWS]
+                ]
+                for iy, y in enumerate(ys):
+                    y_row = y_powers.row(y)
+                    at = iy * nx + start
+                    out[at : at + len(cx_rows)] = [
+                        math.fsum(map(operator.mul, cx_row, y_row)) for cx_row in cx_rows
+                    ]
+        except (ArithmeticError, ValueError):
+            # Blocks run out of row order, and fsum can overflow partway through
+            # a point's terms, before a later term's power fails: re-evaluate
+            # term by term in row order, so the first failing point raises.
+            for y in ys:
+                for x in xs:
+                    _evaluate_point(self.terms, x, y)
+            raise
+        return out
 
     def max_abs_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
@@ -304,6 +356,31 @@ def _power(base: float, expo: float, var: str) -> float:
             f"{var} = {base!r} < 0 with non-integer exponent {expo!r}"
         )
     return math.pow(base, expo)
+
+
+class _Powers:
+    """Powers of one variable at the exponents of a series' terms, in term order.
+
+    Each distinct exponent is computed once per value.
+    """
+
+    def __init__(self, exponents: list[float], var: str):
+        slots: dict[float, int] = {}
+        self.slot = [slots.setdefault(p, len(slots)) for p in exponents]
+        self.exponents = list(slots)
+        self.var = var
+
+    def row(self, value: float) -> list[float]:
+        """value**p for each term's exponent p."""
+        distinct = [_power(value, p, self.var) for p in self.exponents]
+        return list(map(distinct.__getitem__, self.slot))
+
+
+def _evaluate_point(terms: tuple[FracTerm, ...], x: float, y: float) -> float:
+    """One point, a power per term: the order in which a failing grid fails."""
+    if y < 0.0:
+        raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
+    return math.fsum(t.coeff * _power(x, t.px, "x") * _power(y, t.py, "y") for t in terms)
 
 
 # -- fractional operators ------------------------------------------------

@@ -9,7 +9,9 @@ Each oracle takes another route than the code it checks:
 * ``sort_cluster_normalize_oracle`` normalizes by sorting and clustering
   every raw term, not through exact-exponent buckets;
 * ``per_depth_scan_oracle`` solves afresh for every truncation depth, not
-  once per order pair.
+  once per order pair;
+* ``pointwise_evaluate_oracle`` evaluates one point term by term, not a
+  whole grid from powers shared per grid value.
 
 They live here, not in the package: quadrature needs scipy, which the
 runtime does without, and the runtime keeps one implementation of each step.
@@ -39,6 +41,7 @@ from fracadm.series import (
     COEFF_DROP_REL,
     EXPONENT_TOL,
     Axis,
+    EvaluationDomainError,
     FracSeries,
     FracTerm,
     caputo_deriv,
@@ -171,7 +174,7 @@ def per_depth_scan_oracle(example: int, n_max: int) -> list[ScanRow]:
                 if phi is None:
                     devs.append(math.inf)
                     continue
-                approx = phi.evaluate(x, y)
+                approx = pointwise_evaluate_oracle(phi, x, y)
                 devs.append(_rel_dev(approx, row[col]))
                 if pair == CLASSICAL_PAIR and _error_resolvable(row[4], exact):
                     err_dev = _rel_dev(abs(exact - approx), row[4])
@@ -179,3 +182,34 @@ def per_depth_scan_oracle(example: int, n_max: int) -> list[ScanRow]:
                     err_devs.append(err_dev)
         rows.append(ScanRow(n, max(devs), max(err_devs, default=math.inf)))
     return rows
+
+
+def pointwise_evaluate_oracle(s: FracSeries, x: float, y: float) -> float:
+    """One point of a series, a power per term: the loop ``evaluate_grid`` replaced.
+
+    ``FracSeries.evaluate_grid`` must return these values bit for bit and,
+    on a failing grid, raise what this raises at the first failing point.
+    """
+    if y < 0.0:
+        raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
+    return math.fsum(
+        t.coeff * _power_oracle(x, t.px, "x") * _power_oracle(y, t.py, "y")
+        for t in s.terms
+    )
+
+
+def _power_oracle(base: float, expo: float, var: str) -> float:
+    if abs(expo) <= EXPONENT_TOL:
+        return 1.0  # includes the 0**0 = 1 convention
+    if base == 0.0:
+        if expo > 0.0:
+            return 0.0
+        raise EvaluationDomainError(f"{var} = 0 with negative exponent {expo!r}")
+    if base < 0.0:
+        nearest = round(expo)
+        if abs(expo - nearest) <= EXPONENT_TOL:
+            return math.pow(base, nearest)
+        raise EvaluationDomainError(
+            f"{var} = {base!r} < 0 with non-integer exponent {expo!r}"
+        )
+    return math.pow(base, expo)

@@ -1,10 +1,11 @@
 """CLI behavior: subcommands, grids, formats, and exit codes."""
 
 import math
+import time
 
 import pytest
 
-from fracadm.cli import parse_grid, run, UsageError
+from fracadm.cli import MAX_GRID_POINTS, parse_grid, run, UsageError
 from fracadm.parser import parse_series
 from fracadm.problems import CLASSICAL_PAIR, make_table
 from fracadm.series import FracSeries, FracTerm
@@ -49,6 +50,26 @@ def test_grid_mixed_forms():
 def test_grid_rejects_malformed_specs(spec):
     with pytest.raises(UsageError):
         parse_grid(spec)
+
+
+def test_grid_point_cap():
+    xs, ys = parse_grid("x=0:999:1;y=0:999:1")
+    assert len(xs) * len(ys) == MAX_GRID_POINTS
+    with pytest.raises(UsageError, match="1000x1001"):
+        parse_grid("x=0:999:1;y=0:1000:1")
+    with pytest.raises(UsageError, match="range for x"):
+        parse_grid("x=0:1000000:1;y=0.5")
+    # a count too large for an int is refused the same way
+    with pytest.raises(UsageError, match="range for y"):
+        parse_grid("x=0.5;y=-1e308:1e308:1e-300")
+
+
+def test_oversized_grid_exits_1_promptly(capsys):
+    started = time.perf_counter()
+    code = run(["solve", "--ic", "1+x", "--terms", "2", "--grid", "x=0:1e9:1e-9;y=0.1"])
+    assert code == 1
+    assert time.perf_counter() - started < 5.0  # no list of 1e18 points is built
+    assert "more than 1000000 points" in capsys.readouterr().err
 
 
 # -- solve ------------------------------------------------------------------------
@@ -240,3 +261,23 @@ def test_solver_pole_error_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "u_5" in err  # depth context reaches the user
+
+
+def test_domain_error_reports_first_failing_point(capsys):
+    # (x=0, y=0.1) meets x^-2.5 in row order before (x=0.5, y=-0.2) is reached
+    code = run(
+        ["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.6", "--beta", "0.7",
+         "--terms", "6", "--grid", "x=0.5,0;y=0.1,-0.2"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "fracadm: numeric error: x = 0 with negative exponent -2.5\n"
+
+
+def test_non_finite_product_coefficient_exits_2(capsys):
+    # u_1 = -1e400*x*y overflows; it used to vanish and leave u_0 alone
+    code = run(["solve", "--ic", "1e200*x", "--terms", "3", "--grid", "x=0.5;y=0.1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "u_1" in captured.err and "inf" in captured.err

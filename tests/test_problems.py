@@ -21,7 +21,7 @@ from fracadm.problems import (
 from fracadm.adm import solve
 from fracadm.series import FracSeries, FracTerm
 from helpers import assert_series_close
-from oracles import per_depth_scan_oracle
+from oracles import per_depth_scan_oracle, pointwise_evaluate_oracle
 
 G = math.gamma
 
@@ -187,6 +187,35 @@ def test_make_table_reference_cells():
     report3 = make_table(3, 4)
     cell3 = report3.cell(0.1, 0.3, CLASSICAL_PAIR)
     assert cell3.abs_error == pytest.approx(1.18182e-4, rel=0.05)
+
+
+@pytest.mark.parametrize("example, n_terms", [(1, 4), (2, 4), (3, 4), (4, 4), (4, 6)])
+def test_make_table_matches_pointwise_evaluation(example, n_terms):
+    report = make_table(example, n_terms)
+    phis = {
+        pair: solve(builtin_problem(example, *pair, n_terms)).partial_sum(n_terms)
+        for pair in ORDER_PAIRS
+    }
+    expected = []
+    for y in Y_GRID:
+        for x in X_GRID:
+            for pair in ORDER_PAIRS:
+                approx = pointwise_evaluate_oracle(phis[pair], x, y)
+                exact = error = None
+                if pair == CLASSICAL_PAIR:
+                    exact = exact_solution(example, x, y)
+                    error = abs(exact - approx)
+                expected.append((y, x, *pair, approx, exact, error))
+    got = [
+        (c.y, c.x, c.alpha, c.beta, c.approx, c.exact, c.abs_error) for c in report.cells
+    ]
+    assert repr(got) == repr(expected)  # bit for bit
+
+
+def test_reference_tables_run_over_the_grid_in_row_order():
+    # truncation_scan pairs each reference key with one grid evaluation value
+    for table in REFERENCE_TABLES.values():
+        assert list(table) == [(y, x) for y in Y_GRID for x in X_GRID]
 
 
 def test_make_table_missing_cell_lookup():

@@ -1,12 +1,16 @@
 """Series algebra, fractional operators, and the quadrature cross-check."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracadm import series
+from fracadm.adm import ProblemSpec, solve
 from fracadm.gammafn import gamma_ratio
+from fracadm.parser import parse_series
 from fracadm.series import (
     Axis,
     EvaluationDomainError,
@@ -21,7 +25,11 @@ from fracadm.series import (
     sum_of_products,
 )
 from helpers import assert_series_close, random_series
-from oracles import caputo_quadrature_oracle, sort_cluster_normalize_oracle
+from oracles import (
+    caputo_quadrature_oracle,
+    pointwise_evaluate_oracle,
+    sort_cluster_normalize_oracle,
+)
 
 X, Y = Axis.X, Axis.Y
 
@@ -171,6 +179,134 @@ def test_evaluate_domain_errors():
 def test_evaluate_negative_x_integer_exponents():
     assert S((1, 2, 0)).evaluate(-0.5, 0.0) == pytest.approx(0.25)
     assert S((1, 3, 0)).evaluate(-0.5, 0.0) == pytest.approx(-0.125)
+
+
+# -- grid evaluation against the pointwise oracle -----------------------------
+
+
+def _outcome(compute):
+    """Values as float.hex strings (so -0.0 and nan compare), or the error."""
+    try:
+        return [v.hex() for v in compute()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _grid_vs_oracle(s, xs, ys):
+    got = _outcome(lambda: s.evaluate_grid(xs, ys))
+    want = _outcome(lambda: [pointwise_evaluate_oracle(s, x, y) for y in ys for x in xs])
+    return got, want
+
+
+# Exponents at and within EXPONENT_TOL of 0 and of integers, negative ones,
+# and generic ones; terms are taken as given (duplicates, any order), with
+# coefficients large enough for fsum to overflow or meet inf - inf.
+_grid_exponents = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1e-13, -1e-13, 1.0, 2.0, 3.0, -1.0, -2.5, 0.5,
+         1.0 + 5e-13, 2.0 - 5e-13, 1.0 + 2e-12]
+    ),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+_grid_coeffs = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308]),
+)
+_grid_series = st.lists(
+    st.builds(FracTerm, _grid_coeffs, _grid_exponents, _grid_exponents), max_size=12
+).map(lambda terms: FracSeries._from_normalized(tuple(terms)))
+_grid_xs = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, -0.5, -1.0, -2.0, 1e200, -1e200]),
+        st.floats(min_value=-3.0, max_value=3.0),
+    ),
+    max_size=8,
+)
+_grid_ys = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1e200, -0.25]),
+        st.floats(min_value=0.0, max_value=3.0),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_series, _grid_xs, _grid_ys, st.sampled_from([1, 2, 3, 256]))
+def test_evaluate_grid_matches_pointwise_oracle(s, xs, ys, block_rows):
+    # small blocks make the grid wider than one block of x rows
+    with mock.patch.object(series, "_GRID_BLOCK_ROWS", block_rows):
+        got, want = _grid_vs_oracle(s, xs, ys)
+    assert got == want
+
+
+def test_evaluate_grid_wider_than_one_block():
+    rng = random.Random(7)
+    s = random_series(rng, max_terms=8)
+    xs = [rng.uniform(0.0, 2.0) for _ in range(2 * series._GRID_BLOCK_ROWS + 17)]
+    ys = [0.0, 0.3, 1.1]
+    got, want = _grid_vs_oracle(s, xs, ys)
+    assert got == want
+    assert len(got) == len(xs) * len(ys)
+
+
+def test_evaluate_grid_empty_axes():
+    s = S((1, 0, 0))
+    assert s.evaluate_grid([], [0.1]) == []
+    assert s.evaluate_grid([0.1], []) == []
+    assert s.evaluate_grid([], [-1.0]) == []  # errors arise at points only
+
+
+@pytest.mark.parametrize(
+    "terms, xs, ys",
+    [
+        # x = 0 with a negative px, after a good point
+        (((1, 1, 0), (1, -0.5, 0)), (0.5, 0.0), (0.1,)),
+        # negative x with a non-integer px
+        (((1, 2, 0), (1, 0.5, 0)), (0.3, -0.4), (0.1,)),
+        # y < 0 fails before any term
+        (((1, -1, 0),), (0.5, 0.0), (0.1, -0.2)),
+        # y = 0 with a negative py; term order decides between x and y
+        (((1, 0, -1), (1, -1, 0)), (0.0,), (0.0,)),
+        (((1, -1, 0), (1, 0, -1)), (0.0,), (0.0,)),
+        # a power that overflows comes before a later term's domain error
+        (((1, 2, 0), (1, -1, 0)), (0.0, 1e200), (0.5,)),
+        (((1, 2, 0), (1, 0, -1)), (1e200,), (0.0,)),
+        # fsum overflows partway through a point, before a later term's
+        # power fails at the same point
+        (((1e308, 0, 0), (1e308, 0, 0), (1, 0, -1)), (0.0,), (0.0,)),
+        # fsum meets inf - inf
+        (((1e308, 1, 0), (-1e308, 2, 0)), (0.5, 3.0), (1.0,)),
+        # fsum overflows at (1, 0) in row order; x block (2.0,) meets
+        # inf - inf at (2, 2) first, and must not win
+        (((1e308, 1, 0), (-1e308, 0, 1), (1e308, 0, 0)), (2.0, 1.0), (0.0, 2.0)),
+    ],
+)
+def test_evaluate_grid_raises_like_first_failing_point(terms, xs, ys):
+    s = FracSeries._from_normalized(tuple(FracTerm(*t) for t in terms))
+    for block_rows in (1, 256):
+        with mock.patch.object(series, "_GRID_BLOCK_ROWS", block_rows):
+            got, want = _grid_vs_oracle(s, xs, ys)
+        assert isinstance(want, tuple), "case must fail"
+        assert got == want
+
+
+def test_evaluate_grid_two_failure_grid_reports_first_point():
+    # (x=0, y=0.1) meets x^-2.5 before (x=0.5, y=-0.2) is reached
+    sol = solve(ProblemSpec(0.6, 0.7, parse_series("1+x"), parse_series("1"), 6))
+    phi = sol.partial_sum(6)
+    with pytest.raises(EvaluationDomainError, match=r"^x = 0 with negative exponent -2\.5$"):
+        phi.evaluate_grid((0.5, 0.0), (0.1, -0.2))
+    got, want = _grid_vs_oracle(phi, (0.5, 0.0), (0.1, -0.2))
+    assert got == want
+
+
+def test_merge_rejects_non_finite_coefficients():
+    big = S((1e200, 1, 0))
+    with pytest.raises(OverflowError, match="inf"):
+        big.mul(big)
+    with pytest.raises(OverflowError, match="nan"):
+        S((float("nan"), 1, 0))
 
 
 # -- Caputo derivative --------------------------------------------------------
