@@ -18,7 +18,8 @@ numerical check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .gammafn import GammaPoleError
@@ -88,19 +89,29 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolutionSeries:
-    """Solver output: components u_0..u_{N-1} with cached partial sums."""
+    """Solver output: components u_0..u_{N-1}; partial sums are formed on request."""
 
     problem: ProblemSpec
     components: tuple[FracSeries, ...]
-    partial_sums: tuple[FracSeries, ...] = field(repr=False)
 
     def partial_sum(self, n: int) -> FracSeries:
-        """Phi_n = u_0 + ... + u_{n-1} for 1 <= n <= n_terms."""
-        if not 1 <= n <= len(self.partial_sums):
+        """Phi_n = u_0 + ... + u_{n-1} for 1 <= n <= n_terms.
+
+        One normalization over the raw terms of u_0..u_{n-1}, so each merged
+        coefficient is one correctly rounded fsum.  Not cached: each call
+        normalizes again.  A coefficient that overflows raises SolveError
+        naming u_{n-1}, the last component it adds.
+        """
+        if not 1 <= n <= len(self.components):
             raise IndexError(
-                f"partial sum index {n} outside 1..{len(self.partial_sums)}"
+                f"partial sum index {n} outside 1..{len(self.components)}"
             )
-        return self.partial_sums[n - 1]
+        try:
+            return FracSeries(
+                chain.from_iterable(u.terms for u in self.components[:n])
+            )
+        except OverflowError as exc:
+            raise SolveError(n - 1, str(exc)) from exc
 
 
 def _convolution(
@@ -139,6 +150,7 @@ _RECURSION_ERRORS = (GammaPoleError, TermCapError, NonIntegrableTermError, Overf
 def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSeries:
     """Run the recursion to problem.n_terms components.
 
+    Only the components are built; a partial sum is formed when asked for.
     Components do not depend on n_terms, so partial_sum(n) of this solution
     equals partial_sum(n) of a solve to depth n.  On failure at u_n the
     SolveError carries u_0..u_{n-1} as its ``solution``.
@@ -149,23 +161,18 @@ def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSer
     except _RECURSION_ERRORS as exc:
         raise SolveError(0, str(exc)) from exc
     components = [u0]
-    sums = [u0]
     derivs: list[FracSeries] = []
     for n in range(problem.n_terms - 1):
         try:
             # differentiate lazily: u_{N-1} itself is never differentiated
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
             a_n = _convolution(components, derivs, n, term_cap)
-            nxt = rl_integral(a_n, alpha, Axis.Y).scale(-1.0)
-            phi = sums[-1] + nxt
+            nxt = -rl_integral(a_n, alpha, Axis.Y)
         except _RECURSION_ERRORS as exc:
-            done = SolutionSeries(
-                replace(problem, n_terms=n + 1), tuple(components), tuple(sums)
-            )
+            done = SolutionSeries(replace(problem, n_terms=n + 1), tuple(components))
             raise SolveError(n + 1, str(exc), done) from exc
         components.append(nxt)
-        sums.append(phi)
-    return SolutionSeries(problem, tuple(components), tuple(sums))
+    return SolutionSeries(problem, tuple(components))
 
 
 def residual(

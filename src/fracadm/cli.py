@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .adm import ProblemSpec, SolveError, solve
@@ -179,18 +178,25 @@ def parse_grid(spec: str) -> tuple[list[float], list[float]]:
     return xs(), ys()
 
 
-def _render(header: str, rows, args) -> str:
-    """CSV/TSV text: the comma-separated header, then one line per row of values."""
-    sep = "," if args.format == "csv" else "\t"
-    spec = f".{args.digits}g"
+def _formatter(digits: int) -> Callable[[object], str]:
+    """Cell formatter: None is empty, a str is a cell formatted already, and an
+    int (a scan's depth) prints whole at any --digits."""
+    spec = f".{digits}g"
 
     def fmt(value) -> str:
         if value is None:
             return ""
-        if isinstance(value, int):  # a scan's depth prints whole at any --digits
+        if isinstance(value, (int, str)):
             return str(value)
         return format(value, spec)
 
+    return fmt
+
+
+def _render(header: str, rows, args) -> str:
+    """CSV/TSV text: the comma-separated header, then one line per row of values."""
+    sep = "," if args.format == "csv" else "\t"
+    fmt = _formatter(args.digits)
     lines = [header.replace(",", sep)]
     lines.extend(sep.join(map(fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
@@ -234,13 +240,22 @@ def _cmd_solve(args) -> str:
         return format_series(phi, args.digits) + "\n"
     xs, ys = _grid_for(args)
     with_exact = args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR
+    # grid coordinates and orders repeat across rows: format each once, by
+    # position, not by value (0.0 and -0.0 are equal but print differently)
+    fmt = _formatter(args.digits)
+    orders = (fmt(args.alpha), fmt(args.beta))
+    x_cells = [fmt(x) for x in xs]
+    values = iter(phi.evaluate_grid(xs, ys))
     rows = []
-    for (y, x), approx in zip(product(ys, xs), phi.evaluate_grid(xs, ys)):
-        exact = abs_err = None
-        if with_exact:
-            exact = exact_solution(args.example, x, y)
-            abs_err = abs(exact - approx)
-        rows.append((y, x, args.alpha, args.beta, approx, exact, abs_err))
+    for y in ys:
+        y_cell = fmt(y)
+        for x, x_cell in zip(xs, x_cells):
+            approx = next(values)
+            exact = abs_err = None
+            if with_exact:
+                exact = exact_solution(args.example, x, y)
+                abs_err = abs(exact - approx)
+            rows.append((y_cell, x_cell, *orders, approx, exact, abs_err))
     return _render(_GRID_HEADER, rows, args)
 
 

@@ -243,6 +243,7 @@ def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
     Each order pair is solved once, to n_max, and the table at depth n is
     tabulated from that solution's partial sum Phi_n, which equals a solve
     to depth n because components do not depend on the truncation depth.
+    Each Phi_n is formed once, by one normalization of u_0..u_{n-1}.
     Every depth's table is compared cell by cell against REFERENCE_TABLES.
     ``max_deviation`` covers all columns; ``error_column_deviation`` covers
     only the classical-pair absolute errors, which is the column that

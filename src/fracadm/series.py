@@ -251,7 +251,11 @@ class FracSeries:
         return FracSeries(self.terms + other.terms)
 
     def __neg__(self) -> "FracSeries":
-        return self.scale(-1.0)
+        # a sign flip keeps every cluster and the drop cutoff, so the terms
+        # stay normalized: the same bits as scale(-1.0), with no merge
+        return FracSeries._from_normalized(
+            tuple(FracTerm(-t.coeff, t.px, t.py) for t in self.terms)
+        )
 
     def __sub__(self, other: "FracSeries") -> "FracSeries":
         if not isinstance(other, FracSeries):

@@ -11,7 +11,9 @@ Each oracle takes another route than the code it checks:
 * ``per_depth_scan_oracle`` solves afresh for every truncation depth, not
   once per order pair;
 * ``pointwise_evaluate_oracle`` evaluates one point term by term, not a
-  whole grid from powers shared per grid value.
+  whole grid from powers shared per grid value;
+* ``nested_partial_sums_oracle`` folds the partial sums by ``+``, one
+  normalization per component, not one normalization per partial sum.
 
 They live here, not in the package: quadrature needs scipy, which the
 runtime does without, and the runtime keeps one implementation of each step.
@@ -213,3 +215,17 @@ def _power_oracle(base: float, expo: float, var: str) -> float:
             f"{var} = {base!r} < 0 with non-integer exponent {expo!r}"
         )
     return math.pow(base, expo)
+
+
+def nested_partial_sums_oracle(components: Sequence[FracSeries]) -> list[FracSeries]:
+    """[Phi_1, ..., Phi_N] by Phi_{n+1} = Phi_n + u_n: the fold ``solve`` dropped.
+
+    ``SolutionSeries.partial_sum`` normalizes the raw terms of u_0..u_{n-1}
+    once instead.  The fold rounds a merged coefficient at every step and the
+    one-shot sum only once, so the two agree bit for bit unless an
+    intermediate rounding changes the result.
+    """
+    sums = [components[0]]
+    for u in components[1:]:
+        sums.append(sums[-1] + u)
+    return sums

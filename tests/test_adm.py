@@ -7,22 +7,30 @@ import pytest
 
 from fracadm.adm import (
     ProblemSpec,
+    SolutionSeries,
     SolveError,
     adomian_polynomial,
     residual,
     solve,
 )
-from fracadm.problems import builtin_problem
+from fracadm.problems import ORDER_PAIRS, builtin_problem
 from fracadm.series import Axis, FracSeries, FracTerm, caputo_deriv
 from fracadm.gammafn import gamma_ratio
 from helpers import assert_series_close, random_series
-from oracles import adomian_lambda_oracle
+from oracles import adomian_lambda_oracle, nested_partial_sums_oracle
 
 G = math.gamma
 
 
 def S(*terms):
     return FracSeries(FracTerm(c, px, py) for c, px, py in terms)
+
+
+M = FracSeries.monomial
+
+
+def _bits(s):
+    return [(t.coeff.hex(), t.px.hex(), t.py.hex()) for t in s.terms]
 
 
 # -- problem validation --------------------------------------------------------
@@ -155,6 +163,42 @@ def test_partial_sums_cached_and_consistent():
         sol.partial_sum(0)
     with pytest.raises(IndexError):
         sol.partial_sum(6)
+
+
+# examples 1-4 at the standard pairs, and the benchmark's first deep generic pair
+@pytest.mark.parametrize(
+    "example,pairs,depth",
+    [(k, ORDER_PAIRS, 16) for k in (1, 2, 3, 4)]
+    + [(1, ((0.897148293561466, 0.7433369009864794),), 40)],
+)
+def test_partial_sums_match_nested_fold(example, pairs, depth):
+    for alpha, beta in pairs:
+        try:
+            sol = solve(builtin_problem(example, alpha, beta, depth))
+        except SolveError as err:
+            sol = err.solution  # the (0.75, 0.75) pole: u_0..u_4 still count
+        nested = nested_partial_sums_oracle(sol.components)
+        for n in range(1, len(sol.components) + 1):
+            assert _bits(sol.partial_sum(n)) == _bits(nested[n - 1]), (alpha, beta, n)
+
+
+def test_partial_sum_is_correctly_rounded():
+    # the fold rounds 1e16 + 1 to 1e16 twice; one fsum rounds 1e16 + 2 once
+    components = (M(1e16, 1.0), M(1.0, 1.0), M(1.0, 1.0))
+    sol = SolutionSeries(ProblemSpec(1.0, 1.0, components[0], FracSeries.zero(), 3), components)
+    assert sol.partial_sum(3) == M(1.0000000000000002e16, 1.0)
+    assert nested_partial_sums_oracle(components)[2] == M(1e16, 1.0)
+
+
+def test_partial_sum_overflow_names_component():
+    components = (M(1e308, 1.0), M(1e308, 1.0))
+    sol = SolutionSeries(ProblemSpec(1.0, 1.0, components[0], FracSeries.zero(), 2), components)
+    assert sol.partial_sum(1) == components[0]
+    with pytest.raises(SolveError) as err:
+        sol.partial_sum(2)
+    assert err.value.depth == 1
+    assert str(err.value).startswith("component u_1: ")
+    assert "overflow" in str(err.value)
 
 
 def test_partial_sum_example4_depth2():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from fracadm.adm import ProblemSpec, solve
 from fracadm.cli import MAX_GRID_POINTS, parse_grid, run, UsageError
 from fracadm.parser import parse_series
 from fracadm.problems import CLASSICAL_PAIR, make_table
@@ -146,6 +147,22 @@ def test_solve_digits_flag(capsys):
     assert run(["solve", "--example", "4", "--terms", "6", "--digits", "6"]) == 0
     _, rows = _rows(capsys.readouterr().out)
     assert rows[0][4] == "0.29703"
+
+
+def test_solve_grid_prints_signed_zeros_as_given(capsys):
+    # 0.0 and -0.0 are equal but print as 0 and -0: each cell shows its own value
+    grid = "x=-0.0,0.0,0.5;y=0.0,-0.0,0.1"
+    assert run(["solve", "--ic", "1+x", "--terms", "3", "--grid", grid]) == 0
+    phi = solve(ProblemSpec(1.0, 1.0, S((1, 0, 0), (1, 1, 0)), FracSeries.zero(), 3))
+    phi = phi.partial_sum(3)
+    lines = ["y,x,alpha,beta,approx,exact,abs_error"]
+    for y in (0.0, -0.0, 0.1):
+        for x in (-0.0, 0.0, 0.5):
+            cells = (y, x, 1.0, 1.0, phi.evaluate(x, y))
+            lines.append(",".join(format(v, ".17g") for v in cells) + ",,")
+    out = capsys.readouterr().out
+    assert out == "\n".join(lines) + "\n"
+    assert out.splitlines()[4].startswith("-0,-0,1,1,")
 
 
 # -- table and scan -----------------------------------------------------------------

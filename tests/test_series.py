@@ -132,6 +132,20 @@ def test_scale():
     assert 2 * S((1, 1, 1)) == S((2, 1, 1))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_raw_terms)
+@example([FracTerm(1.0, -0.0, 0.0), FracTerm(-2.0, 1.0, -0.0), FracTerm(0.0, 2.0, 0.0)])
+# a chain that normalizes to two clusters 1.8e-12 apart; negation keeps both
+@example([FracTerm(1.0, 1.0, 0.0), FracTerm(1.0, 1.0 + 0.9e-12, 0.0), FracTerm(1.0, 1.0 + 1.8e-12, 0.0)])
+def test_negation_is_scale_by_minus_one(terms):
+    s = FracSeries(terms)
+
+    def bits(series):
+        return [(t.coeff.hex(), t.px.hex(), t.py.hex()) for t in series.terms]
+
+    assert bits(-s) == bits(s.scale(-1.0))
+
+
 def test_mul_examples():
     assert S((1, 1, 0)) * S((1, 1, 0)) == S((1, 2, 0))
     assert S((1, 0, 0), (1, 1, 0)) * S((1, 0, 0), (-1, 1, 0)) == S((1, 0, 0), (-1, 2, 0))
