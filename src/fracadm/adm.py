@@ -19,13 +19,11 @@ numerical check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .gammafn import GammaPoleError
 from .series import (
     DEFAULT_TERM_CAP,
-    EXPONENT_TOL,
     Axis,
     FracSeries,
     NonIntegrableTermError,
@@ -33,6 +31,7 @@ from .series import (
     caputo_deriv,
     rl_integral,
     sum_of_products,
+    sum_series,
 )
 
 __all__ = [
@@ -83,7 +82,7 @@ class ProblemSpec:
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be >= 1, got {self.n_terms!r}")
         for name, s in (("ic", self.ic), ("forcing", self.forcing)):
-            if any(abs(t.py) > EXPONENT_TOL for t in s):
+            if any(t.py != 0.0 for t in s):
                 raise ValueError(f"{name} must not depend on y: {s}")
 
 
@@ -107,9 +106,7 @@ class SolutionSeries:
                 f"partial sum index {n} outside 1..{len(self.components)}"
             )
         try:
-            return FracSeries(
-                chain.from_iterable(u.terms for u in self.components[:n])
-            )
+            return sum_series(self.components[:n])
         except OverflowError as exc:
             raise SolveError(n - 1, str(exc)) from exc
 

@@ -64,6 +64,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1, checked while parsing, before any work is done."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="fracadm",
@@ -92,7 +103,10 @@ def build_parser() -> _ArgumentParser:
     common.add_argument("--format", choices=("csv", "tsv"), default="csv")
     common.add_argument("--out", metavar="FILE", help="write output here")
     common.add_argument(
-        "--digits", type=int, default=17, help="significant digits in output"
+        "--digits",
+        type=_positive_int,
+        default=17,
+        help="significant digits in output (at least 1)",
     )
     common.add_argument(
         "--dump-series",

@@ -7,12 +7,14 @@ cleanly rather than blow up, so the reciprocal 1/Gamma is treated as the
 entire function it is: exactly zero at non-positive integers.
 
 Values come from the standard library's ``math.gamma`` and
-``math.lgamma``.  The wrappers here add what those lack: arguments within
-POLE_TOL of a non-positive integer count as poles (``math.gamma`` would
-return a huge finite value there, or raise ValueError exactly on one),
-gamma saturates to inf past the double range (``math.gamma`` raises
+``math.lgamma``.  The wrappers here add what those lack: a non-positive
+integer is a pole (``math.gamma`` raises ValueError there), gamma
+saturates to inf past the double range (``math.gamma`` raises
 OverflowError), and ratios of large arguments go through log space so
-they survive where both factors overflow.
+they survive where both factors overflow.  The pole test has no
+tolerance: the series operators round each gamma argument once from its
+exact decimal value, so an argument whose exact value is a non-positive
+integer arrives as that integer (as does one within half an ulp of it).
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ __all__ = [
     "log_gamma",
     "rgamma",
     "gamma_ratio",
-    "POLE_TOL",
 ]
-
-# Arguments closer than this to a non-positive integer count as poles.
-POLE_TOL = 1e-12
 
 # Above this, gamma_ratio evaluates both factors in log space.
 _LOG_RATIO_CUTOFF = 20.0
@@ -39,7 +37,7 @@ _OVERFLOW_CUTOFF = 171.6
 
 
 class GammaPoleError(ArithmeticError):
-    """Gamma evaluated at (or within POLE_TOL of) a non-positive integer."""
+    """Gamma evaluated at a non-positive integer."""
 
     def __init__(self, z: float, context: str = "gamma"):
         self.z = z
@@ -47,7 +45,7 @@ class GammaPoleError(ArithmeticError):
 
 
 def _is_pole(z: float) -> bool:
-    return z <= 0.5 and abs(z - round(z)) <= POLE_TOL
+    return z <= 0.0 and z == math.floor(z)
 
 
 def gamma(z: float) -> float:

@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive):
 A sign is only admitted at the head of the expression; elsewhere "+"/"-"
 separate terms.  Variable exponents must be non-negative.  Repeated
 variables in one term multiply (``x*x^0.5`` is ``x^1.5``), and duplicate
-monomials across terms merge during normalization.  A literal that
+monomials across terms merge during normalization.  Exponents add as the
+decimals they print as, so ``x^0.1*x^0.2`` is ``x^0.3``.  A literal that
 overflows a double, or a term whose exponents add up past one, is rejected
 rather than read as ``inf``.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 
-from .series import FracSeries, FracTerm
+from .series import FracSeries, FracTerm, _decimal_sum
 
 __all__ = ["SeriesParseError", "parse_series"]
 
@@ -86,7 +87,7 @@ class _Tokens:
 def _parse_term(toks: _Tokens, sign: float) -> FracTerm:
     start = toks.pos
     coeff = toks.number()
-    px = py = 0.0
+    powers = {"x": [], "y": []}
     saw_var = False
     while True:
         if toks.peek() == "*" and coeff is None and not saw_var:
@@ -105,15 +106,15 @@ def _parse_term(toks: _Tokens, sign: float) -> FracTerm:
             if got is None:
                 toks.fail("exponent")
             expo = got
-        if var == "x":
-            px += expo
-        else:
-            py += expo
+        powers[var].append(expo)
         saw_var = True
     if coeff is None and not saw_var:
         raise SeriesParseError("expected number or variable", start)
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise SeriesParseError("exponent out of range", start)
+    try:
+        # x^0.1*x^0.2 is x^0.3: exponents add as the decimals they print as
+        px, py = _decimal_sum(powers["x"]), _decimal_sum(powers["y"])
+    except OverflowError:
+        raise SeriesParseError("exponent out of range", start) from None
     return FracTerm(sign * (1.0 if coeff is None else coeff), px, py)
 
 

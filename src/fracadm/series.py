@@ -14,6 +14,15 @@ both reduced to the power rule ``x**p -> Gamma(p+1)/Gamma(p+1 -+ order)
 Caputo integral definition evaluated by adaptive quadrature
 (``tests/oracles.py``), so the runtime needs nothing beyond the standard
 library.
+
+Exponents are exact.  A float exponent or order stands for the decimal its
+``repr`` prints, and a series keeps every exponent as an integer numerator
+over one power-of-ten denominator, so sums and shifts of exponents are
+integer additions and two monomials merge exactly when their exponents are
+equal decimals (``0.3`` and three times ``0.1`` do; ``0.3`` and
+``0.3 + 1e-14`` do not).  The float exponents of ``FracSeries.terms`` and
+the gamma arguments of the operators are rounded once, from those exact
+values.
 """
 
 from __future__ import annotations
@@ -22,8 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .gammafn import gamma_ratio
 
@@ -37,17 +45,19 @@ __all__ = [
     "caputo_deriv",
     "rl_integral",
     "sum_of_products",
+    "sum_series",
     "format_series",
     "EXPONENT_TOL",
-    "COEFF_DROP_REL",
+    "DROP_ULPS",
     "DEFAULT_TERM_CAP",
 ]
 
-# Exponents closer than this (per variable) denote the same monomial.
+# Evaluation and display treat exponents closer than this to 0, 1 or an
+# integer as that value; merging and the operators use exact exponents.
 EXPONENT_TOL = 1e-12
-# Terms with |coeff| <= COEFF_DROP_REL * max(1, largest |coeff|) are dropped,
-# so cancellation residue from gamma arithmetic never leaks into results.
-COEFF_DROP_REL = 1e-15
+# A merged coefficient of several terms is cancellation residue, and dropped,
+# when it is at most this many ulps of the sum of their magnitudes.
+DROP_ULPS = 4
 # Cauchy products larger than this raise instead of silently blowing up.
 DEFAULT_TERM_CAP = 10_000
 # evaluate_grid holds at most this many x rows of coeff * x**px at a time.
@@ -85,71 +95,118 @@ class FracTerm:
     py: float = 0.0
 
 
-def _cluster(values: Iterable[float]) -> list[list[float]]:
-    """Sort distinct values and group runs within EXPONENT_TOL of each run's first."""
-    groups: list[list[float]] = []
-    for v in sorted(values):
-        if groups and v - groups[-1][0] <= EXPONENT_TOL:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
+# -- exact exponents -------------------------------------------------------
 
 
-# Exact-exponent buckets: px -> py -> coefficients, each level in insertion
-# order, so an exponent keeps the spelling (e.g. -0.0 vs 0.0) it first had.
-_Buckets = dict[float, dict[float, list[float]]]
+def _decimal(value: float) -> tuple[int, int]:
+    """(n, d) with n / d the decimal ``repr(value)`` prints, d a power of ten.
 
-
-def _merge(buckets: _Buckets) -> tuple[FracTerm, ...]:
-    """Normalized terms from exact-exponent buckets.
-
-    Two-level clustering over the distinct exponent values: runs in px first,
-    then py inside each run, so near-equal px values cannot be split apart by
-    differing py ordering.  A cluster is represented by its smallest exponent
-    and sums its coefficients with one fsum, which is what sorting and
-    clustering every raw term gives, since fsum ignores input order.
+    Integer arithmetic on the repr string; ``fractions`` would do the same
+    but costs every CLI start an import of ``decimal`` and ``numbers``.
     """
-    merged = []
-    for px_run in _cluster(buckets):
-        px_rep = px_run[0]
-        row = buckets[px_rep]
-        if len(px_run) > 1:
-            row = {}
-            for px in px_run:
-                for py, coeffs in buckets[px].items():
-                    row.setdefault(py, []).extend(coeffs)
-        for py_run in _cluster(row):
-            if len(py_run) == 1:
-                coeff = math.fsum(row[py_run[0]])
-            else:
-                coeff = math.fsum(chain.from_iterable(row[py] for py in py_run))
-            if not math.isfinite(coeff):
-                # the cutoff below would be inf or nan and drop it silently
-                raise OverflowError(
-                    f"coefficient of x^{px_rep!r}*y^{py_run[0]!r} is {coeff!r}"
-                )
-            merged.append(FracTerm(coeff, px_rep, py_run[0]))
-    if not merged:
-        return ()
-    cutoff = COEFF_DROP_REL * max(1.0, max(abs(t.coeff) for t in merged))
-    # clusters come out in (px, py) order already
-    return tuple(t for t in merged if abs(t.coeff) > cutoff)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"exponent must be finite, got {value!r}")
+    digits, _, expo = repr(value).partition("e")
+    whole, _, frac = digits.partition(".")
+    frac = frac.rstrip("0")
+    places = len(frac) - int(expo or 0)
+    n = int(whole + frac)
+    if places <= 0:
+        return n * 10**-places, 1
+    return n, 10**places
 
 
-def _normalize(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
-    buckets: _Buckets = {}
-    for t in terms:
-        row = buckets.get(t.px)
-        if row is None:
-            buckets[t.px] = {t.py: [t.coeff]}
+def _decimal_sum(values: Iterable[float]) -> float:
+    """The float nearest the exact sum of the decimals the values print as."""
+    parts = [_decimal(v) for v in values]
+    den = max((d for _, d in parts), default=1)
+    return sum(n * (den // d) for n, d in parts) / den
+
+
+def _frame(series: Sequence["FracSeries"]) -> tuple[int, int]:
+    """(den, width) to pack these series' exponents, and sums of two of them.
+
+    ``den`` is the largest denominator, a multiple of every other one.  A
+    packed key is ``(x << width) + y`` with x and y numerators over ``den``;
+    the y field is signed and wide enough that a sum of two keys never
+    carries into x, so adding keys adds exponents, and keys sort like
+    ``(x, y)`` pairs.
+    """
+    den = max([s._den for s in series], default=1)
+    y_max = max([s._y_max * (den // s._den) for s in series], default=0)
+    return den, (2 * y_max).bit_length() + 1
+
+
+def _packed(s: "FracSeries", den: int, width: int) -> tuple[tuple[int, float], ...]:
+    """s's (packed key, coefficient) pairs in this frame; s keeps the last ones."""
+    packed = s._packed
+    if packed is not None and packed[0] == den and packed[1] == width:
+        return packed[2]
+    f = den // s._den
+    keys = [(x * f << width) + y * f for x, y in zip(s._xs, s._ys)]
+    terms = tuple(zip(keys, s._coeffs))
+    object.__setattr__(s, "_packed", (den, width, terms))
+    return terms
+
+
+def _overflow(coeff: float, x: int, y: int, den: int) -> OverflowError:
+    # the drop rule would compare inf or nan and keep or drop it silently
+    return OverflowError(f"coefficient of x^{x / den!r}*y^{y / den!r} is {coeff!r}")
+
+
+def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
+    """The normalized series of packed-key cells: one fsum per key, in key order.
+
+    A cell of several coefficients is dropped when its sum is within
+    DROP_ULPS ulps of the sum of their magnitudes, which is what rounding
+    leaves of terms that cancel; a single coefficient is dropped only when
+    it is zero.  The rule never looks at other keys, so it does not depend
+    on the scale of the series or on the order of its terms.
+    """
+    half = 1 << (width - 1)
+    full = half << 1
+    coeffs, xs, ys = [], [], []
+    for key in sorted(cells):
+        cell = cells[key]
+        coeff = math.fsum(cell)
+        x, y = divmod(key + half, full)
+        y -= half
+        if not math.isfinite(coeff):
+            raise _overflow(coeff, x, y, den)
+        if coeff == 0.0 or (
+            len(cell) > 1
+            # a plain sum() of the magnitudes is within a factor 2 of their
+            # fsum, and cheaper: it screens out all but near-cancellations
+            and abs(coeff) <= 2 * DROP_ULPS * math.ulp(sum(map(abs, cell)))
+            and abs(coeff) <= DROP_ULPS * math.ulp(math.fsum(map(abs, cell)))
+        ):
             continue
-        cell = row.get(t.py)
-        if cell is None:
-            row[t.py] = [t.coeff]
-        else:
-            cell.append(t.coeff)
-    return _merge(buckets)
+        coeffs.append(coeff)
+        xs.append(x)
+        ys.append(y)
+    return FracSeries._lattice(tuple(coeffs), tuple(xs), tuple(ys), den)
+
+
+def _normalize(terms: Iterable[FracTerm]) -> "FracSeries":
+    # the raw terms as one unmerged series, then one merge
+    return sum_series((FracSeries._from_normalized(terms),))
+
+
+def sum_series(series: Iterable["FracSeries"]) -> "FracSeries":
+    """The sum of the series, normalized once over all their terms."""
+    series = tuple(series)
+    den, width = _frame(series)
+    cells: dict[int, list[float]] = {}
+    get = cells.get
+    for s in series:
+        for key, c in _packed(s, den, width):
+            cell = get(key)
+            if cell is None:
+                cells[key] = [c]
+            else:
+                cell.append(c)
+    return _merge(cells, den, width)
 
 
 def sum_of_products(
@@ -158,53 +215,96 @@ def sum_of_products(
 ) -> "FracSeries":
     """sum of a*b over the pairs, normalized once over all raw product terms.
 
-    Each Cauchy product is checked against the term cap on its own; the raw
-    terms go straight into exact-exponent buckets, never into FracTerms.
+    Each Cauchy product is checked against the term cap on its own.  A raw
+    product is one int add of packed exponent keys, one float multiply and
+    one dict lookup; no FracTerm is built.
     """
-    buckets: _Buckets = {}
+    pairs = tuple(pairs)
+    den, width = _frame([s for pair in pairs for s in pair])
+    cells: dict[int, list[float]] = {}
+    get = cells.get
     for a, b in pairs:
-        would_be = len(a.terms) * len(b.terms)
+        would_be = len(a._coeffs) * len(b._coeffs)
         if would_be > term_cap:
             raise TermCapError(would_be, term_cap)
-        for s in a.terms:
-            c, px, py = s.coeff, s.px, s.py
-            for t in b.terms:
-                row = buckets.get(px + t.px)
-                if row is None:
-                    buckets[px + t.px] = {py + t.py: [c * t.coeff]}
-                    continue
-                cell = row.get(py + t.py)
+        b_terms = _packed(b, den, width)
+        for key, c in _packed(a, den, width):
+            for k, d in b_terms:
+                k += key
+                cell = get(k)
                 if cell is None:
-                    row[py + t.py] = [c * t.coeff]
+                    cells[k] = [c * d]
                 else:
-                    cell.append(c * t.coeff)
-    return FracSeries._from_normalized(_merge(buckets))
+                    cell.append(c * d)
+    return _merge(cells, den, width)
 
 
 class FracSeries:
     """Immutable normalized sum of FracTerm monomials.
 
-    The constructor *is* the normalization: terms are merged within
-    EXPONENT_TOL per exponent, sorted lexicographically by (px, py), and
-    negligible coefficients dropped.  The empty series is the zero series.
-    ``sum_of_products`` is the one other way in; it runs the same merge.
+    The constructor *is* the normalization: terms with equal exact exponents
+    are merged by one fsum, sorted lexicographically by (px, py), and
+    cancellation residue and zeros are dropped.  The empty series is the
+    zero series.  Inside, a series is its coefficients and the exact
+    numerators of its exponents over one denominator; ``terms`` is a float
+    view of that, built when first asked for.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_coeffs", "_xs", "_ys", "_den", "_y_max", "_terms", "_packed")
 
-    terms: tuple[FracTerm, ...]
-
-    def __init__(self, terms: Iterable[FracTerm] = ()):
-        object.__setattr__(self, "terms", _normalize(terms))
+    def __new__(cls, terms: Iterable[FracTerm] = ()):
+        return _normalize(terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("FracSeries is immutable")
 
     @classmethod
-    def _from_normalized(cls, terms: tuple[FracTerm, ...]) -> "FracSeries":
+    def _lattice(
+        cls,
+        coeffs: tuple[float, ...],
+        xs: tuple[int, ...],
+        ys: tuple[int, ...],
+        den: int,
+    ) -> "FracSeries":
+        """A series of normalized terms coeffs[i] * x^(xs[i]/den) * y^(ys[i]/den)."""
         s = object.__new__(cls)
-        object.__setattr__(s, "terms", terms)
+        init = object.__setattr__
+        init(s, "_coeffs", coeffs)
+        init(s, "_xs", xs)
+        init(s, "_ys", ys)
+        init(s, "_den", den)
+        init(s, "_y_max", max(map(abs, ys), default=0))
+        init(s, "_terms", None)
+        init(s, "_packed", None)
         return s
+
+    @classmethod
+    def _from_normalized(cls, terms: Iterable[FracTerm]) -> "FracSeries":
+        """A series of exactly these terms: no merge, no drop, no reordering."""
+        terms = tuple(terms)
+        px = [_decimal(t.px) for t in terms]
+        py = [_decimal(t.py) for t in terms]
+        den = max((d for _, d in px + py), default=1)
+        return cls._lattice(
+            tuple(float(t.coeff) for t in terms),
+            tuple(n * (den // d) for n, d in px),
+            tuple(n * (den // d) for n, d in py),
+            den,
+        )
+
+    @property
+    def terms(self) -> tuple[FracTerm, ...]:
+        """The terms with float exponents, each rounded once from its exact value."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            px = {x: x / den for x in set(self._xs)}
+            py = {y: y / den for y in set(self._ys)}
+            terms = tuple(
+                map(FracTerm, self._coeffs, map(px.get, self._xs), map(py.get, self._ys))
+            )
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- constructors -------------------------------------------------------
 
@@ -226,10 +326,10 @@ class FracSeries:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FracSeries) and self.terms == other.terms
@@ -248,13 +348,12 @@ class FracSeries:
     def __add__(self, other: "FracSeries") -> "FracSeries":
         if not isinstance(other, FracSeries):
             return NotImplemented
-        return FracSeries(self.terms + other.terms)
+        return sum_series((self, other))
 
     def __neg__(self) -> "FracSeries":
-        # a sign flip keeps every cluster and the drop cutoff, so the terms
-        # stay normalized: the same bits as scale(-1.0), with no merge
-        return FracSeries._from_normalized(
-            tuple(FracTerm(-t.coeff, t.px, t.py) for t in self.terms)
+        # the drop rule is symmetric in sign: the same terms as scale(-1.0)
+        return FracSeries._lattice(
+            tuple(-c for c in self._coeffs), self._xs, self._ys, self._den
         )
 
     def __sub__(self, other: "FracSeries") -> "FracSeries":
@@ -263,7 +362,7 @@ class FracSeries:
         return self + (-other)
 
     def scale(self, c: float) -> "FracSeries":
-        return FracSeries(FracTerm(c * t.coeff, t.px, t.py) for t in self.terms)
+        return _ordered([c * a for a in self._coeffs], self._xs, self._ys, self._den)
 
     def __mul__(self, other: Union["FracSeries", float, int]) -> "FracSeries":
         if isinstance(other, FracSeries):
@@ -334,15 +433,11 @@ class FracSeries:
         return out
 
     def max_abs_coeff(self) -> float:
-        return max((abs(t.coeff) for t in self.terms), default=0.0)
+        return max(map(abs, self._coeffs), default=0.0)
 
     def min_exponent(self, axis: Axis) -> float:
         """Smallest exponent on the chosen axis (0.0 for the zero series)."""
-        if not self.terms:
-            return 0.0
-        if axis is Axis.X:
-            return min(t.px for t in self.terms)
-        return min(t.py for t in self.terms)
+        return min(self._xs if axis is Axis.X else self._ys, default=0) / self._den
 
 
 def _power(base: float, expo: float, var: str) -> float:
@@ -390,14 +485,34 @@ def _evaluate_point(terms: tuple[FracTerm, ...], x: float, y: float) -> float:
 # -- fractional operators ------------------------------------------------
 
 
-def _split_axis(term: FracTerm, axis: Axis) -> tuple[float, float]:
-    return (term.px, term.py) if axis is Axis.X else (term.py, term.px)
+def _ordered(
+    coeffs: Sequence[float], xs: Sequence[int], ys: Sequence[int], den: int
+) -> FracSeries:
+    """The normalized series of terms whose exponents are distinct and in order.
+
+    Nothing merges, so, as in a merge, zeros are dropped and a non-finite
+    coefficient raises.
+    """
+    kept = []
+    for c, x, y in zip(coeffs, xs, ys):
+        if not math.isfinite(c):
+            raise _overflow(c, x, y, den)
+        if c != 0.0:
+            kept.append((c, x, y))
+    coeffs, xs, ys = zip(*kept) if kept else ((), (), ())
+    return FracSeries._lattice(coeffs, xs, ys, den)
 
 
-def _rebuild(coeff: float, on_axis: float, off_axis: float, axis: Axis) -> FracTerm:
-    if axis is Axis.X:
-        return FracTerm(coeff, on_axis, off_axis)
-    return FracTerm(coeff, off_axis, on_axis)
+def _on_axis(s: FracSeries, order: float, axis: Axis):
+    """(den, step, on-axis numerators, off-axis numerators) of s and the order."""
+    n, d = _decimal(order)
+    den = max(s._den, d)
+    f = den // s._den
+    xs, ys = s._xs, s._ys
+    if f != 1:
+        xs, ys = [x * f for x in xs], [y * f for y in ys]
+    step = n * (den // d)
+    return (den, step, xs, ys) if axis is Axis.X else (den, step, ys, xs)
 
 
 def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
@@ -405,33 +520,42 @@ def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
 
     Constants on the axis vanish; every other exponent p (negative ones
     included, formally) maps to Gamma(p+1)/Gamma(p+1-order) * x**(p-order).
+    Both gamma arguments are rounded once from exact values, so a pole is
+    hit exactly when one is a non-positive integer.
     """
     if not 0.0 < order <= 1.0:
         raise ValueError(f"Caputo order must be in (0, 1], got {order!r}")
-    out = []
-    for t in s:
-        p, q = _split_axis(t, axis)
-        if abs(p) <= EXPONENT_TOL:
+    den, step, on, off = _on_axis(s, order, axis)
+    coeffs, new_on, new_off = [], [], []
+    for c, p, q in zip(s._coeffs, on, off):
+        if p == 0:
             continue  # derivative of a constant on this axis
-        coeff = t.coeff * gamma_ratio(p + 1.0, p + 1.0 - order)
-        out.append(_rebuild(coeff, p - order, q, axis))
-    return FracSeries(out)
+        p1 = p + den
+        coeffs.append(c * gamma_ratio(p1 / den, (p1 - step) / den))
+        new_on.append(p - step)
+        new_off.append(q)
+    if axis is Axis.X:
+        return _ordered(coeffs, new_on, new_off, den)
+    return _ordered(coeffs, new_off, new_on, den)
 
 
 def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
     """Term-wise Riemann-Liouville fractional integral of positive order."""
     if order <= 0.0:
         raise ValueError(f"integral order must be > 0, got {order!r}")
-    out = []
-    for t in s:
-        p, q = _split_axis(t, axis)
-        if p <= -1.0 + EXPONENT_TOL:
+    den, step, on, off = _on_axis(s, order, axis)
+    coeffs = []
+    for c, p in zip(s._coeffs, on):
+        p1 = p + den
+        if p1 <= 0:
             raise NonIntegrableTermError(
-                f"exponent {p!r} on axis {axis.value} is not integrable"
+                f"exponent {p / den!r} on axis {axis.value} is not integrable"
             )
-        coeff = t.coeff * gamma_ratio(p + 1.0, p + 1.0 + order)
-        out.append(_rebuild(coeff, p + order, q, axis))
-    return FracSeries(out)
+        coeffs.append(c * gamma_ratio(p1 / den, (p1 + step) / den))
+    on = [p + step for p in on]
+    if axis is Axis.X:
+        return _ordered(coeffs, on, off, den)
+    return _ordered(coeffs, off, on, den)
 
 
 # -- display ---------------------------------------------------------------

@@ -6,8 +6,8 @@ Each oracle takes another route than the code it checks:
   adaptive quadrature, not by the power rule ``caputo_deriv`` applies;
 * ``adomian_lambda_oracle`` builds A_n by the lambda-coefficient
   construction, not by the convolution ``adomian_polynomial`` sums;
-* ``sort_cluster_normalize_oracle`` normalizes by sorting and clustering
-  every raw term, not through exact-exponent buckets;
+* ``sort_merge_normalize_oracle`` normalizes by sorting every raw term on
+  ``Fraction`` exponents, not through packed integer keys;
 * ``per_depth_scan_oracle`` solves afresh for every truncation depth, not
   once per order pair;
 * ``pointwise_evaluate_oracle`` evaluates one point term by term, not a
@@ -17,12 +17,16 @@ Each oracle takes another route than the code it checks:
 
 They live here, not in the package: quadrature needs scipy, which the
 runtime does without, and the runtime keeps one implementation of each step.
+(The runtime does without ``fractions`` too: importing it costs every CLI
+start an import of ``decimal``.)
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from scipy.integrate import quad
@@ -40,7 +44,7 @@ from fracadm.problems import (
     exact_solution,
 )
 from fracadm.series import (
-    COEFF_DROP_REL,
+    DROP_ULPS,
     EXPONENT_TOL,
     Axis,
     EvaluationDomainError,
@@ -121,34 +125,38 @@ def adomian_lambda_oracle(
     return results
 
 
-def sort_cluster_normalize_oracle(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
-    """Normalization by sorting and clustering every raw term.
+def exact_exponent(value) -> Fraction:
+    """The exact value a float exponent stands for: the decimal its repr prints."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(repr(float(value)))
 
-    This is the algorithm ``series._normalize`` replaced with exact-exponent
-    buckets; the two must agree bit for bit on every input, signed zeros
-    included.
+
+def sort_merge_normalize_oracle(terms: Iterable[FracTerm]) -> tuple[FracTerm, ...]:
+    """Normalization by sorting every raw term on exact exponents.
+
+    A term's exponents may be floats, standing for the decimals their reprs
+    print, or Fractions.  Runs of equal exponent pairs are summed by one
+    fsum; a run of several terms is dropped when its sum is within
+    DROP_ULPS ulps of the fsum of their magnitudes, a single term only when
+    it is zero.  ``series._normalize`` must agree bit for bit.
     """
 
-    def cluster(items, key):
-        groups = []
-        for item in sorted(items, key=key):
-            if groups and key(item) - key(groups[-1][0]) <= EXPONENT_TOL:
-                groups[-1].append(item)
-            else:
-                groups.append([item])
-        return groups
+    def key(t):
+        return exact_exponent(t.px), exact_exponent(t.py)
 
     merged = []
-    for px_group in cluster(list(terms), key=lambda t: t.px):
-        px_rep = px_group[0].px
-        for py_group in cluster(px_group, key=lambda t: t.py):
-            coeff = math.fsum(t.coeff for t in py_group)
-            merged.append(FracTerm(coeff, px_rep, py_group[0].py))
-    if not merged:
-        return ()
-    cutoff = COEFF_DROP_REL * max(1.0, max(abs(t.coeff) for t in merged))
-    kept = tuple(t for t in merged if abs(t.coeff) > cutoff)
-    return tuple(sorted(kept, key=lambda t: (t.px, t.py)))
+    for (px, py), run in groupby(sorted(terms, key=key), key=key):
+        coeffs = [float(t.coeff) for t in run]
+        coeff = math.fsum(coeffs)
+        if coeff == 0.0:
+            continue
+        if len(coeffs) > 1 and abs(coeff) <= DROP_ULPS * math.ulp(
+            math.fsum(abs(c) for c in coeffs)
+        ):
+            continue
+        merged.append(FracTerm(coeff, float(px), float(py)))
+    return tuple(merged)
 
 
 def per_depth_scan_oracle(example: int, n_max: int) -> list[ScanRow]:

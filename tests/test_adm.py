@@ -201,6 +201,20 @@ def test_partial_sum_overflow_names_component():
     assert "overflow" in str(err.value)
 
 
+def test_deep_partial_sums_keep_their_constant_term():
+    # Phi_50 has coefficients up to 2e17; a drop cutoff relative to the
+    # largest one deleted its constant term and printed -0.0079675
+    phi = solve(builtin_problem(4, 0.5, 1.0, 50)).partial_sum(50)
+    assert phi.evaluate(1.0, 0.1) == pytest.approx(0.7671901, abs=1e-6)
+    # two deep generic pairs printed -3.2e-30 and -9.5e-22 where u is near 1
+    for alpha, beta, value in (
+        (0.4525175241105589, 0.6466404870016967, 1.0134648),
+        (0.5679258844476471, 0.5730997272665646, 1.0064212),
+    ):
+        phi = solve(builtin_problem(1, alpha, beta, 40)).partial_sum(40)
+        assert phi.evaluate(0.3, 0.001) == pytest.approx(value, abs=1e-6)
+
+
 def test_partial_sum_example4_depth2():
     sol = solve(builtin_problem(4, 1.0, 1.0, 2))
     assert_series_close(sol.partial_sum(2), S((1, 1, 0), (-1, 1, 1)), rel=1e-12)

@@ -2,9 +2,11 @@
 
 import math
 import time
+from unittest import mock
 
 import pytest
 
+from fracadm import cli
 from fracadm.adm import ProblemSpec, solve
 from fracadm.cli import MAX_GRID_POINTS, parse_grid, run, UsageError
 from fracadm.parser import parse_series
@@ -149,6 +151,21 @@ def test_solve_digits_flag(capsys):
     assert rows[0][4] == "0.29703"
 
 
+@pytest.mark.parametrize("command", ["solve", "table", "scan"])
+@pytest.mark.parametrize("digits", ["-1", "0", "1.5", "x"])
+def test_bad_digits_exit_1_before_any_work(command, digits, capsys):
+    # rejected while parsing: no solve, table or scan is started
+    guards = [
+        mock.patch.object(cli, name, side_effect=AssertionError(f"{name} called"))
+        for name in ("solve", "make_table", "truncation_scan")
+    ]
+    with guards[0], guards[1], guards[2]:
+        code = run([command, "--example", "4", "--terms", "2", "--digits", digits])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--digits" in err and "integer >= 1" in err
+
+
 def test_solve_grid_prints_signed_zeros_as_given(capsys):
     # 0.0 and -0.0 are equal but print as 0 and -0: each cell shows its own value
     grid = "x=-0.0,0.0,0.5;y=0.0,-0.0,0.1"
@@ -278,6 +295,28 @@ def test_solver_pole_error_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "u_5" in err  # depth context reaches the user
+
+
+@pytest.mark.parametrize("terms, code", [(11, 0), (12, 2)])
+def test_exact_pole_at_alpha_06_beta_09(terms, code, capsys):
+    # u_11 reaches Gamma(-6) exactly: 10 x 0.9 is 9 as a decimal, and only an
+    # exact exponent lattice finds that pole without a tolerance
+    argv = ["solve", "--example", "1", "--alpha", "0.6", "--beta", "0.9",
+            "--terms", str(terms), "--grid", "x=0.3;y=0.1"]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            "fracadm: numeric error: component u_11: "
+            "gamma_ratio numerator has a pole at z = -6.0\n"
+        )
+    else:
+        assert err == ""
+
+
+def test_table_pole_names_u5(capsys):
+    assert run(["table", "--example", "1", "--terms", "6"]) == 2
+    assert "component u_5:" in capsys.readouterr().err
 
 
 def test_domain_error_reports_first_failing_point(capsys):

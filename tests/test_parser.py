@@ -35,6 +35,12 @@ def test_repeated_variables_multiply():
     assert parse_series("x*y^2*x^0.25") == S((1, 1.25, 2))
 
 
+def test_repeated_variable_exponents_add_as_decimals():
+    # in binary 0.1 + 0.2 is 0.30000000000000004, another monomial than x^0.3
+    assert parse_series("x^0.1*x^0.2 + x^0.3") == S((2, 0.3, 0))
+    assert parse_series("y^0.7*y^0.2*x") == S((1, 1, 0.9))
+
+
 def test_duplicate_monomials_merge():
     assert parse_series("x + x") == S((2, 1, 0))
     assert parse_series("x - x") == FracSeries.zero()

@@ -35,6 +35,18 @@ def test_import_pulls_in_no_third_party_module(flags, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_fractions_decimal_or_numbers(tmp_path):
+    # exact exponents come from repr strings and integer arithmetic: importing
+    # fractions would add decimal and numbers to every CLI start
+    code = (
+        "import sys, fracadm, fracadm.cli\n"
+        "bad = sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules)\n"
+        "assert not bad, bad\n"
+    )
+    proc = _python([], "-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_runs_without_site_packages(tmp_path):
     proc = _python(
         ["-S"], "-m", "fracadm.cli", "table", "--example", "4", "--terms", "6",

@@ -27,8 +27,9 @@ from fracadm.series import (
 from helpers import assert_series_close, random_series
 from oracles import (
     caputo_quadrature_oracle,
+    exact_exponent,
     pointwise_evaluate_oracle,
-    sort_cluster_normalize_oracle,
+    sort_merge_normalize_oracle,
 )
 
 X, Y = Axis.X, Axis.Y
@@ -36,6 +37,10 @@ X, Y = Axis.X, Axis.Y
 
 def S(*terms):
     return FracSeries(FracTerm(c, px, py) for c, px, py in terms)
+
+
+def M(coeff, px=0.0, py=0.0):
+    return FracSeries.monomial(coeff, px, py)
 
 
 # -- normalization and plain algebra ----------------------------------------
@@ -50,6 +55,22 @@ def test_normalize_drops_zero_terms():
     assert not S((0, 2, 0))
 
 
+def test_drop_rule_is_four_ulps_of_the_magnitudes():
+    # |coefficients| sum to just under 4, where an ulp is 2**-51: a residue
+    # of 4 ulps is dropped, one of 5 ulps is kept
+    for k, kept in ((4, 0), (5, 1)):
+        s = S((2.0, 0.5, 0), (-2.0 + k * 2.0**-51, 0.5, 0))
+        assert [t.coeff for t in s] == [k * 2.0**-51] * kept
+
+
+def test_single_terms_are_never_dropped():
+    # the old cutoff was 1e-15 times the largest coefficient, or 1e-15
+    for c in (1e-16, 1e-300, 5e-324, -5e-324):
+        assert [t.coeff for t in M(c, 1.0)] == [c]
+    assert len(S((1000, 0, 0), (1e-13, 2, 0))) == 2
+    assert len(S((1e20, 0, 0), (1.0, 1, 0)).mul(S((1e20, 0, 0), (1.0, 2, 0)))) == 4
+
+
 def test_normalize_cancellation():
     assert S((1, 0.5, 1), (-1, 0.5, 1)) == FracSeries.zero()
 
@@ -59,21 +80,51 @@ def test_normalize_is_idempotent():
     assert FracSeries(s.terms) == s
 
 
-def test_normalize_merge_within_tolerance():
+def _bits(terms):
+    return [(float(t.coeff).hex(), float(t.px).hex(), float(t.py).hex()) for t in terms]
+
+
+def test_normalize_merges_equal_decimals_only():
+    # 1e-14 apart: distinct decimals stay distinct terms
     s = S((1, 1.0, 2.0), (1, 1.0 + 1e-14, 2.0 - 1e-14))
-    assert len(s) == 1
-    assert s.terms[0].coeff == pytest.approx(2.0)
+    assert _bits(s) == _bits([FracTerm(1.0, 1.0, 2.0), FracTerm(1.0, 1.0 + 1e-14, 2.0 - 1e-14)])
+    # 0.1 + 0.2 prints as 0.30000000000000004, another decimal than 0.3
+    assert len(S((1, 0.3, 0), (1, 0.1 + 0.2, 0))) == 2
 
 
-# Exponents that stress the bucketed merge: exact duplicates, both zeros, and
-# chains whose links are 0.9 * EXPONENT_TOL apart (each link merges with its
-# predecessor, but the chain splits once it is more than EXPONENT_TOL long).
-_exp_bases = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, -1.25, 2.0])
-_exponents = st.one_of(
-    _exp_bases,
-    st.builds(lambda b, k: b + k * 0.9e-12 if k else b, _exp_bases, st.integers(0, 4)),
-    st.floats(min_value=-3.0, max_value=3.0),
+def test_exponent_sums_are_exact_decimals():
+    # 3 x 0.1 = 0.3, where 0.1 + 0.1 + 0.1 != 0.3 in binary
+    cube = M(1.0, 0.1).mul(M(1.0, 0.1)).mul(M(1.0, 0.1))
+    assert _bits(cube + M(1.0, 0.3)) == _bits(M(2.0, 0.3))
+    # 10 x 0.9 = 9
+    power = M(1.0)
+    for _ in range(10):
+        power = power.mul(M(1.0, 0.9))
+    assert _bits(power + M(1.0, 9.0)) == _bits(M(2.0, 9.0))
+    # beta = 1 meets an input exponent 1: D^1 x^2 = 2x merges with x
+    assert _bits(caputo_deriv(M(1.0, 2.0), 1.0, X) + M(1.0, 1.0)) == _bits(M(3.0, 1.0))
+    # beta = 0.9 takes x^1.9 exactly to x^1 (1.9 - 0.9 != 1 in binary)
+    d = caputo_deriv(M(1.0, 1.9), 0.9, X)
+    assert [t.px for t in d] == [1.0]
+    assert len(d + M(1.0, 1.0)) == 1
+    # alpha = beta = 0.5 on one axis: J^0.5 then D^0.5 returns to y^1 exactly
+    round_trip = caputo_deriv(rl_integral(M(1.0, 0.0, 1.0), 0.5, Y), 0.5, Y)
+    assert [(t.px, t.py) for t in round_trip] == [(0.0, 1.0)]
+    # beta = 0.1 three times takes x^0.3 exactly to a constant, which then vanishes
+    s = M(1.0, 0.3)
+    for _ in range(3):
+        s = caputo_deriv(s, 0.1, X)
+    assert [t.px for t in s] == [0.0]
+    assert caputo_deriv(s, 0.1, X) == FracSeries.zero()
+
+
+# Exponents that stress exact merging: both zeros, decimals whose binary
+# sums differ from their decimal sums (0.1 + 0.2 against 0.3), decimals
+# 4e-17 and 1e-14 apart, and generic floats.
+_exp_bases = st.sampled_from(
+    [0.0, -0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 0.3 + 1e-14, 0.7, 0.9, 1.0, -1.25, 2.0]
 )
+_exponents = st.one_of(_exp_bases, st.floats(min_value=-3.0, max_value=3.0))
 _raw_coeffs = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3),
     st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 1e-12]),
@@ -83,13 +134,14 @@ _raw_terms = st.lists(st.builds(FracTerm, _raw_coeffs, _exponents, _exponents), 
 
 @settings(max_examples=300, deadline=None)
 @given(_raw_terms)
-# the representative zero is the first by (exponent, input order) ...
-@example([FracTerm(1.0, 0.0, 1.0), FracTerm(1.0, -0.0, 0.5)])
-# ... also for py across the px values of one run
-@example([FracTerm(1.0, 1.0, 0.0), FracTerm(1.0, 1.0 + 0.9e-12, -0.0)])
-def test_bucketed_normalize_matches_sort_and_cluster(terms):
-    # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
-    assert repr(_normalize(terms)) == repr(sort_cluster_normalize_oracle(terms))
+# the zero exponent is one key, however it is spelled
+@example([FracTerm(1.0, 0.0, 1.0), FracTerm(1.0, -0.0, 1.0)])
+# an exact cancellation, rounding residue (0.1 + 0.2 - 0.3 is 2.8e-17 in
+# binary), and a pair that leaves more than rounding residue
+@example([FracTerm(0.1, 0.3, 0.0), FracTerm(-0.1, 0.3, 0.0), FracTerm(1e-12, 0.7, 0.0), FracTerm(-1e-12 + 1e-20, 0.7, 0.0)])
+@example([FracTerm(0.1, 0.9, 1.0), FracTerm(0.2, 0.9, 1.0), FracTerm(-0.3, 0.9, 1.0)])
+def test_normalize_matches_sort_and_merge(terms):
+    assert _bits(_normalize(terms)) == _bits(sort_merge_normalize_oracle(terms))
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,13 +149,55 @@ def test_bucketed_normalize_matches_sort_and_cluster(terms):
 def test_sum_of_products_normalizes_all_raw_products_once(pairs):
     series_pairs = [(FracSeries(a), FracSeries(b)) for a, b in pairs]
     raw = [
-        FracTerm(s.coeff * t.coeff, s.px + t.px, s.py + t.py)
+        FracTerm(
+            s.coeff * t.coeff,
+            exact_exponent(s.px) + exact_exponent(t.px),
+            exact_exponent(s.py) + exact_exponent(t.py),
+        )
         for a, b in series_pairs
         for s in a
         for t in b
     ]
     got = sum_of_products(series_pairs).terms
-    assert repr(got) == repr(sort_cluster_normalize_oracle(raw))
+    assert _bits(got) == _bits(sort_merge_normalize_oracle(raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_terms, st.randoms(use_true_random=False))
+def test_normalize_is_permutation_invariant(terms, rnd):
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    assert _bits(FracSeries(shuffled)) == _bits(FracSeries(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_terms, st.integers(min_value=-99, max_value=99))
+def test_scale_by_power_of_two_commutes_with_normalization(terms, k):
+    # 2**k with |k| <= 99 spans [1.6e-30, 6.3e29] and scales every value
+    # exactly, so the two orders agree bit for bit
+    c = 2.0**k
+    scaled = [FracTerm(c * t.coeff, t.px, t.py) for t in terms]
+    assert _bits(FracSeries(scaled)) == _bits(FracSeries(terms).scale(c))
+
+
+_int_coeffs = st.integers(min_value=-20, max_value=20).map(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.builds(FracTerm, _int_coeffs, _exp_bases, _exp_bases), max_size=40),
+    st.floats(min_value=1e-30, max_value=1e30),
+)
+def test_scale_commutes_with_normalization(terms, c):
+    # Integer coefficients sum exactly, so every cluster either cancels
+    # exactly (scaled, rounding residue that the drop rule removes) or sums
+    # to at least 1 in 800: the same terms survive at any scale, and their
+    # coefficients agree to the rounding of c * n_i.
+    scaled = FracSeries(FracTerm(c * t.coeff, t.px, t.py) for t in terms)
+    expect = FracSeries(terms).scale(c)
+    assert [(t.px, t.py) for t in scaled] == [(t.px, t.py) for t in expect]
+    for got, want in zip(scaled, expect):
+        assert got.coeff == pytest.approx(want.coeff, rel=1e-11)
 
 
 def test_sum_of_products_caps_each_product():
@@ -135,7 +229,7 @@ def test_scale():
 @settings(max_examples=300, deadline=None)
 @given(_raw_terms)
 @example([FracTerm(1.0, -0.0, 0.0), FracTerm(-2.0, 1.0, -0.0), FracTerm(0.0, 2.0, 0.0)])
-# a chain that normalizes to two clusters 1.8e-12 apart; negation keeps both
+# three exponents 0.9e-12 apart stay three terms; negation keeps all three
 @example([FracTerm(1.0, 1.0, 0.0), FracTerm(1.0, 1.0 + 0.9e-12, 0.0), FracTerm(1.0, 1.0 + 1.8e-12, 0.0)])
 def test_negation_is_scale_by_minus_one(terms):
     s = FracSeries(terms)
