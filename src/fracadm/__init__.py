@@ -14,7 +14,7 @@ from .adm import (
     residual,
     solve,
 )
-from .gammafn import GammaPoleError, gamma, gamma_ratio, log_gamma, rgamma
+from .gammafn import GammaPoleError, gamma, gamma_ratio, rgamma
 from .parser import SeriesParseError, parse_series
 from .problems import (
     REFERENCE_TABLES,
@@ -62,7 +62,6 @@ __all__ = [
     "format_series",
     "gamma",
     "gamma_ratio",
-    "log_gamma",
     "make_table",
     "parse_series",
     "recovered_depth",

@@ -18,8 +18,8 @@ numerical check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .gammafn import GammaPoleError
 from .series import (
@@ -53,45 +53,51 @@ class SolveError(ArithmeticError):
     """
 
     def __init__(
-        self, depth: int, message: str, solution: Optional["SolutionSeries"] = None
+        self, depth: int, message: str, solution: SolutionSeries | None = None
     ):
         self.depth = depth
         self.solution = solution
         super().__init__(f"component u_{depth}: {message}")
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(namedtuple("ProblemSpec", "alpha beta ic forcing n_terms")):
     """One initial-value problem D_y^alpha u + u*D_x^beta u = g, u(x,0) = f.
 
     Orders live in (0, 1], so the initial-condition sum collapses to the
-    single value u(x, 0); ic and forcing are series in x alone.
+    single value u(x, 0); ic and forcing are series in x alone.  Every
+    construction validates, so build a changed copy with ``ProblemSpec(...)``,
+    not ``_replace``, which bypasses ``__new__``.
     """
 
-    alpha: float
-    beta: float
-    ic: FracSeries
-    forcing: FracSeries
-    n_terms: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta!r}")
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {self.n_terms!r}")
-        for name, s in (("ic", self.ic), ("forcing", self.forcing)):
-            if any(t.py != 0.0 for t in s):
+    def __new__(
+        cls,
+        alpha: float,
+        beta: float,
+        ic: FracSeries,
+        forcing: FracSeries,
+        n_terms: int,
+    ):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta must be in (0, 1], got {beta!r}")
+        if n_terms < 1:
+            raise ValueError(f"n_terms must be >= 1, got {n_terms!r}")
+        for name, s in (("ic", ic), ("forcing", forcing)):
+            if s._y_max != 0:
                 raise ValueError(f"{name} must not depend on y: {s}")
+        return super().__new__(cls, alpha, beta, ic, forcing, n_terms)
 
 
-@dataclass(frozen=True)
-class SolutionSeries:
-    """Solver output: components u_0..u_{N-1}; partial sums are formed on request."""
+class SolutionSeries(namedtuple("SolutionSeries", "problem components")):
+    """Solver output: components u_0..u_{N-1}; partial sums are formed on request.
 
-    problem: ProblemSpec
-    components: tuple[FracSeries, ...]
+    ``problem`` is the ProblemSpec; ``components`` a tuple of FracSeries.
+    """
+
+    __slots__ = ()
 
     def partial_sum(self, n: int) -> FracSeries:
         """Phi_n = u_0 + ... + u_{n-1} for 1 <= n <= n_terms.
@@ -166,7 +172,10 @@ def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSer
             a_n = _convolution(components, derivs, n, term_cap)
             nxt = -rl_integral(a_n, alpha, Axis.Y)
         except _RECURSION_ERRORS as exc:
-            done = SolutionSeries(replace(problem, n_terms=n + 1), tuple(components))
+            truncated = ProblemSpec(
+                problem.alpha, problem.beta, problem.ic, problem.forcing, n + 1
+            )
+            done = SolutionSeries(truncated, tuple(components))
             raise SolveError(n + 1, str(exc), done) from exc
         components.append(nxt)
     return SolutionSeries(problem, tuple(components))

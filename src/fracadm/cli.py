@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .adm import ProblemSpec, SolveError, solve
 from .gammafn import GammaPoleError
@@ -294,7 +294,7 @@ def _cmd_scan(args) -> str:
 _COMMANDS = {"solve": _cmd_solve, "table": _cmd_table, "scan": _cmd_scan}
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

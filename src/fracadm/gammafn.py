@@ -24,7 +24,6 @@ import math
 __all__ = [
     "GammaPoleError",
     "gamma",
-    "log_gamma",
     "rgamma",
     "gamma_ratio",
 ]
@@ -48,52 +47,43 @@ def _is_pole(z: float) -> bool:
     return z <= 0.0 and z == math.floor(z)
 
 
-def gamma(z: float) -> float:
-    """Gamma(z) for real z, raising GammaPoleError at non-positive integers."""
-    if _is_pole(z):
-        raise GammaPoleError(z)
+def _gamma(z: float) -> float:
+    """Gamma(z) at a z that is not a pole; inf past the double range."""
     if z > _OVERFLOW_CUTOFF:
         return math.inf
     return math.gamma(z)
 
 
-def log_gamma(z: float) -> float:
-    """log|Gamma(z)| for z > 0."""
-    if z <= 0.0:
-        raise ValueError(f"log_gamma requires z > 0, got {z!r}")
-    return math.lgamma(z)
+def gamma(z: float) -> float:
+    """Gamma(z) for real z, raising GammaPoleError at non-positive integers."""
+    if _is_pole(z):
+        raise GammaPoleError(z)
+    return _gamma(z)
 
 
 def rgamma(z: float) -> float:
     """1/Gamma(z), entire in z: exactly 0.0 at non-positive integers."""
-    if _is_pole(z):
-        return 0.0
-    g = gamma(z)
-    if g == 0.0:
-        # Gamma underflows to a signed zero far down the negative axis, where
-        # 1/Gamma is beyond double range anyway: saturate with its sign
-        return math.copysign(math.inf, g)
-    return 1.0 / g
+    return gamma_ratio(1.0, z)
 
 
 def gamma_ratio(num: float, den: float) -> float:
     """Gamma(num)/Gamma(den), pole-safe in the denominator.
 
-    A denominator pole yields exactly 0.0; a numerator pole (with a finite
-    denominator) has no finite value and raises.  Large arguments on both
-    sides are combined in log space so the ratio survives even where the
-    individual factors would overflow.
+    A numerator pole has no finite value and raises, whatever the
+    denominator; otherwise a denominator pole yields exactly 0.0.  Large
+    arguments on both sides are combined in log space so the ratio survives
+    even where the individual factors would overflow; below that it is
+    Gamma(num) * (1/Gamma(den)).
     """
-    num_pole = _is_pole(num)
-    den_pole = _is_pole(den)
-    if num_pole and not den_pole:
+    if _is_pole(num):
         raise GammaPoleError(num, context="gamma_ratio numerator")
-    if den_pole:
-        # num_pole too would be 0/0; the recursion never produces it, and
-        # the denominator zero of 1/Gamma dominates by convention.
-        if num_pole:
-            raise GammaPoleError(num, context="gamma_ratio numerator")
+    if _is_pole(den):
         return 0.0
     if num > _LOG_RATIO_CUTOFF and den > _LOG_RATIO_CUTOFF:
         return math.exp(math.lgamma(num) - math.lgamma(den))
-    return gamma(num) * rgamma(den)
+    num_gamma, den_gamma = _gamma(num), _gamma(den)
+    if den_gamma == 0.0:
+        # Gamma underflows to a signed zero far down the negative axis, where
+        # 1/Gamma is beyond double range anyway: saturate with its sign
+        return num_gamma * math.copysign(math.inf, den_gamma)
+    return num_gamma * (1.0 / den_gamma)

@@ -18,8 +18,7 @@ depth behind the reference data is recovered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .adm import ProblemSpec, SolveError, solve
 from .series import FracSeries, FracTerm
@@ -102,27 +101,18 @@ def exact_solution(example: int, x: float, y: float) -> float:
 # -- table reports -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableCell:
-    y: float
-    x: float
-    alpha: float
-    beta: float
-    approx: float
-    exact: Optional[float]
-    abs_error: Optional[float]
+# exact and abs_error are None off the classical pair
+TableCell = namedtuple("TableCell", "y x alpha beta approx exact abs_error")
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(
+    namedtuple(
+        "TableReport", "example n_terms alpha_beta_pairs y_values x_values cells"
+    )
+):
     """Grid of approximate values per order pair, with errors at (1, 1)."""
 
-    example: int
-    n_terms: int
-    alpha_beta_pairs: tuple[tuple[float, float], ...]
-    y_values: tuple[float, ...]
-    x_values: tuple[float, ...]
-    cells: tuple[TableCell, ...]
+    __slots__ = ()
 
     def cell(self, y: float, x: float, pair: tuple[float, float]) -> TableCell:
         for c in self.cells:
@@ -227,10 +217,7 @@ def _error_resolvable(ref_error: float, exact_value: float) -> bool:
     return ref_error > _ERROR_RESOLUTION_ULPS * math.ulp(abs(exact_value))
 
 
-class ScanRow(NamedTuple):
-    n_terms: int
-    max_deviation: float
-    error_column_deviation: float
+ScanRow = namedtuple("ScanRow", "n_terms max_deviation error_column_deviation")
 
 
 def _rel_dev(mine: float, ref: float) -> float:

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .gammafn import gamma_ratio
 
@@ -64,7 +63,9 @@ DEFAULT_TERM_CAP = 10_000
 _GRID_BLOCK_ROWS = 256
 
 
-class Axis(Enum):
+class Axis:
+    """The two variables, as the strings the operators and messages use."""
+
     X = "x"
     Y = "y"
 
@@ -86,13 +87,8 @@ class NonIntegrableTermError(ValueError):
     """Fractional integral applied to an exponent <= -1 on that axis."""
 
 
-@dataclass(frozen=True)
-class FracTerm:
-    """One monomial coeff * x**px * y**py."""
-
-    coeff: float
-    px: float = 0.0
-    py: float = 0.0
+FracTerm = namedtuple("FracTerm", "coeff px py", defaults=(0.0, 0.0))
+FracTerm.__doc__ = "One monomial coeff * x**px * y**py."
 
 
 # -- exact exponents -------------------------------------------------------
@@ -316,10 +312,6 @@ class FracSeries:
     def monomial(cls, coeff: float, px: float = 0.0, py: float = 0.0) -> "FracSeries":
         return cls((FracTerm(coeff, px, py),))
 
-    @classmethod
-    def constant(cls, value: float) -> "FracSeries":
-        return cls.monomial(value)
-
     # -- container protocol --------------------------------------------------
 
     def __iter__(self) -> Iterator[FracTerm]:
@@ -364,7 +356,7 @@ class FracSeries:
     def scale(self, c: float) -> "FracSeries":
         return _ordered([c * a for a in self._coeffs], self._xs, self._ys, self._den)
 
-    def __mul__(self, other: Union["FracSeries", float, int]) -> "FracSeries":
+    def __mul__(self, other: FracSeries | float | int) -> "FracSeries":
         if isinstance(other, FracSeries):
             return self.mul(other)
         if isinstance(other, (int, float)):
@@ -403,9 +395,9 @@ class FracSeries:
         xs, ys = tuple(xs), tuple(ys)
         if not xs or not ys:
             return []
-        coeffs = [t.coeff for t in self.terms]
-        x_powers = _Powers([t.px for t in self.terms], "x")
-        y_powers = _Powers([t.py for t in self.terms], "y")
+        coeffs = self._coeffs
+        x_powers = _Powers(self._xs, self._den, "x")
+        y_powers = _Powers(self._ys, self._den, "y")
         nx = len(xs)
         out = [0.0] * (nx * len(ys))
         try:
@@ -432,12 +424,9 @@ class FracSeries:
             raise
         return out
 
-    def max_abs_coeff(self) -> float:
-        return max(map(abs, self._coeffs), default=0.0)
-
     def min_exponent(self, axis: Axis) -> float:
         """Smallest exponent on the chosen axis (0.0 for the zero series)."""
-        return min(self._xs if axis is Axis.X else self._ys, default=0) / self._den
+        return min(self._xs if axis == Axis.X else self._ys, default=0) / self._den
 
 
 def _power(base: float, expo: float, var: str) -> float:
@@ -460,13 +449,14 @@ def _power(base: float, expo: float, var: str) -> float:
 class _Powers:
     """Powers of one variable at the exponents of a series' terms, in term order.
 
-    Each distinct exponent is computed once per value.
+    The exponents are numerators over ``den``.  Each distinct one is computed
+    once per value, at the float ``n / den`` that ``FracSeries.terms`` holds.
     """
 
-    def __init__(self, exponents: list[float], var: str):
-        slots: dict[float, int] = {}
-        self.slot = [slots.setdefault(p, len(slots)) for p in exponents]
-        self.exponents = list(slots)
+    def __init__(self, numerators: Sequence[int], den: int, var: str):
+        slots: dict[int, int] = {}
+        self.slot = [slots.setdefault(n, len(slots)) for n in numerators]
+        self.exponents = [n / den for n in slots]
         self.var = var
 
     def row(self, value: float) -> list[float]:
@@ -512,7 +502,7 @@ def _on_axis(s: FracSeries, order: float, axis: Axis):
     if f != 1:
         xs, ys = [x * f for x in xs], [y * f for y in ys]
     step = n * (den // d)
-    return (den, step, xs, ys) if axis is Axis.X else (den, step, ys, xs)
+    return (den, step, xs, ys) if axis == Axis.X else (den, step, ys, xs)
 
 
 def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
@@ -534,7 +524,7 @@ def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
         coeffs.append(c * gamma_ratio(p1 / den, (p1 - step) / den))
         new_on.append(p - step)
         new_off.append(q)
-    if axis is Axis.X:
+    if axis == Axis.X:
         return _ordered(coeffs, new_on, new_off, den)
     return _ordered(coeffs, new_off, new_on, den)
 
@@ -549,11 +539,11 @@ def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
         p1 = p + den
         if p1 <= 0:
             raise NonIntegrableTermError(
-                f"exponent {p / den!r} on axis {axis.value} is not integrable"
+                f"exponent {p / den!r} on axis {axis} is not integrable"
             )
         coeffs.append(c * gamma_ratio(p1 / den, (p1 + step) / den))
     on = [p + step for p in on]
-    if axis is Axis.X:
+    if axis == Axis.X:
         return _ordered(coeffs, on, off, den)
     return _ordered(coeffs, off, on, den)
 

@@ -255,6 +255,15 @@ def test_mul_term_cap():
     assert a.mul(b, term_cap=10_201)  # exactly at the cap passes
 
 
+def test_plain_value_types():
+    # a term is a named tuple whose exponents default to 0; an axis is the
+    # string naming its variable
+    t = FracTerm(2.0, py=0.5)
+    assert (t.coeff, t.px, t.py) == (2.0, 0.0, 0.5)
+    assert t == (2.0, 0.0, 0.5)
+    assert (Axis.X, Axis.Y) == ("x", "y")
+
+
 def test_immutability():
     s = S((1, 1, 0))
     with pytest.raises(AttributeError):
@@ -356,6 +365,14 @@ def test_evaluate_grid_wider_than_one_block():
     got, want = _grid_vs_oracle(s, xs, ys)
     assert got == want
     assert len(got) == len(xs) * len(ys)
+
+
+def test_evaluate_grid_reads_the_lattice():
+    # the float view of the terms is built only when a point fails
+    s = S((1, 0.5, 0), (2, 1, 0.3), (-1, 0.5, 0.3))
+    got = s.evaluate_grid([0.3, 0.6], [0.0, 0.1])
+    assert s._terms is None
+    assert got == [pointwise_evaluate_oracle(s, x, y) for y in (0.0, 0.1) for x in (0.3, 0.6)]
 
 
 def test_evaluate_grid_empty_axes():
@@ -487,6 +504,8 @@ def test_rl_non_integrable_exponent():
         rl_integral(S((1, -1, 0)), 0.5, X)
     with pytest.raises(NonIntegrableTermError):
         rl_integral(S((1, -1.5, 0)), 0.5, X)
+    with pytest.raises(NonIntegrableTermError, match="exponent -1.5 on axis y is not"):
+        rl_integral(S((1, 0, -1.5)), 0.5, Y)
 
 
 # -- operator properties (randomized) ------------------------------------------
