@@ -23,7 +23,6 @@ from collections.abc import Iterable, Sequence
 
 from .gammafn import GammaPoleError
 from .series import (
-    DEFAULT_TERM_CAP,
     Axis,
     FracSeries,
     NonIntegrableTermError,
@@ -118,22 +117,14 @@ class SolutionSeries(namedtuple("SolutionSeries", "problem components")):
 
 
 def _convolution(
-    components: Sequence[FracSeries],
-    derivs: Sequence[FracSeries],
-    n: int,
-    term_cap: int,
+    components: Sequence[FracSeries], derivs: Sequence[FracSeries], n: int
 ) -> FracSeries:
     """sum_{i=0}^{n} u_i * derivs[n-i], with derivs[j] = D_x^beta u_j."""
-    return sum_of_products(
-        ((components[i], derivs[n - i]) for i in range(n + 1)), term_cap
-    )
+    return sum_of_products((components[i], derivs[n - i]) for i in range(n + 1))
 
 
 def adomian_polynomial(
-    components: Sequence[FracSeries],
-    n: int,
-    beta: float,
-    term_cap: int = DEFAULT_TERM_CAP,
+    components: Sequence[FracSeries], n: int, beta: float
 ) -> FracSeries:
     """A_n for the bilinear nonlinearity: sum_{i+j=n} u_i * D_x^beta u_j."""
     if n < 0:
@@ -143,20 +134,21 @@ def adomian_polynomial(
             f"A_{n} needs {n + 1} components, only {len(components)} given"
         )
     derivs = [caputo_deriv(u, beta, Axis.X) for u in components[: n + 1]]
-    return _convolution(components, derivs, n, term_cap)
+    return _convolution(components, derivs, n)
 
 
 # OverflowError: math.fsum overflowing while merging a cluster.
 _RECURSION_ERRORS = (GammaPoleError, TermCapError, NonIntegrableTermError, OverflowError)
 
 
-def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSeries:
+def solve(problem: ProblemSpec) -> SolutionSeries:
     """Run the recursion to problem.n_terms components.
 
     Only the components are built; a partial sum is formed when asked for.
     Components do not depend on n_terms, so partial_sum(n) of this solution
     equals partial_sum(n) of a solve to depth n.  On failure at u_n the
-    SolveError carries u_0..u_{n-1} as its ``solution``.
+    SolveError carries u_0..u_{n-1} as its ``solution``; a product past
+    ``series.TERM_CAP`` terms is such a failure.
     """
     alpha, beta = problem.alpha, problem.beta
     try:
@@ -169,7 +161,7 @@ def solve(problem: ProblemSpec, term_cap: int = DEFAULT_TERM_CAP) -> SolutionSer
         try:
             # differentiate lazily: u_{N-1} itself is never differentiated
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
-            a_n = _convolution(components, derivs, n, term_cap)
+            a_n = _convolution(components, derivs, n)
             nxt = -rl_integral(a_n, alpha, Axis.Y)
         except _RECURSION_ERRORS as exc:
             truncated = ProblemSpec(
@@ -185,12 +177,11 @@ def residual(
     problem: ProblemSpec,
     s: FracSeries,
     points: Iterable[tuple[float, float]],
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> float:
     """Max |D_y^alpha s + s * D_x^beta s - g| over the given points."""
     lhs = (
         caputo_deriv(s, problem.alpha, Axis.Y)
-        + s.mul(caputo_deriv(s, problem.beta, Axis.X), term_cap)
+        + s.mul(caputo_deriv(s, problem.beta, Axis.X))
         - problem.forcing
     )
     return max(abs(lhs.evaluate(x, y)) for x, y in points)

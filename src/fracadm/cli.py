@@ -6,8 +6,8 @@ Subcommands:
     table   reference-style report table for a built-in example
     scan    truncation-depth scan against the stored reference table
 
-Exit codes: 0 success, 1 usage or expression-parse error, 2 numeric or
-domain error during computation.
+Exit codes: 0 success, 1 usage or expression-parse error or an output
+file that cannot be written, 2 numeric or domain error during computation.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from .gammafn import GammaPoleError
 from .parser import SeriesParseError, parse_series
 from .problems import (
     CLASSICAL_PAIR,
+    EXAMPLE_IDS,
     X_GRID,
     Y_GRID,
     SingularPointError,
+    builtin_problem,
     exact_solution,
     make_table,
     truncation_scan,
@@ -75,58 +77,64 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_output_options(cmd: argparse.ArgumentParser) -> None:
+    """--terms and the output options, which every subcommand takes."""
+    cmd.add_argument(
+        "--terms", type=int, default=6, help="truncation depth (scan: max depth)"
+    )
+    cmd.add_argument("--format", choices=("csv", "tsv"), default="csv")
+    cmd.add_argument("--out", metavar="FILE", help="write output here")
+    cmd.add_argument(
+        "--digits",
+        type=_positive_int,
+        default=17,
+        help="significant digits in output (at least 1)",
+    )
+
+
 def build_parser() -> _ArgumentParser:
+    """solve takes a problem, orders and a grid; table and scan take only a
+    built-in example, since their orders and grid are the reference tables'."""
     parser = _ArgumentParser(
         prog="fracadm",
         description="Decomposition-series solver for D_y^a u + u*D_x^b u = g(x).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--example", type=int, choices=(1, 2, 3, 4), help="built-in problem id"
+    solve_cmd = sub.add_parser("solve", help="solve and evaluate on a grid")
+    solve_cmd.add_argument(
+        "--example", type=int, choices=EXAMPLE_IDS, help="built-in problem id"
     )
-    common.add_argument("--ic", metavar="EXPR", help="initial condition f(x)")
-    common.add_argument(
-        "--g", metavar="EXPR", default=None, help="forcing g(x) (default 0)"
-    )
-    common.add_argument("--alpha", type=float, default=1.0, help="order of D_y")
-    common.add_argument("--beta", type=float, default=1.0, help="order of D_x")
-    common.add_argument(
-        "--terms", type=int, default=6, help="truncation depth (scan: max depth)"
-    )
-    common.add_argument(
+    solve_cmd.add_argument("--ic", metavar="EXPR", help="initial condition f(x)")
+    solve_cmd.add_argument("--g", metavar="EXPR", help="forcing g(x) (default 0)")
+    solve_cmd.add_argument("--alpha", type=float, default=1.0, help="order of D_y")
+    solve_cmd.add_argument("--beta", type=float, default=1.0, help="order of D_x")
+    shown = solve_cmd.add_mutually_exclusive_group()
+    shown.add_argument(
         "--grid",
         metavar="SPEC",
         help="evaluation grid, e.g. 'x=0.1:0.9:0.2;y=0.01,0.05,0.1'",
     )
-    common.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    common.add_argument("--out", metavar="FILE", help="write output here")
-    common.add_argument(
-        "--digits",
-        type=_positive_int,
-        default=17,
-        help="significant digits in output (at least 1)",
-    )
-    common.add_argument(
+    shown.add_argument(
         "--dump-series",
         action="store_true",
-        help="solve: print the truncated series instead of grid values",
+        help="print the truncated series instead of grid values",
     )
+    _add_output_options(solve_cmd)
 
-    sub.add_parser(
-        "solve", parents=[common], help="solve and evaluate on a grid"
-    )
-    sub.add_parser(
-        "table",
-        parents=[common],
-        help="report table over the standard order pairs (built-in examples)",
-    )
-    sub.add_parser(
-        "scan",
-        parents=[common],
-        help="truncation-depth scan against the reference table",
-    )
+    for name, text in (
+        ("table", "report table over the standard order pairs"),
+        ("scan", "truncation-depth scan against the reference table"),
+    ):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument(
+            "--example",
+            type=int,
+            choices=EXAMPLE_IDS,
+            required=True,
+            help="built-in problem id",
+        )
+        _add_output_options(cmd)
     return parser
 
 
@@ -179,6 +187,8 @@ def parse_grid(spec: str) -> tuple[list[float], list[float]]:
         axis = axis.strip()
         if axis not in ("x", "y"):
             raise UsageError(f"unknown grid axis {axis!r}")
+        if axis in axes:
+            raise UsageError(f"grid axis {axis} is given more than once")
         axes[axis] = _parse_axis(values.strip(), axis)
     if "x" not in axes or "y" not in axes:
         raise UsageError("grid must specify both x and y")
@@ -217,11 +227,9 @@ def _render(header: str, rows, args) -> str:
 
 
 def _build_problem(args) -> ProblemSpec:
-    if args.example is not None and args.ic is not None:
+    if args.example is not None and (args.ic is not None or args.g is not None):
         raise UsageError("give either --example or --ic/--g, not both")
     if args.example is not None:
-        from .problems import builtin_problem
-
         return builtin_problem(args.example, args.alpha, args.beta, args.terms)
     if args.ic is None:
         raise UsageError("either --example or --ic is required")
@@ -274,19 +282,11 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_table(args) -> str:
-    if args.example is None:
-        raise UsageError("table requires --example (reference layout)")
-    report = make_table(args.example, args.terms)
-    rows = (
-        (c.y, c.x, c.alpha, c.beta, c.approx, c.exact, c.abs_error)
-        for c in report.cells
-    )
-    return _render(_GRID_HEADER, rows, args)
+    # a TableCell's fields are the _GRID_HEADER columns, in order
+    return _render(_GRID_HEADER, make_table(args.example, args.terms).cells, args)
 
 
 def _cmd_scan(args) -> str:
-    if args.example is None:
-        raise UsageError("scan requires --example (reference tables)")
     rows = truncation_scan(args.example, args.terms)
     return _render("n,max_rel_deviation,error_column_deviation", rows, args)
 
@@ -295,13 +295,8 @@ _COMMANDS = {"solve": _cmd_solve, "table": _cmd_table, "scan": _cmd_scan}
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"fracadm: error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         output = _COMMANDS[args.command](args)
     except _NUMERIC_ERRORS as exc:
         print(f"fracadm: numeric error: {exc}", file=sys.stderr)
@@ -309,11 +304,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (UsageError, SeriesParseError, ValueError) as exc:
         print(f"fracadm: error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
+    if not args.out:
+        sys.stdout.write(output)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output)
-    else:
-        sys.stdout.write(output)
+    except OSError as exc:
+        print(f"fracadm: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -105,11 +105,7 @@ def exact_solution(example: int, x: float, y: float) -> float:
 TableCell = namedtuple("TableCell", "y x alpha beta approx exact abs_error")
 
 
-class TableReport(
-    namedtuple(
-        "TableReport", "example n_terms alpha_beta_pairs y_values x_values cells"
-    )
-):
+class TableReport(namedtuple("TableReport", "example n_terms cells")):
     """Grid of approximate values per order pair, with errors at (1, 1)."""
 
     __slots__ = ()
@@ -121,28 +117,23 @@ class TableReport(
         raise KeyError(f"no cell at y={y!r}, x={x!r}, pair={pair!r}")
 
 
-def make_table(
-    example: int,
-    n_terms: int,
-    pairs: tuple[tuple[float, float], ...] = ORDER_PAIRS,
-    y_values: tuple[float, ...] = Y_GRID,
-    x_values: tuple[float, ...] = X_GRID,
-) -> TableReport:
+def make_table(example: int, n_terms: int) -> TableReport:
     """Solve once per order pair and tabulate Phi_{n_terms} on the grid.
 
-    Each pair's Phi is evaluated on the whole grid by one
+    The table covers ORDER_PAIRS on Y_GRID x X_GRID, the layout of the
+    reference tables.  Each pair's Phi is evaluated on the whole grid by one
     ``FracSeries.evaluate_grid`` call, pairs in order; cells come out by y,
     then x, then pair.
     """
     approxs = {}
-    for pair in pairs:
+    for pair in ORDER_PAIRS:
         alpha, beta = pair
         sol = solve(builtin_problem(example, alpha, beta, n_terms))
-        approxs[pair] = iter(sol.partial_sum(n_terms).evaluate_grid(x_values, y_values))
+        approxs[pair] = iter(sol.partial_sum(n_terms).evaluate_grid(X_GRID, Y_GRID))
     cells = []
-    for y in y_values:
-        for x in x_values:
-            for pair in pairs:
+    for y in Y_GRID:
+        for x in X_GRID:
+            for pair in ORDER_PAIRS:
                 approx = next(approxs[pair])
                 if pair == CLASSICAL_PAIR:
                     exact = exact_solution(example, x, y)
@@ -150,9 +141,7 @@ def make_table(
                 else:
                     cell = TableCell(y, x, *pair, approx, None, None)
                 cells.append(cell)
-    return TableReport(
-        example, n_terms, tuple(pairs), tuple(y_values), tuple(x_values), tuple(cells)
-    )
+    return TableReport(example, n_terms, tuple(cells))
 
 
 # -- reference data ----------------------------------------------------------

@@ -48,17 +48,18 @@ __all__ = [
     "format_series",
     "EXPONENT_TOL",
     "DROP_ULPS",
-    "DEFAULT_TERM_CAP",
+    "TERM_CAP",
 ]
 
 # Evaluation and display treat exponents closer than this to 0, 1 or an
 # integer as that value; merging and the operators use exact exponents.
 EXPONENT_TOL = 1e-12
 # A merged coefficient of several terms is cancellation residue, and dropped,
-# when it is at most this many ulps of the sum of their magnitudes.
+# when it is at most this many ulps of the sum of their magnitudes (an ulp
+# of a magnitude in [2**(e-1), 2**e) taken as 2**(e-53), subnormal or not).
 DROP_ULPS = 4
 # Cauchy products larger than this raise instead of silently blowing up.
-DEFAULT_TERM_CAP = 10_000
+TERM_CAP = 10_000
 # evaluate_grid holds at most this many x rows of coeff * x**px at a time.
 _GRID_BLOCK_ROWS = 256
 
@@ -157,8 +158,10 @@ def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
     A cell of several coefficients is dropped when its sum is within
     DROP_ULPS ulps of the sum of their magnitudes, which is what rounding
     leaves of terms that cancel; a single coefficient is dropped only when
-    it is zero.  The rule never looks at other keys, so it does not depend
-    on the scale of the series or on the order of its terms.
+    it is zero.  The rule never looks at other keys, and it compares
+    exponents, not math.ulp, whose fixed floor among subnormals would make
+    it depend on scale there; so it depends neither on the scale of the
+    series nor on the order of its terms.
     """
     half = 1 << (width - 1)
     full = half << 1
@@ -175,7 +178,8 @@ def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
             # a plain sum() of the magnitudes is within a factor 2 of their
             # fsum, and cheaper: it screens out all but near-cancellations
             and abs(coeff) <= 2 * DROP_ULPS * math.ulp(sum(map(abs, cell)))
-            and abs(coeff) <= DROP_ULPS * math.ulp(math.fsum(map(abs, cell)))
+            and math.ldexp(abs(coeff), 53 - math.frexp(math.fsum(map(abs, cell)))[1])
+            <= DROP_ULPS
         ):
             continue
         coeffs.append(coeff)
@@ -207,11 +211,11 @@ def sum_series(series: Iterable["FracSeries"]) -> "FracSeries":
 
 def sum_of_products(
     pairs: Iterable[tuple["FracSeries", "FracSeries"]],
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> "FracSeries":
     """sum of a*b over the pairs, normalized once over all raw product terms.
 
-    Each Cauchy product is checked against the term cap on its own.  A raw
+    Each Cauchy product is checked on its own against ``TERM_CAP``, read at
+    call time, and one larger than the cap raises TermCapError.  A raw
     product is one int add of packed exponent keys, one float multiply and
     one dict lookup; no FracTerm is built.
     """
@@ -221,8 +225,8 @@ def sum_of_products(
     get = cells.get
     for a, b in pairs:
         would_be = len(a._coeffs) * len(b._coeffs)
-        if would_be > term_cap:
-            raise TermCapError(would_be, term_cap)
+        if would_be > TERM_CAP:
+            raise TermCapError(would_be, TERM_CAP)
         b_terms = _packed(b, den, width)
         for key, c in _packed(a, den, width):
             for k, d in b_terms:
@@ -366,9 +370,9 @@ class FracSeries:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def mul(self, other: "FracSeries", term_cap: int = DEFAULT_TERM_CAP) -> "FracSeries":
-        """Full Cauchy product, guarded by the term cap."""
-        return sum_of_products(((self, other),), term_cap)
+    def mul(self, other: "FracSeries") -> "FracSeries":
+        """Full Cauchy product; more than ``TERM_CAP`` raw terms raise TermCapError."""
+        return sum_of_products(((self, other),))
 
     # -- evaluation ----------------------------------------------------------
 

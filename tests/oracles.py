@@ -139,7 +139,9 @@ def sort_merge_normalize_oracle(terms: Iterable[FracTerm]) -> tuple[FracTerm, ..
     print, or Fractions.  Runs of equal exponent pairs are summed by one
     fsum; a run of several terms is dropped when its sum is within
     DROP_ULPS ulps of the fsum of their magnitudes, a single term only when
-    it is zero.  ``series._normalize`` must agree bit for bit.
+    it is zero.  The ulp of a magnitude in [2**(e-1), 2**e) is the exact
+    2**(e-53), also below the smallest normal float, where ``math.ulp``
+    stops shrinking.  ``series._normalize`` must agree bit for bit.
     """
 
     def key(t):
@@ -151,9 +153,9 @@ def sort_merge_normalize_oracle(terms: Iterable[FracTerm]) -> tuple[FracTerm, ..
         coeff = math.fsum(coeffs)
         if coeff == 0.0:
             continue
-        if len(coeffs) > 1 and abs(coeff) <= DROP_ULPS * math.ulp(
-            math.fsum(abs(c) for c in coeffs)
-        ):
+        magnitude = math.fsum(abs(c) for c in coeffs)
+        ulp = Fraction(2) ** (math.frexp(magnitude)[1] - 53)
+        if len(coeffs) > 1 and Fraction(abs(coeff)) <= DROP_ULPS * ulp:
             continue
         merged.append(FracTerm(coeff, float(px), float(py)))
     return tuple(merged)

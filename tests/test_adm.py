@@ -14,7 +14,7 @@ from fracadm.adm import (
     solve,
 )
 from fracadm.problems import ORDER_PAIRS, builtin_problem
-from fracadm.series import Axis, FracSeries, FracTerm, caputo_deriv
+from fracadm.series import Axis, FracSeries, FracTerm, TermCapError, caputo_deriv
 from fracadm.gammafn import gamma_ratio
 from helpers import assert_series_close, random_series
 from oracles import adomian_lambda_oracle, nested_partial_sums_oracle
@@ -272,11 +272,13 @@ def test_solve_overflow_error_carries_depth():
 
 
 def test_solve_term_cap_error_carries_depth():
-    ic = FracSeries(FracTerm(1.0, float(i) / 4.0, 0.0) for i in range(1, 30))
+    # 101 terms, none constant: A_0 = u_0 * D_x^beta u_0 has 101 x 101 products
+    ic = FracSeries(FracTerm(1.0, float(i) / 4.0, 0.0) for i in range(1, 102))
     problem = ProblemSpec(0.5, 0.5, ic, FracSeries.zero(), 4)
     with pytest.raises(SolveError) as err:
-        solve(problem, term_cap=50)
+        solve(problem)
     assert err.value.depth >= 1
+    assert isinstance(err.value.__cause__, TermCapError)
 
 
 # -- residual ---------------------------------------------------------------------

@@ -24,6 +24,17 @@ def _rows(output):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def _no_work():
+    """Patch out the solver entry points of the CLI: calling one fails the test."""
+    return mock.patch.multiple(
+        cli,
+        **{
+            name: mock.Mock(side_effect=AssertionError(f"{name} called"))
+            for name in ("solve", "make_table", "truncation_scan")
+        },
+    )
+
+
 # -- grid parsing ---------------------------------------------------------------
 
 
@@ -48,7 +59,7 @@ def test_grid_mixed_forms():
 @pytest.mark.parametrize(
     "spec",
     ["x=0.5", "y=0.1", "x=0.5;y=", "x=a;y=0.1", "x=1:0:0.1;y=0.1", "x=0:1:-1;y=0.1", "z=1;y=1",
-     "x=0:inf:1;y=0.1", "x=nan;y=0.1", "x=0:1:nan;y=0.1"],
+     "x=0:inf:1;y=0.1", "x=nan;y=0.1", "x=0:1:nan;y=0.1", "x=1;x=2;y=0.1"],
 )
 def test_grid_rejects_malformed_specs(spec):
     with pytest.raises(UsageError):
@@ -155,11 +166,7 @@ def test_solve_digits_flag(capsys):
 @pytest.mark.parametrize("digits", ["-1", "0", "1.5", "x"])
 def test_bad_digits_exit_1_before_any_work(command, digits, capsys):
     # rejected while parsing: no solve, table or scan is started
-    guards = [
-        mock.patch.object(cli, name, side_effect=AssertionError(f"{name} called"))
-        for name in ("solve", "make_table", "truncation_scan")
-    ]
-    with guards[0], guards[1], guards[2]:
+    with _no_work():
         code = run([command, "--example", "4", "--terms", "2", "--digits", digits])
     assert code == 1
     err = capsys.readouterr().err
@@ -246,8 +253,42 @@ def test_usage_error_custom_needs_grid():
 
 
 def test_usage_error_table_needs_example():
-    assert run(["table", "--ic", "x"]) == 1
-    assert run(["scan", "--ic", "x"]) == 1
+    assert run(["table"]) == 1
+    assert run(["scan", "--terms", "3"]) == 1
+
+
+_SOLVE_ONLY_OPTIONS = [
+    ["--ic", "x"], ["--g", "x"], ["--alpha", "0.5"], ["--beta", "0.5"],
+    ["--grid", "x=1;y=0.1"], ["--dump-series"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--example", "4", *option]
+     for command in ("table", "scan") for option in _SOLVE_ONLY_OPTIONS]
+    + [["solve", "--example", "4", "--g", "x", "--grid", "x=0.5;y=0.1"],
+       ["solve", "--ic", "x", "--dump-series", "--grid", "x=1;y=0.1"]],
+    ids=" ".join,
+)
+def test_unread_option_exits_1_before_any_work(argv, capsys):
+    # table and scan take only the options they read; solve refuses --g with
+    # a built-in example and a grid with --dump-series
+    with _no_work():
+        assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fracadm: error: ")
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "t.csv"
+    assert run(["table", "--example", "4", "--terms", "2", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fracadm: error: ")
+    assert str(target) in captured.err
+    assert not target.exists()
 
 
 def test_parse_error_exits_1(capsys):

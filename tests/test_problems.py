@@ -160,6 +160,7 @@ def test_printed_first_components_fractional_orders():
 
 def test_make_table_layout_and_invariants():
     report = make_table(2, 3)
+    assert report._fields == ("example", "n_terms", "cells")
     assert report.example == 2
     assert report.n_terms == 3
     assert len(report.cells) == len(Y_GRID) * len(X_GRID) * len(ORDER_PAIRS)
