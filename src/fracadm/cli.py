@@ -36,6 +36,7 @@ from .series import (
     FracSeries,
     NonIntegrableTermError,
     TermCapError,
+    _decimal,
     format_series,
 )
 
@@ -82,7 +83,7 @@ def _add_output_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--terms", type=int, default=6, help="truncation depth (scan: max depth)"
     )
-    cmd.add_argument("--format", choices=("csv", "tsv"), default="csv")
+    cmd.add_argument("--format", choices=("csv", "tsv"), help="default csv")
     cmd.add_argument("--out", metavar="FILE", help="write output here")
     cmd.add_argument(
         "--digits",
@@ -149,12 +150,15 @@ def _parse_axis(spec: str, axis: str) -> tuple[int, Callable[[], list[float]]]:
             raise UsageError(f"grid step for {axis} must be positive")
         if stop < start:
             raise UsageError(f"grid range for {axis} is empty")
-        steps = (stop - start) / step + 1e-9  # may be inf
-        if steps >= MAX_GRID_POINTS:  # the count, int(steps) + 1, would exceed it
+        # floor((stop - start) / step) + 1 points, counted on the exact decimals
+        parts = [_decimal(v) for v in (start, stop, step)]
+        den = max(d for _, d in parts)
+        a, b, s = (n * (den // d) for n, d in parts)
+        count = (b - a) // s + 1
+        if count > MAX_GRID_POINTS:
             raise UsageError(
                 f"grid range for {axis} has more than {MAX_GRID_POINTS} points"
             )
-        count = int(steps) + 1
         return count, lambda: [start + k * step for k in range(count)]
     values = _parse_numbers([f for f in spec.split(",") if f.strip()], axis, spec)
     return len(values), lambda: values
@@ -219,7 +223,7 @@ def _formatter(digits: int) -> Callable[[object], str]:
 
 def _render(header: str, rows, args) -> str:
     """CSV/TSV text: the comma-separated header, then one line per row of values."""
-    sep = "," if args.format == "csv" else "\t"
+    sep = "\t" if args.format == "tsv" else ","
     fmt = _formatter(args.digits)
     lines = [header.replace(",", sep)]
     lines.extend(sep.join(map(fmt, row)) for row in rows)
@@ -255,6 +259,8 @@ def _cmd_solve(args) -> str:
     The whole grid is evaluated by one ``FracSeries.evaluate_grid`` call;
     examples at the classical orders also get exact and error columns.
     """
+    if args.dump_series and args.format is not None:
+        raise UsageError("argument --format: not allowed with argument --dump-series")
     problem = _build_problem(args)
     sol = solve(problem)
     phi = sol.partial_sum(problem.n_terms)

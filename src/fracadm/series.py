@@ -22,7 +22,8 @@ integer additions and two monomials merge exactly when their exponents are
 equal decimals (``0.3`` and three times ``0.1`` do; ``0.3`` and
 ``0.3 + 1e-14`` do not).  The float exponents of ``FracSeries.terms`` and
 the gamma arguments of the operators are rounded once, from those exact
-values.
+values.  Evaluation and display use those floats as they are, so
+``x^1e-13`` is not the constant ``1``.
 """
 
 from __future__ import annotations
@@ -46,14 +47,10 @@ __all__ = [
     "sum_of_products",
     "sum_series",
     "format_series",
-    "EXPONENT_TOL",
     "DROP_ULPS",
     "TERM_CAP",
 ]
 
-# Evaluation and display treat exponents closer than this to 0, 1 or an
-# integer as that value; merging and the operators use exact exponents.
-EXPONENT_TOL = 1e-12
 # A merged coefficient of several terms is cancellation residue, and dropped,
 # when it is at most this many ulps of the sum of their magnitudes (an ulp
 # of a magnitude in [2**(e-1), 2**e) taken as 2**(e-53), subnormal or not).
@@ -380,7 +377,7 @@ class FracSeries:
         """Sum coeff * x**px * y**py with the 0**0 = 1 convention.
 
         y must be >= 0, 0 has no negative powers and a negative x only
-        integer ones (within EXPONENT_TOL); otherwise EvaluationDomainError.
+        integer ones; otherwise EvaluationDomainError.
         This is the one-point case of ``evaluate_grid``.
         """
         return self.evaluate_grid((x,), (y,))[0]
@@ -434,16 +431,14 @@ class FracSeries:
 
 
 def _power(base: float, expo: float, var: str) -> float:
-    if abs(expo) <= EXPONENT_TOL:
+    # the exponent is exact: only 0.0 is 0, and only whole floats are integers
+    if expo == 0.0:
         return 1.0  # includes the 0**0 = 1 convention
     if base == 0.0:
         if expo > 0.0:
             return 0.0
         raise EvaluationDomainError(f"{var} = 0 with negative exponent {expo!r}")
-    if base < 0.0:
-        nearest = round(expo)
-        if abs(expo - nearest) <= EXPONENT_TOL:
-            return math.pow(base, nearest)
+    if base < 0.0 and not expo.is_integer():
         raise EvaluationDomainError(
             f"{var} = {base!r} < 0 with non-integer exponent {expo!r}"
         )
@@ -562,11 +557,9 @@ def _format_number(v: float, digits: int) -> str:
 def _term_body(t: FracTerm, digits: int) -> str:
     parts = [_format_number(abs(t.coeff), digits)]
     for var, expo in (("x", t.px), ("y", t.py)):
-        if abs(expo) <= EXPONENT_TOL:
-            continue
-        if abs(expo - 1.0) <= EXPONENT_TOL:
+        if expo == 1.0:
             parts.append(var)
-        else:
+        elif expo != 0.0:
             parts.append(f"{var}^{_format_number(expo, digits)}")
     return "*".join(parts)
 

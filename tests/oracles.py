@@ -45,7 +45,6 @@ from fracadm.problems import (
 )
 from fracadm.series import (
     DROP_ULPS,
-    EXPONENT_TOL,
     Axis,
     EvaluationDomainError,
     FracSeries,
@@ -211,16 +210,16 @@ def pointwise_evaluate_oracle(s: FracSeries, x: float, y: float) -> float:
 
 
 def _power_oracle(base: float, expo: float, var: str) -> float:
-    if abs(expo) <= EXPONENT_TOL:
-        return 1.0  # includes the 0**0 = 1 convention
+    # exact exponents: 0**0 = 1, and a negative base takes whole exponents only
+    if expo == 0.0:
+        return 1.0
     if base == 0.0:
         if expo > 0.0:
             return 0.0
         raise EvaluationDomainError(f"{var} = 0 with negative exponent {expo!r}")
     if base < 0.0:
-        nearest = round(expo)
-        if abs(expo - nearest) <= EXPONENT_TOL:
-            return math.pow(base, nearest)
+        if expo == math.floor(expo):
+            return math.pow(base, expo)
         raise EvaluationDomainError(
             f"{var} = {base!r} < 0 with non-integer exponent {expo!r}"
         )

@@ -48,6 +48,13 @@ def test_grid_range_form():
     xs, ys = parse_grid("x=0.1:0.5:0.2;y=0.1")
     assert xs == pytest.approx([0.1, 0.3, 0.5])
     assert ys == [0.1]
+    # floor((stop - start) / step) + 1 points, counted on the decimals: a stop
+    # just short of 3 does not reach 3, and 0.3 / 0.1 is 3 although in floats
+    # it is 2.9999999999999996
+    xs, _ = parse_grid("x=0:2.9999999999:1;y=0")
+    assert xs == [0.0, 1.0, 2.0]
+    xs, _ = parse_grid("x=0:0.3:0.1;y=0")
+    assert len(xs) == 4
 
 
 def test_grid_mixed_forms():
@@ -268,12 +275,13 @@ _SOLVE_ONLY_OPTIONS = [
     [[command, "--example", "4", *option]
      for command in ("table", "scan") for option in _SOLVE_ONLY_OPTIONS]
     + [["solve", "--example", "4", "--g", "x", "--grid", "x=0.5;y=0.1"],
-       ["solve", "--ic", "x", "--dump-series", "--grid", "x=1;y=0.1"]],
+       ["solve", "--ic", "x", "--dump-series", "--grid", "x=1;y=0.1"],
+       ["solve", "--example", "3", "--terms", "2", "--dump-series", "--format", "tsv"]],
     ids=" ".join,
 )
 def test_unread_option_exits_1_before_any_work(argv, capsys):
     # table and scan take only the options they read; solve refuses --g with
-    # a built-in example and a grid with --dump-series
+    # a built-in example, and a grid or a --format with --dump-series
     with _no_work():
         assert run(argv) == 1
     captured = capsys.readouterr()
@@ -369,6 +377,28 @@ def test_domain_error_reports_first_failing_point(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "fracadm: numeric error: x = 0 with negative exponent -2.5\n"
+
+
+def test_exponent_next_to_0_is_not_0(capsys):
+    # x^1e-13 is 0 at x = 0, not x^0 = 1, and the dump keeps the term
+    assert run(["solve", "--ic", "x^1e-13", "--terms", "1", "--grid", "x=0;y=0"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert float(rows[0][4]) == 0.0
+    assert run(["solve", "--ic", "1 + x^1e-13", "--terms", "1", "--dump-series"]) == 0
+    assert capsys.readouterr().out == "1 + 1*x^1e-13\n"
+
+
+def test_exponent_next_to_an_integer_at_negative_x_exits_2(capsys):
+    code = run(
+        ["solve", "--ic", "x^2.0000000000001", "--terms", "1", "--grid", "x=-1;y=0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fracadm: numeric error: "
+        "x = -1.0 < 0 with non-integer exponent 2.0000000000001\n"
+    )
 
 
 def test_non_finite_product_coefficient_exits_2(capsys):

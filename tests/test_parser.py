@@ -1,7 +1,7 @@
 """Expression grammar, error offsets, and display round-trips."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracadm.parser import SeriesParseError, parse_series
@@ -113,15 +113,11 @@ def test_mid_expression_sign_on_number_rejected():
 _coeffs = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 ).filter(lambda c: abs(c) > 1e-6)
-# exponents either exactly 0/1 (display elides them) or far enough from
-# 0 and 1 that eliding cannot kick in; sub-tolerance exponents are not
-# expressible in the grammar's round trip
+# any non-negative exponent: display elides exactly 0.0 and prints exactly
+# 1.0 bare, so an exponent next to 0 or to an integer keeps its own value
 _expos = st.one_of(
-    st.just(0.0),
-    st.just(1.0),
-    st.floats(min_value=1e-6, max_value=9.0, allow_nan=False).filter(
-        lambda e: abs(e - 1.0) > 1e-6
-    ),
+    st.sampled_from([0.0, 1.0, 2.0, 1e-13, 1.0 + 5e-13, 2.0 - 5e-13, 5e-324]),
+    st.floats(min_value=0.0, max_value=9.0),
 )
 
 
@@ -134,6 +130,8 @@ def grammar_series(draw):
 
 
 @given(grammar_series())
+@example(FracSeries([FracTerm(1.0), FracTerm(2.0, 1e-13, 1.0 + 5e-13)]))
+@example(FracSeries([FracTerm(-3.0, 2.0 - 5e-13), FracTerm(0.5, 1.0, 1e-13)]))
 def test_display_round_trip(s):
     assert parse_series(format_series(s)) == s
 

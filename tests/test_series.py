@@ -336,9 +336,11 @@ def _grid_vs_oracle(s, xs, ys):
     return got, want
 
 
-# Exponents at and within EXPONENT_TOL of 0 and of integers, negative ones,
-# and generic ones; terms are taken as given (duplicates, any order), with
-# coefficients large enough for fsum to overflow or meet inf - inf.
+# Exponents at 0 and at integers, others 1e-13 or 5e-13 from them (which are
+# used as they are: only 0.0 is dropped, and a negative base takes only whole
+# exponents), negative ones and generic ones; terms are taken as given
+# (duplicates, any order), with coefficients large enough for fsum to
+# overflow or meet inf - inf.
 _grid_exponents = st.one_of(
     st.sampled_from(
         [0.0, -0.0, 1e-13, -1e-13, 1.0, 2.0, 3.0, -1.0, -2.5, 0.5,
