@@ -21,12 +21,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .gammafn import GammaPoleError
 from .series import (
     Axis,
     FracSeries,
-    NonIntegrableTermError,
-    TermCapError,
     caputo_deriv,
     rl_integral,
     sum_of_products,
@@ -137,23 +134,20 @@ def adomian_polynomial(
     return _convolution(components, derivs, n)
 
 
-# OverflowError: math.fsum overflowing while merging a cluster.
-_RECURSION_ERRORS = (GammaPoleError, TermCapError, NonIntegrableTermError, OverflowError)
-
-
 def solve(problem: ProblemSpec) -> SolutionSeries:
     """Run the recursion to problem.n_terms components.
 
     Only the components are built; a partial sum is formed when asked for.
     Components do not depend on n_terms, so partial_sum(n) of this solution
-    equals partial_sum(n) of a solve to depth n.  On failure at u_n the
-    SolveError carries u_0..u_{n-1} as its ``solution``; a product past
-    ``series.TERM_CAP`` terms is such a failure.
+    equals partial_sum(n) of a solve to depth n.  Any ArithmeticError or
+    ValueError while building u_n, a product past ``series.TERM_CAP`` terms
+    among them, is raised as a SolveError that carries u_0..u_{n-1} as its
+    ``solution``.
     """
     alpha, beta = problem.alpha, problem.beta
     try:
         u0 = problem.ic + rl_integral(problem.forcing, alpha, Axis.Y)
-    except _RECURSION_ERRORS as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise SolveError(0, str(exc)) from exc
     components = [u0]
     derivs: list[FracSeries] = []
@@ -163,7 +157,7 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
             a_n = _convolution(components, derivs, n)
             nxt = -rl_integral(a_n, alpha, Axis.Y)
-        except _RECURSION_ERRORS as exc:
+        except (ArithmeticError, ValueError) as exc:
             truncated = ProblemSpec(
                 problem.alpha, problem.beta, problem.ic, problem.forcing, n + 1
             )

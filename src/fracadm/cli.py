@@ -6,8 +6,9 @@ Subcommands:
     table   reference-style report table for a built-in example
     scan    truncation-depth scan against the stored reference table
 
-Exit codes: 0 success, 1 usage or expression-parse error or an output
-file that cannot be written, 2 numeric or domain error during computation.
+Exit codes: 0 success; 1 when the input is refused, always before any work
+(a UsageError), or when the output file cannot be written; 2 when the
+computation fails: any ArithmeticError or ValueError after the input is read.
 """
 
 from __future__ import annotations
@@ -17,40 +18,21 @@ import math
 import sys
 from collections.abc import Callable, Sequence
 
-from .adm import ProblemSpec, SolveError, solve
-from .gammafn import GammaPoleError
-from .parser import SeriesParseError, parse_series
+from .adm import ProblemSpec, solve
+from .parser import parse_series
 from .problems import (
     CLASSICAL_PAIR,
     EXAMPLE_IDS,
     X_GRID,
     Y_GRID,
-    SingularPointError,
     builtin_problem,
     exact_solution,
     make_table,
     truncation_scan,
 )
-from .series import (
-    EvaluationDomainError,
-    FracSeries,
-    NonIntegrableTermError,
-    TermCapError,
-    _decimal,
-    format_series,
-)
+from .series import FracSeries, _decimal, format_series
 
 __all__ = ["build_parser", "run", "main"]
-
-_NUMERIC_ERRORS = (
-    SolveError,
-    GammaPoleError,
-    EvaluationDomainError,
-    NonIntegrableTermError,
-    TermCapError,
-    SingularPointError,
-    OverflowError,
-)
 
 
 # Largest grid `solve --grid` accepts, in points (x values times y values).
@@ -58,7 +40,7 @@ MAX_GRID_POINTS = 1_000_000
 
 
 class UsageError(Exception):
-    pass
+    """The input is refused (exit 1); raised only while the input is read."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -81,7 +63,10 @@ def _positive_int(text: str) -> int:
 def _add_output_options(cmd: argparse.ArgumentParser) -> None:
     """--terms and the output options, which every subcommand takes."""
     cmd.add_argument(
-        "--terms", type=int, default=6, help="truncation depth (scan: max depth)"
+        "--terms",
+        type=_positive_int,
+        default=6,
+        help="truncation depth (scan: max depth)",
     )
     cmd.add_argument("--format", choices=("csv", "tsv"), help="default csv")
     cmd.add_argument("--out", metavar="FILE", help="write output here")
@@ -150,7 +135,8 @@ def _parse_axis(spec: str, axis: str) -> tuple[int, Callable[[], list[float]]]:
             raise UsageError(f"grid step for {axis} must be positive")
         if stop < start:
             raise UsageError(f"grid range for {axis} is empty")
-        # floor((stop - start) / step) + 1 points, counted on the exact decimals
+        # floor((stop - start) / step) + 1 points, counted and built on the
+        # exact decimals: point k is (a + k*s) / den, correctly rounded
         parts = [_decimal(v) for v in (start, stop, step)]
         den = max(d for _, d in parts)
         a, b, s = (n * (den // d) for n, d in parts)
@@ -159,7 +145,7 @@ def _parse_axis(spec: str, axis: str) -> tuple[int, Callable[[], list[float]]]:
             raise UsageError(
                 f"grid range for {axis} has more than {MAX_GRID_POINTS} points"
             )
-        return count, lambda: [start + k * step for k in range(count)]
+        return count, lambda: [(a + k * s) / den for k in range(count)]
     values = _parse_numbers([f for f in spec.split(",") if f.strip()], axis, spec)
     return len(values), lambda: values
 
@@ -231,15 +217,19 @@ def _render(header: str, rows, args) -> str:
 
 
 def _build_problem(args) -> ProblemSpec:
+    """The problem the options name; a bad expression or order is refused."""
     if args.example is not None and (args.ic is not None or args.g is not None):
         raise UsageError("give either --example or --ic/--g, not both")
-    if args.example is not None:
-        return builtin_problem(args.example, args.alpha, args.beta, args.terms)
-    if args.ic is None:
+    if args.example is None and args.ic is None:
         raise UsageError("either --example or --ic is required")
-    ic = parse_series(args.ic)
-    forcing = parse_series(args.g) if args.g is not None else FracSeries.zero()
-    return ProblemSpec(args.alpha, args.beta, ic, forcing, args.terms)
+    try:
+        if args.example is not None:
+            return builtin_problem(args.example, args.alpha, args.beta, args.terms)
+        ic = parse_series(args.ic)
+        forcing = parse_series(args.g) if args.g is not None else FracSeries.zero()
+        return ProblemSpec(args.alpha, args.beta, ic, forcing, args.terms)
+    except ValueError as exc:  # SeriesParseError, or ProblemSpec's checks
+        raise UsageError(str(exc)) from exc
 
 
 def _grid_for(args) -> tuple[list[float], list[float]]:
@@ -256,17 +246,18 @@ _GRID_HEADER = "y,x,alpha,beta,approx,exact,abs_error"
 def _cmd_solve(args) -> str:
     """Phi_{--terms} on the grid, one row per point with y outer and x inner.
 
-    The whole grid is evaluated by one ``FracSeries.evaluate_grid`` call;
-    examples at the classical orders also get exact and error columns.
+    The problem and the grid are read before the solve.  The whole grid is
+    evaluated by one ``FracSeries.evaluate_grid`` call; examples at the
+    classical orders also get exact and error columns.
     """
     if args.dump_series and args.format is not None:
         raise UsageError("argument --format: not allowed with argument --dump-series")
     problem = _build_problem(args)
-    sol = solve(problem)
-    phi = sol.partial_sum(problem.n_terms)
-    if args.dump_series:
+    grid = None if args.dump_series else _grid_for(args)
+    phi = solve(problem).partial_sum(problem.n_terms)
+    if grid is None:
         return format_series(phi, args.digits) + "\n"
-    xs, ys = _grid_for(args)
+    xs, ys = grid
     with_exact = args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR
     # grid coordinates and orders repeat across rows: format each once, by
     # position, not by value (0.0 and -0.0 are equal but print differently)
@@ -304,12 +295,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = _COMMANDS[args.command](args)
-    except _NUMERIC_ERRORS as exc:
-        print(f"fracadm: numeric error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, SeriesParseError, ValueError) as exc:
+    except UsageError as exc:
         print(f"fracadm: error: {exc}", file=sys.stderr)
         return 1
+    except (ArithmeticError, ValueError) as exc:
+        print(f"fracadm: numeric error: {exc}", file=sys.stderr)
+        return 2
     if not args.out:
         sys.stdout.write(output)
         return 0

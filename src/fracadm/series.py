@@ -165,7 +165,10 @@ def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
     coeffs, xs, ys = [], [], []
     for key in sorted(cells):
         cell = cells[key]
-        coeff = math.fsum(cell)
+        try:
+            coeff = math.fsum(cell)
+        except ValueError:  # fsum refuses a cell holding both inf and -inf
+            coeff = math.nan
         x, y = divmod(key + half, full)
         y -= half
         if not math.isfinite(coeff):

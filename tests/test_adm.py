@@ -271,6 +271,16 @@ def test_solve_overflow_error_carries_depth():
     assert err.value.solution.components == (problem.ic,)
 
 
+def test_solve_opposite_infinities_carry_depth():
+    # A_0 puts inf and -inf on x^2, which fsum refuses as a ValueError
+    ic = S((10, 0, 0), (1e154, 1, 0), (-1e200, 2, 0), (5e307, 3, 0))
+    problem = ProblemSpec(1.0, 1.0, ic, FracSeries.zero(), 2)
+    with pytest.raises(SolveError, match=r"^component u_1: .* is nan$") as err:
+        solve(problem)
+    assert err.value.depth == 1
+    assert err.value.solution.components == (problem.ic,)
+
+
 def test_solve_term_cap_error_carries_depth():
     # 101 terms, none constant: A_0 = u_0 * D_x^beta u_0 has 101 x 101 products
     ic = FracSeries(FracTerm(1.0, float(i) / 4.0, 0.0) for i in range(1, 102))

@@ -55,6 +55,10 @@ def test_grid_range_form():
     assert xs == [0.0, 1.0, 2.0]
     xs, _ = parse_grid("x=0:0.3:0.1;y=0")
     assert len(xs) == 4
+    # and each point is the decimal start + k*step, correctly rounded: the
+    # third tenth is 0.3, not 0 + 3*0.1 = 0.30000000000000004
+    xs, _ = parse_grid("x=0:1:0.1;y=0")
+    assert xs == [k / 10 for k in range(11)]
 
 
 def test_grid_mixed_forms():
@@ -276,12 +280,18 @@ _SOLVE_ONLY_OPTIONS = [
      for command in ("table", "scan") for option in _SOLVE_ONLY_OPTIONS]
     + [["solve", "--example", "4", "--g", "x", "--grid", "x=0.5;y=0.1"],
        ["solve", "--ic", "x", "--dump-series", "--grid", "x=1;y=0.1"],
-       ["solve", "--example", "3", "--terms", "2", "--dump-series", "--format", "tsv"]],
+       ["solve", "--example", "3", "--terms", "2", "--dump-series", "--format", "tsv"]]
+    # the grid is read before the solve: u_5 hits a pole at (0.75, 0.75)
+    + [["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.75", "--beta", "0.75",
+        "--terms", "8", *grid]
+       for grid in ([], ["--grid", "x=1"], ["--grid", "x=0:1e9:1e-9;y=0"])]
+    + [[command, "--example", "4", "--terms", "0"] for command in ("table", "scan", "solve")],
     ids=" ".join,
 )
 def test_unread_option_exits_1_before_any_work(argv, capsys):
     # table and scan take only the options they read; solve refuses --g with
-    # a built-in example, and a grid or a --format with --dump-series
+    # a built-in example, and a grid or a --format with --dump-series; a
+    # missing or bad grid and a --terms below 1 are refused before any solve
     with _no_work():
         assert run(argv) == 1
     captured = capsys.readouterr()
@@ -334,6 +344,22 @@ def test_coefficient_overflow_exits_2(capsys):
     )
     assert code == 2
     assert "fracadm: numeric error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ic, terms, grid",
+    [
+        # the two terms evaluate to inf and -inf at x = 1e10
+        ("1e300*x - 1e300*x^1.5", "1", "x=1e10;y=0"),
+        # A_0 puts inf and -inf on x^2 of u_1
+        ("10 + 1e154*x - 1e200*x^2 + 5e307*x^3", "2", "x=0.5;y=0.1"),
+    ],
+)
+def test_opposite_infinities_exit_2(ic, terms, grid, capsys):
+    assert run(["solve", "--ic", ic, "--terms", terms, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fracadm: numeric error:")
 
 
 def test_solver_pole_error_exits_2(capsys):

@@ -455,6 +455,9 @@ def test_merge_rejects_non_finite_coefficients():
         big.mul(big)
     with pytest.raises(OverflowError, match="nan"):
         S((float("nan"), 1, 0))
+    # fsum refuses inf + -inf; the cell is non-finite like any other
+    with pytest.raises(OverflowError, match=r"x\^1\.0\*y\^0\.0 is nan"):
+        S((float("inf"), 1, 0), (float("-inf"), 1, 0))
 
 
 # -- Caputo derivative --------------------------------------------------------
