@@ -6,15 +6,16 @@ of Gamma (e.g. 2 - 2*beta at beta = 1).  Those coefficients must vanish
 cleanly rather than blow up, so the reciprocal 1/Gamma is treated as the
 entire function it is: exactly zero at non-positive integers.
 
-Values come from the standard library's ``math.gamma`` and
-``math.lgamma``.  The wrappers here add what those lack: a non-positive
-integer is a pole (``math.gamma`` raises ValueError there), gamma
-saturates to inf past the double range (``math.gamma`` raises
-OverflowError), and ratios of large arguments go through log space so
-they survive where both factors overflow.  The pole test has no
-tolerance: the series operators round each gamma argument once from its
-exact decimal value, so an argument whose exact value is a non-positive
-integer arrives as that integer (as does one within half an ulp of it).
+Values are the standard library's ``math.gamma``, and no threshold picks
+another formula: only ``math.gamma``'s own OverflowError does.  Then gamma
+saturates to a signed inf, and a ratio of positive arguments is taken as
+``exp(lgamma(num) - lgamma(den))``, so it survives where a factor
+overflows.  Every other ratio is the product ``Gamma(num) * (1/Gamma(den))``;
+on power-rule pairs with num in (20, 60] it was within 8.7e-16 of mpmath.
+The pole test has no tolerance: the series operators round each gamma
+argument once from its exact decimal value, so an argument whose exact
+value is a non-positive integer arrives as that integer (as does one within
+half an ulp of it).
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ __all__ = [
     "rgamma",
     "gamma_ratio",
 ]
-
-# Above this, gamma_ratio evaluates both factors in log space.
-_LOG_RATIO_CUTOFF = 20.0
-
-# Gamma exceeds the double range just past this argument.
-_OVERFLOW_CUTOFF = 171.6
 
 
 class GammaPoleError(ArithmeticError):
@@ -47,18 +42,18 @@ def _is_pole(z: float) -> bool:
     return z <= 0.0 and z == math.floor(z)
 
 
-def _gamma(z: float) -> float:
-    """Gamma(z) at a z that is not a pole; inf past the double range."""
-    if z > _OVERFLOW_CUTOFF:
-        return math.inf
-    return math.gamma(z)
-
-
 def gamma(z: float) -> float:
-    """Gamma(z) for real z, raising GammaPoleError at non-positive integers."""
+    """Gamma(z) for real z, raising GammaPoleError at non-positive integers.
+
+    Past the double range (z above 171.62, or next to 0) it saturates to
+    an inf of z's sign.
+    """
     if _is_pole(z):
         raise GammaPoleError(z)
-    return _gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        return math.copysign(math.inf, z)
 
 
 def rgamma(z: float) -> float:
@@ -70,18 +65,21 @@ def gamma_ratio(num: float, den: float) -> float:
     """Gamma(num)/Gamma(den), pole-safe in the denominator.
 
     A numerator pole has no finite value and raises, whatever the
-    denominator; otherwise a denominator pole yields exactly 0.0.  Large
-    arguments on both sides are combined in log space so the ratio survives
-    even where the individual factors would overflow; below that it is
-    Gamma(num) * (1/Gamma(den)).
+    denominator; otherwise a denominator pole yields exactly 0.0.  The
+    value is Gamma(num) * (1/Gamma(den)); where a factor overflows and both
+    arguments are positive it is taken in log space instead, and otherwise
+    the OverflowError propagates.
     """
     if _is_pole(num):
         raise GammaPoleError(num, context="gamma_ratio numerator")
     if _is_pole(den):
         return 0.0
-    if num > _LOG_RATIO_CUTOFF and den > _LOG_RATIO_CUTOFF:
-        return math.exp(math.lgamma(num) - math.lgamma(den))
-    num_gamma, den_gamma = _gamma(num), _gamma(den)
+    try:
+        num_gamma, den_gamma = math.gamma(num), math.gamma(den)
+    except OverflowError:
+        if num > 0.0 and den > 0.0:
+            return math.exp(math.lgamma(num) - math.lgamma(den))
+        raise
     if den_gamma == 0.0:
         # Gamma underflows to a signed zero far down the negative axis, where
         # 1/Gamma is beyond double range anyway: saturate with its sign

@@ -12,8 +12,8 @@ separate terms.  Variable exponents must be non-negative.  Repeated
 variables in one term multiply (``x*x^0.5`` is ``x^1.5``), and duplicate
 monomials across terms merge during normalization.  Exponents add as the
 decimals they print as, so ``x^0.1*x^0.2`` is ``x^0.3``.  A literal that
-overflows a double, or a term whose exponents add up past one, is rejected
-rather than read as ``inf``.
+overflows a double, a term whose exponents add up past one, and terms whose
+merged coefficient overflows are rejected rather than read as ``inf``.
 """
 
 from __future__ import annotations
@@ -135,4 +135,7 @@ def parse_series(text: str) -> FracSeries:
         else:
             toks.fail("'+' or '-' between terms")
         terms.append(_parse_term(toks, sign))
-    return FracSeries(terms)
+    try:
+        return FracSeries(terms)
+    except OverflowError as exc:  # merged coefficients past the double range
+        raise SeriesParseError(str(exc), 0) from None

@@ -144,9 +144,9 @@ def _packed(s: "FracSeries", den: int, width: int) -> tuple[tuple[int, float], .
     return terms
 
 
-def _overflow(coeff: float, x: int, y: int, den: int) -> OverflowError:
+def _overflow(what: str, x: int, y: int, den: int) -> OverflowError:
     # the drop rule would compare inf or nan and keep or drop it silently
-    return OverflowError(f"coefficient of x^{x / den!r}*y^{y / den!r} is {coeff!r}")
+    return OverflowError(f"coefficient of x^{x / den!r}*y^{y / den!r} {what}")
 
 
 def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
@@ -165,14 +165,16 @@ def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
     coeffs, xs, ys = [], [], []
     for key in sorted(cells):
         cell = cells[key]
-        try:
-            coeff = math.fsum(cell)
-        except ValueError:  # fsum refuses a cell holding both inf and -inf
-            coeff = math.nan
         x, y = divmod(key + half, full)
         y -= half
+        try:
+            coeff = math.fsum(cell)
+        except OverflowError:  # finite terms whose exact sum is past the range
+            raise _overflow("overflows", x, y, den) from None
+        except ValueError:  # fsum refuses a cell holding both inf and -inf
+            coeff = math.nan
         if not math.isfinite(coeff):
-            raise _overflow(coeff, x, y, den)
+            raise _overflow(f"is {coeff!r}", x, y, den)
         if coeff == 0.0 or (
             len(cell) > 1
             # a plain sum() of the magnitudes is within a factor 2 of their
@@ -488,7 +490,7 @@ def _ordered(
     kept = []
     for c, x, y in zip(coeffs, xs, ys):
         if not math.isfinite(c):
-            raise _overflow(c, x, y, den)
+            raise _overflow(f"is {c!r}", x, y, den)
         if c != 0.0:
             kept.append((c, x, y))
     coeffs, xs, ys = zip(*kept) if kept else ((), (), ())

@@ -268,6 +268,7 @@ def test_solve_overflow_error_carries_depth():
         solve(problem)
     assert err.value.depth == 1
     assert "overflow" in str(err.value)
+    assert "coefficient of x^2.0*y^0.0 overflows" in str(err.value)
     assert err.value.solution.components == (problem.ic,)
 
 

@@ -338,12 +338,34 @@ def test_non_finite_expression_exits_1(ic, capsys):
     assert "out of range at offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ic", "1e308*x + 1e308*x", "--terms", "1"],
+        ["--ic", "1e308*x + 1e308*x", "--terms", "3", "--grid", "x=0.5;y=0.1"],
+        ["--ic", "1", "--g", "x - 1e308*y - 1e308*y", "--grid", "x=0.5;y=0.1"],
+    ],
+    ids=" ".join,
+)
+def test_overflowing_expression_exits_1_before_any_work(argv, capsys):
+    # the merged coefficient of x (or y) is past the double range: the
+    # expression is refused as input, before the grid is read or a solve runs
+    with _no_work():
+        assert run(["solve", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracadm: error: coefficient of ")
+    assert "overflows at offset 0" in err
+
+
 def test_coefficient_overflow_exits_2(capsys):
+    # u_0 = a*x + b*x^2 puts 2ab and ab on x^2 in A_0; their sum overflows
     code = run(
-        ["solve", "--ic", "1e308*x + 1e308*x", "--terms", "3", "--grid", "x=0.5;y=0.1"]
+        ["solve", "--ic", "1e154*x + 6e153*x^2", "--terms", "3", "--grid", "x=0.5;y=0.1"]
     )
     assert code == 2
-    assert "fracadm: numeric error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fracadm: numeric error:" in err
+    assert "component u_1: coefficient of x^2.0*y^0.0 overflows" in err
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,7 @@ def test_gamma_ratio_numerator_pole_raises():
 
 
 def test_gamma_ratio_log_space_branch():
+    # below overflow the ratio is the direct product; it matches the log form
     rng = random.Random(4)
     for _ in range(300):
         num = rng.uniform(21.0, 170.0)
@@ -128,29 +129,45 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _overflows(z):
+    try:
+        math.gamma(z)
+    except OverflowError:
+        return True
+    return False
+
+
+def _reciprocal(g):
+    return 1.0 / g if g else math.copysign(math.inf, g)
+
+
+def _reference_rgamma(z):
+    if _is_pole(z):
+        return 0.0
+    if z > 0.0 and _overflows(z):
+        return math.exp(-math.lgamma(z))
+    return _reciprocal(math.gamma(z))
+
+
 def _reference_ratio(num, den):
     if _is_pole(num):
         raise GammaPoleError(num, context="gamma_ratio numerator")
     if _is_pole(den):
         return 0.0
-    if num > 20.0 and den > 20.0:
+    if num > 0.0 and den > 0.0 and (_overflows(num) or _overflows(den)):
         return math.exp(math.lgamma(num) - math.lgamma(den))
-    return gamma(num) * rgamma(den)
-
-
-def _reference_rgamma(z):
-    if _is_pole(z) or z > 171.6:
-        return 0.0
-    g = math.gamma(z)
-    return 1.0 / g if g else math.copysign(math.inf, g)
+    # math.gamma's OverflowError propagates
+    return math.gamma(num) * _reciprocal(math.gamma(den))
 
 
 def test_gamma_ratio_is_its_factors_bit_for_bit():
-    # poles (-0.0 too), past the overflow cutoff, far down the negative axis
-    # where Gamma underflows to a signed zero, next to poles, a subnormal
-    # whose Gamma overflows, and the log-space cutoff
-    args = [0.0, -0.0, -1.0, -7.0, -170.0, 171.7, 200.0, -3.25, -180.5, -250.5,
-            5e-13, -3.0 - 9e-13, -12.0 + 4e-13, 1e-310, 20.0, 20.5, 0.5, 1.0]
+    # poles (-0.0 too), on both sides of where Gamma overflows, far down the
+    # negative axis where Gamma underflows to a signed zero, next to poles,
+    # subnormals of both signs whose Gamma overflows, and the old log-space
+    # cutoff at 20
+    args = [0.0, -0.0, -1.0, -7.0, -170.0, 171.61, 171.7, 200.0, -3.25, -180.5,
+            -250.5, 5e-13, -3.0 - 9e-13, -12.0 + 4e-13, 1e-310, -1e-310, 20.0,
+            20.5, 0.5, 1.0]
     rng = random.Random(6)
     args += [rng.uniform(-40.0, 200.0) for _ in range(60)]
     args += [float(rng.randint(-40, 3)) for _ in range(10)]
@@ -163,8 +180,25 @@ def test_gamma_ratio_is_its_factors_bit_for_bit():
 
 def test_gamma_ratio_survives_overflowing_factors():
     # both factors overflow a double; the ratio is tame
-    ref = math.exp(math.lgamma(168.0) - math.lgamma(167.0))
-    assert gamma_ratio(168.0, 167.0) == pytest.approx(ref, rel=1e-11)
+    for num, den in ((250.5, 249.7), (172.0, 173.0), (1e-310, 200.0)):
+        for z in (num, den):
+            with pytest.raises(OverflowError):
+                math.gamma(z)
+        ref = mpmath.gamma(num) / mpmath.gamma(den)
+        assert gamma_ratio(num, den) == pytest.approx(float(ref), rel=1e-11)
+
+
+def test_gamma_ratio_power_rule_pairs_against_mpmath():
+    # the coefficients of the Caputo and Riemann-Liouville power rules,
+    # Gamma(p+1)/Gamma(p+1-+a) with a in (0, 1]; log space was off by 8.2e-14
+    rng = random.Random(7)
+    worst = 0.0
+    for _ in range(2000):
+        num = rng.uniform(20.0, 60.0)
+        den = num + rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 1.0)
+        ref = mpmath.gamma(num) / mpmath.gamma(den)
+        worst = max(worst, abs(float((gamma_ratio(num, den) - ref) / ref)))
+    assert worst <= 4e-15, worst
 
 
 def test_duplication_identity_through_ratio():
@@ -178,4 +212,9 @@ def test_duplication_identity_through_ratio():
 
 def test_gamma_overflow_saturates():
     assert gamma(200.0) == math.inf
-    assert gamma(171.61) == math.inf
+    # math.gamma's own range decides, not a cutoff below it
+    assert gamma(171.61) == math.gamma(171.61) == 1.6695813546313734e308
+    assert rgamma(171.61) == 1.0 / math.gamma(171.61)
+    # next to 0, where math.gamma overflows too, with the sign of the argument
+    assert gamma(1e-310) == math.inf
+    assert gamma(-1e-310) == -math.inf

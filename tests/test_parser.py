@@ -99,6 +99,21 @@ def test_non_finite_numbers_rejected(text, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("1e308*x + 1e308*x", "x^1.0*y^0.0"),
+        ("1 - 1e308*x*y - 1e308*y*x", "x^1.0*y^1.0"),
+    ],
+)
+def test_overflowing_merged_coefficient_rejected(text, key):
+    # each literal is finite, the sum of the merged monomial is not
+    with pytest.raises(SeriesParseError, match="overflows") as err:
+        parse_series(text)
+    assert f"coefficient of {key} overflows" in str(err.value)
+    assert err.value.offset == 0
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(SeriesParseError) as err:
         parse_series("x^-1")

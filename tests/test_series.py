@@ -458,6 +458,9 @@ def test_merge_rejects_non_finite_coefficients():
     # fsum refuses inf + -inf; the cell is non-finite like any other
     with pytest.raises(OverflowError, match=r"x\^1\.0\*y\^0\.0 is nan"):
         S((float("inf"), 1, 0), (float("-inf"), 1, 0))
+    # finite terms whose sum fsum cannot hold: the key is named all the same
+    with pytest.raises(OverflowError, match=r"^coefficient of x\^1\.0\*y\^0\.0 overflows$"):
+        S((1e308, 1, 0), (1e308, 1, 0))
 
 
 # -- Caputo derivative --------------------------------------------------------
