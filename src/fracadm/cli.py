@@ -9,6 +9,8 @@ Subcommands:
 Exit codes: 0 success; 1 when the input is refused, always before any work
 (a UsageError), or when the output file cannot be written; 2 when the
 computation fails: any ArithmeticError or ValueError after the input is read.
+Every value is computed before the first byte is written, so a call that
+fails writes nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .adm import ProblemSpec, solve
 from .parser import parse_series
@@ -37,6 +39,10 @@ __all__ = ["build_parser", "run", "main"]
 
 # Largest grid `solve --grid` accepts, in points (x values times y values).
 MAX_GRID_POINTS = 1_000_000
+# `solve --grid` evaluates and writes whole y rows, about this many points at
+# a time (at least one row): enough for evaluate_grid's x rows to amortize,
+# few enough that the formatted text of a block stays small.
+_BLOCK_POINTS = 65_536
 
 
 class UsageError(Exception):
@@ -193,27 +199,32 @@ def parse_grid(spec: str) -> tuple[list[float], list[float]]:
 
 
 def _formatter(digits: int) -> Callable[[object], str]:
-    """Cell formatter: None is empty, a str is a cell formatted already, and an
-    int (a scan's depth) prints whole at any --digits."""
+    """Cell formatter: None is empty, and an int (a scan's depth) prints whole
+    at any --digits."""
     spec = f".{digits}g"
 
     def fmt(value) -> str:
         if value is None:
             return ""
-        if isinstance(value, (int, str)):
+        if isinstance(value, int):
             return str(value)
         return format(value, spec)
 
     return fmt
 
 
-def _render(header: str, rows, args) -> str:
-    """CSV/TSV text: the comma-separated header, then one line per row of values."""
-    sep = "\t" if args.format == "tsv" else ","
+def _separator(args) -> str:
+    return "\t" if args.format == "tsv" else ","
+
+
+def _render(header: str, rows, args) -> list[str]:
+    """CSV/TSV text as one block: the comma-separated header, then one line
+    per row of values."""
+    sep = _separator(args)
     fmt = _formatter(args.digits)
     lines = [header.replace(",", sep)]
     lines.extend(sep.join(map(fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _build_problem(args) -> ProblemSpec:
@@ -225,11 +236,21 @@ def _build_problem(args) -> ProblemSpec:
     try:
         if args.example is not None:
             return builtin_problem(args.example, args.alpha, args.beta, args.terms)
-        ic = parse_series(args.ic)
-        forcing = parse_series(args.g) if args.g is not None else FracSeries.zero()
+        ic = _parse_expression(args.ic, "--ic")
+        forcing = FracSeries.zero()
+        if args.g is not None:
+            forcing = _parse_expression(args.g, "--g")
         return ProblemSpec(args.alpha, args.beta, ic, forcing, args.terms)
-    except ValueError as exc:  # SeriesParseError, or ProblemSpec's checks
+    except ValueError as exc:  # ProblemSpec's checks
         raise UsageError(str(exc)) from exc
+
+
+def _parse_expression(text: str, option: str) -> FracSeries:
+    """The series an option spells; a parse error names the option."""
+    try:
+        return parse_series(text)
+    except ValueError as exc:  # SeriesParseError
+        raise UsageError(f"{option}: {exc}") from exc
 
 
 def _grid_for(args) -> tuple[list[float], list[float]]:
@@ -243,12 +264,14 @@ def _grid_for(args) -> tuple[list[float], list[float]]:
 _GRID_HEADER = "y,x,alpha,beta,approx,exact,abs_error"
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> Iterable[str]:
     """Phi_{--terms} on the grid, one row per point with y outer and x inner.
 
-    The problem and the grid are read before the solve.  The whole grid is
-    evaluated by one ``FracSeries.evaluate_grid`` call; examples at the
-    classical orders also get exact and error columns.
+    The problem and the grid are read before the solve.  Everything that can
+    fail is computed before any text is formed: the approx values, by one
+    ``FracSeries.evaluate_grid`` call per block of y rows, and then the exact
+    column, which examples at the classical orders also get.  The text comes
+    one block of y rows at a time.
     """
     if args.dump_series and args.format is not None:
         raise UsageError("argument --format: not allowed with argument --dump-series")
@@ -256,34 +279,56 @@ def _cmd_solve(args) -> str:
     grid = None if args.dump_series else _grid_for(args)
     phi = solve(problem).partial_sum(problem.n_terms)
     if grid is None:
-        return format_series(phi, args.digits) + "\n"
+        return [format_series(phi, args.digits) + "\n"]
+    # an extension module: imported here, so table and scan start without it
+    from array import array
+
     xs, ys = grid
-    with_exact = args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR
-    # grid coordinates and orders repeat across rows: format each once, by
-    # position, not by value (0.0 and -0.0 are equal but print differently)
-    fmt = _formatter(args.digits)
-    orders = (fmt(args.alpha), fmt(args.beta))
-    x_cells = [fmt(x) for x in xs]
-    values = iter(phi.evaluate_grid(xs, ys))
-    rows = []
-    for y in ys:
-        y_cell = fmt(y)
-        for x, x_cell in zip(xs, x_cells):
-            approx = next(values)
-            exact = abs_err = None
-            if with_exact:
-                exact = exact_solution(args.example, x, y)
-                abs_err = abs(exact - approx)
-            rows.append((y_cell, x_cell, *orders, approx, exact, abs_err))
-    return _render(_GRID_HEADER, rows, args)
+    block_rows = max(1, _BLOCK_POINTS // len(xs))
+    approx = array("d")
+    for start in range(0, len(ys), block_rows):
+        approx.extend(phi.evaluate_grid(xs, ys[start : start + block_rows]))
+    exact = None
+    if args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR:
+        exact = array("d", (exact_solution(args.example, x, y) for y in ys for x in xs))
+    return _grid_blocks(xs, ys, block_rows, approx, exact, args)
 
 
-def _cmd_table(args) -> str:
+def _grid_blocks(xs, ys, block_rows, approx, exact, args) -> Iterator[str]:
+    """The header, then the text of each block of ``block_rows`` y rows."""
+    sep = _separator(args)
+    spec = f".{args.digits}g"
+    yield _GRID_HEADER.replace(",", sep) + "\n"
+    # a row is y_cell + prefix + approx + tail: the x, alpha and beta cells are
+    # joined once per x, by position, not by value (0.0 and -0.0 are equal but
+    # print differently)
+    orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
+    prefixes = [sep + format(x, spec) + orders for x in xs]
+    empty_tail = sep + sep + "\n"
+    nx = len(xs)
+    for start in range(0, len(ys), block_rows):
+        block = []  # one string per y row, so a block holds few pieces
+        for iy in range(start, min(start + block_rows, len(ys))):
+            y_cell = format(ys[iy], spec)
+            row = approx[iy * nx : (iy + 1) * nx]
+            if exact is None:
+                lines = [y_cell + p + format(v, spec) + empty_tail for p, v in zip(prefixes, row)]
+            else:
+                lines = [
+                    y_cell + p + format(v, spec) + sep + format(e, spec)
+                    + sep + format(abs(e - v), spec) + "\n"
+                    for p, v, e in zip(prefixes, row, exact[iy * nx : (iy + 1) * nx])
+                ]
+            block.append("".join(lines))
+        yield "".join(block)
+
+
+def _cmd_table(args) -> list[str]:
     # a TableCell's fields are the _GRID_HEADER columns, in order
     return _render(_GRID_HEADER, make_table(args.example, args.terms).cells, args)
 
 
-def _cmd_scan(args) -> str:
+def _cmd_scan(args) -> list[str]:
     rows = truncation_scan(args.example, args.terms)
     return _render("n,max_rel_deviation,error_column_deviation", rows, args)
 
@@ -294,7 +339,9 @@ _COMMANDS = {"solve": _cmd_solve, "table": _cmd_table, "scan": _cmd_scan}
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        output = _COMMANDS[args.command](args)
+        # every value is computed here, so a failure writes nothing; solve's
+        # blocks are formatted as they are written
+        blocks = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"fracadm: error: {exc}", file=sys.stderr)
         return 1
@@ -302,11 +349,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"fracadm: numeric error: {exc}", file=sys.stderr)
         return 2
     if not args.out:
-        sys.stdout.write(output)
+        # looked up now: callers may have redirected sys.stdout
+        sys.stdout.writelines(blocks)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+            fh.writelines(blocks)
     except OSError as exc:
         print(f"fracadm: error: {exc}", file=sys.stderr)
         return 1

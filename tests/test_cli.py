@@ -1,7 +1,9 @@
 """CLI behavior: subcommands, grids, formats, and exit codes."""
 
 import math
+import os
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -10,8 +12,9 @@ from fracadm import cli
 from fracadm.adm import ProblemSpec, solve
 from fracadm.cli import MAX_GRID_POINTS, parse_grid, run, UsageError
 from fracadm.parser import parse_series
-from fracadm.problems import CLASSICAL_PAIR, make_table
+from fracadm.problems import CLASSICAL_PAIR, builtin_problem, exact_solution, make_table
 from fracadm.series import FracSeries, FracTerm
+from oracles import pointwise_evaluate_oracle
 
 
 def S(*terms):
@@ -200,6 +203,99 @@ def test_solve_grid_prints_signed_zeros_as_given(capsys):
     assert out.splitlines()[4].startswith("-0,-0,1,1,")
 
 
+def _blocks_of(points):
+    """Patch the CLI's block size: solve evaluates and writes about this many
+    points at a time."""
+    return mock.patch.object(cli, "_BLOCK_POINTS", points)
+
+
+@pytest.mark.parametrize("block_points", [cli._BLOCK_POINTS, 7, 1])
+def test_solve_grid_is_the_same_text_in_any_blocks(block_points, tmp_path, capsys):
+    # 3 x values and 8 y values: with blocks of 7 points, that is 2 y rows a
+    # block and a short last block; with 1, one y row a block
+    xs, ys = (0.0, 0.3, 0.9), (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+    grid = "x=0,0.3,0.9;y=0,0.01,0.05,0.1,0.2,0.5,1,2"
+    argv = ["solve", "--example", "1", "--alpha", "1", "--beta", "1", "--terms", "6",
+            "--format", "tsv", "--digits", "5", "--grid", grid]
+    target = tmp_path / "out.tsv"
+    with _blocks_of(block_points):
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        assert run([*argv, "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == stdout
+    phi = solve(builtin_problem(1, 1.0, 1.0, 6)).partial_sum(6)
+    lines = ["y\tx\talpha\tbeta\tapprox\texact\tabs_error"]
+    for y in ys:
+        for x in xs:
+            approx, exact = phi.evaluate(x, y), exact_solution(1, x, y)
+            cells = (y, x, 1.0, 1.0, approx, exact, abs(exact - approx))
+            lines.append("\t".join(format(v, ".5g") for v in cells))
+    assert stdout == "\n".join(lines) + "\n"
+
+
+def test_solve_failing_at_the_exact_column_writes_nothing(tmp_path, capsys):
+    # example 2 is singular at y = 1: every approx value is computed, and the
+    # exact column fails at its second row
+    argv = ["solve", "--example", "2", "--terms", "3", "--grid", "x=0.5;y=0.5,1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fracadm: numeric error: example 2 is singular at y = 1\n"
+    target = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
+
+
+def test_solve_failing_in_a_later_block_writes_nothing(tmp_path, capsys):
+    # one y row a block: the first failing point, y = -0.2, is in the fourth
+    # block, after three blocks that evaluate
+    xs, ys = (0.5, 0.25), (0.1, 0.2, 0.3, -0.2, 0.4, -0.1)
+    grid = "x=0.5,0.25;y=0.1,0.2,0.3,-0.2,0.4,-0.1"
+    argv = ["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.6", "--beta", "0.7",
+            "--terms", "4", "--grid", grid]
+    phi = solve(ProblemSpec(0.6, 0.7, S((1, 0, 0), (1, 1, 0)), S((1, 0, 0)), 4))
+    phi = phi.partial_sum(4)
+    with pytest.raises(ValueError) as first:  # EvaluationDomainError
+        for y in ys:
+            for x in xs:
+                pointwise_evaluate_oracle(phi, x, y)
+    target = tmp_path / "out.csv"
+    block_sizes = []
+    evaluate_grid = FracSeries.evaluate_grid
+
+    def counted(series, xs, ys):
+        block_sizes.append(len(ys))
+        return evaluate_grid(series, xs, ys)
+
+    with _blocks_of(2), mock.patch.object(FracSeries, "evaluate_grid", counted):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert run([*argv, "--out", str(target)]) == 2
+    assert block_sizes == [1, 1, 1, 1] * 2
+    assert captured.out == ""
+    assert captured.err == f"fracadm: numeric error: {first.value}\n"
+    assert str(first.value) == "y must be >= 0, got -0.2"
+    assert not target.exists()
+
+
+def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
+    # the text is written one block of y rows at a time, so a 250,000-point
+    # solve holds its values (2 MB as doubles) and one block's text, not the
+    # whole output: tracemalloc measured a peak of 6.2 MB, against 60.8 MB
+    # when the whole text was built before it was written
+    argv = ["solve", "--ic", "1+x", "--terms", "2", "--grid", "x=0:499:1;y=0:499:1",
+            "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ""
+    assert peak < 20 * 2**20
+
+
 # -- table and scan -----------------------------------------------------------------
 
 
@@ -353,8 +449,22 @@ def test_overflowing_expression_exits_1_before_any_work(argv, capsys):
     with _no_work():
         assert run(["solve", *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("fracadm: error: coefficient of ")
+    option = "--g" if "--g" in argv else "--ic"
+    assert err.startswith(f"fracadm: error: {option}: coefficient of ")
     assert "overflows at offset 0" in err
+
+
+@pytest.mark.parametrize(
+    "ic, g, option",
+    [("1", "x^-1", "--g"), ("x^-1", "1", "--ic")],
+)
+def test_parse_error_names_its_option(ic, g, option, capsys):
+    assert run(["solve", "--ic", ic, "--g", g, "--grid", "x=1;y=0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"fracadm: error: {option}: exponents must be non-negative at offset 2\n"
+    )
 
 
 def test_coefficient_overflow_exits_2(capsys):
