@@ -11,7 +11,6 @@ from .adm import (
     SolutionSeries,
     SolveError,
     adomian_polynomial,
-    residual,
     solve,
 )
 from .gammafn import GammaPoleError, gamma, gamma_ratio, rgamma
@@ -65,7 +64,6 @@ __all__ = [
     "make_table",
     "parse_series",
     "recovered_depth",
-    "residual",
     "rgamma",
     "rl_integral",
     "solve",

@@ -19,7 +19,7 @@ numerical check.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .series import (
     Axis,
@@ -36,21 +36,18 @@ __all__ = [
     "SolveError",
     "adomian_polynomial",
     "solve",
-    "residual",
 ]
 
 
 class SolveError(ArithmeticError):
     """Numeric failure during the recursion; carries the offending depth.
 
-    ``solution`` holds the components u_0..u_{depth-1} finished before the
-    failure (a SolutionSeries whose problem has n_terms = depth), or None
-    when u_0 itself failed.
+    ``solution`` is the SolutionSeries of the components u_0..u_{depth-1}
+    finished before the failure, what a solve to that depth returns; it has
+    no components when u_0 itself failed.
     """
 
-    def __init__(
-        self, depth: int, message: str, solution: SolutionSeries | None = None
-    ):
+    def __init__(self, depth: int, message: str, solution: SolutionSeries):
         self.depth = depth
         self.solution = solution
         super().__init__(f"component u_{depth}: {message}")
@@ -87,21 +84,18 @@ class ProblemSpec(namedtuple("ProblemSpec", "alpha beta ic forcing n_terms")):
         return super().__new__(cls, alpha, beta, ic, forcing, n_terms)
 
 
-class SolutionSeries(namedtuple("SolutionSeries", "problem components")):
-    """Solver output: components u_0..u_{N-1}; partial sums are formed on request.
-
-    ``problem`` is the ProblemSpec; ``components`` a tuple of FracSeries.
-    """
+class SolutionSeries(namedtuple("SolutionSeries", "components")):
+    """Solver output: components u_0..u_{N-1}; partial sums are formed on request."""
 
     __slots__ = ()
 
     def partial_sum(self, n: int) -> FracSeries:
-        """Phi_n = u_0 + ... + u_{n-1} for 1 <= n <= n_terms.
+        """Phi_n = u_0 + ... + u_{n-1} for 1 <= n <= len(components).
 
         One normalization over the raw terms of u_0..u_{n-1}, so each merged
         coefficient is one correctly rounded fsum.  Not cached: each call
         normalizes again.  A coefficient that overflows raises SolveError
-        naming u_{n-1}, the last component it adds.
+        naming u_{n-1}, the last component it adds, and carrying u_0..u_{n-2}.
         """
         if not 1 <= n <= len(self.components):
             raise IndexError(
@@ -110,7 +104,8 @@ class SolutionSeries(namedtuple("SolutionSeries", "problem components")):
         try:
             return sum_series(self.components[:n])
         except OverflowError as exc:
-            raise SolveError(n - 1, str(exc)) from exc
+            done = SolutionSeries(self.components[: n - 1])
+            raise SolveError(n - 1, str(exc), done) from exc
 
 
 def _convolution(
@@ -141,41 +136,20 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
     Components do not depend on n_terms, so partial_sum(n) of this solution
     equals partial_sum(n) of a solve to depth n.  Any ArithmeticError or
     ValueError while building u_n, a product past ``series.TERM_CAP`` terms
-    among them, is raised as a SolveError that carries u_0..u_{n-1} as its
-    ``solution``.
+    among them, is raised as a SolveError whose ``solution`` holds
+    u_0..u_{n-1}: what a solve to depth n returns.
     """
     alpha, beta = problem.alpha, problem.beta
-    try:
-        u0 = problem.ic + rl_integral(problem.forcing, alpha, Axis.Y)
-    except (ArithmeticError, ValueError) as exc:
-        raise SolveError(0, str(exc)) from exc
-    components = [u0]
+    components: list[FracSeries] = []
     derivs: list[FracSeries] = []
-    for n in range(problem.n_terms - 1):
-        try:
+    try:
+        components.append(problem.ic + rl_integral(problem.forcing, alpha, Axis.Y))
+        for n in range(problem.n_terms - 1):
             # differentiate lazily: u_{N-1} itself is never differentiated
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
             a_n = _convolution(components, derivs, n)
-            nxt = -rl_integral(a_n, alpha, Axis.Y)
-        except (ArithmeticError, ValueError) as exc:
-            truncated = ProblemSpec(
-                problem.alpha, problem.beta, problem.ic, problem.forcing, n + 1
-            )
-            done = SolutionSeries(truncated, tuple(components))
-            raise SolveError(n + 1, str(exc), done) from exc
-        components.append(nxt)
-    return SolutionSeries(problem, tuple(components))
-
-
-def residual(
-    problem: ProblemSpec,
-    s: FracSeries,
-    points: Iterable[tuple[float, float]],
-) -> float:
-    """Max |D_y^alpha s + s * D_x^beta s - g| over the given points."""
-    lhs = (
-        caputo_deriv(s, problem.alpha, Axis.Y)
-        + s.mul(caputo_deriv(s, problem.beta, Axis.X))
-        - problem.forcing
-    )
-    return max(abs(lhs.evaluate(x, y)) for x, y in points)
+            components.append(-rl_integral(a_n, alpha, Axis.Y))
+    except (ArithmeticError, ValueError) as exc:
+        done = SolutionSeries(tuple(components))
+        raise SolveError(len(components), str(exc), done) from exc
+    return SolutionSeries(tuple(components))

@@ -7,16 +7,18 @@ Subcommands:
     scan    truncation-depth scan against the stored reference table
 
 Exit codes: 0 success; 1 when the input is refused, always before any work
-(a UsageError), or when the output file cannot be written; 2 when the
-computation fails: any ArithmeticError or ValueError after the input is read.
-Every value is computed before the first byte is written, so a call that
-fails writes nothing.
+(a UsageError), or when the output cannot be written; 2 when the computation
+fails (any ArithmeticError or ValueError after the input is read) or memory
+runs out.  Every value is computed before the first byte is written, so a
+failed call writes nothing, unless memory runs out while solve writes its
+blocks: then a partial --out file is removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -342,22 +344,27 @@ def run(argv: Sequence[str] | None = None) -> int:
         # every value is computed here, so a failure writes nothing; solve's
         # blocks are formatted as they are written
         blocks = _COMMANDS[args.command](args)
-    except UsageError as exc:
+        if not args.out:
+            # looked up now: callers may have redirected sys.stdout
+            sys.stdout.writelines(blocks)
+            return 0
+        # opened before the try: a file that cannot be opened is not removed
+        fh = open(args.out, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(blocks)
+        except BaseException:
+            os.remove(args.out)  # a failed write leaves no partial file
+            raise
+    except (UsageError, OSError) as exc:
         print(f"fracadm: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("fracadm: error: out of memory", file=sys.stderr)
+        return 2
     except (ArithmeticError, ValueError) as exc:
         print(f"fracadm: numeric error: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
-        # looked up now: callers may have redirected sys.stdout
-        sys.stdout.writelines(blocks)
-        return 0
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(blocks)
-    except OSError as exc:
-        print(f"fracadm: error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

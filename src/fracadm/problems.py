@@ -242,7 +242,7 @@ def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
     for n in range(1, n_max + 1):
         approxs = {}
         for pair, sol in sols.items():
-            if sol is not None and n <= len(sol.components):
+            if n <= len(sol.components):
                 # the reference keys run over this grid in the same row order
                 approxs[pair] = iter(sol.partial_sum(n).evaluate_grid(X_GRID, Y_GRID))
         devs = []

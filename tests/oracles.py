@@ -13,7 +13,9 @@ Each oracle takes another route than the code it checks:
 * ``pointwise_evaluate_oracle`` evaluates one point term by term, not a
   whole grid from powers shared per grid value;
 * ``nested_partial_sums_oracle`` folds the partial sums by ``+``, one
-  normalization per component, not one normalization per partial sum.
+  normalization per component, not one normalization per partial sum;
+* ``residual_oracle`` evaluates the equation's residual by differentiating
+  a truncated series itself, not from the products of its components.
 
 They live here, not in the package: quadrature needs scipy, which the
 runtime does without, and the runtime keeps one implementation of each step.
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 
 from scipy.integrate import quad
 
-from fracadm.adm import SolveError, solve
+from fracadm.adm import ProblemSpec, SolveError, solve
 from fracadm.gammafn import rgamma
 from fracadm.problems import (
     CLASSICAL_PAIR,
@@ -238,3 +240,17 @@ def nested_partial_sums_oracle(components: Sequence[FracSeries]) -> list[FracSer
     for u in components[1:]:
         sums.append(sums[-1] + u)
     return sums
+
+
+def residual_oracle(
+    problem: ProblemSpec,
+    s: FracSeries,
+    points: Iterable[tuple[float, float]],
+) -> float:
+    """Max |D_y^alpha s + s * D_x^beta s - g| over the given points."""
+    lhs = (
+        caputo_deriv(s, problem.alpha, Axis.Y)
+        + s.mul(caputo_deriv(s, problem.beta, Axis.X))
+        - problem.forcing
+    )
+    return max(abs(lhs.evaluate(x, y)) for x, y in points)

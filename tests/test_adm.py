@@ -10,14 +10,14 @@ from fracadm.adm import (
     SolutionSeries,
     SolveError,
     adomian_polynomial,
-    residual,
     solve,
 )
+from fracadm.parser import parse_series
 from fracadm.problems import ORDER_PAIRS, builtin_problem
 from fracadm.series import Axis, FracSeries, FracTerm, TermCapError, caputo_deriv
 from fracadm.gammafn import gamma_ratio
 from helpers import assert_series_close, random_series
-from oracles import adomian_lambda_oracle, nested_partial_sums_oracle
+from oracles import adomian_lambda_oracle, nested_partial_sums_oracle, residual_oracle
 
 G = math.gamma
 
@@ -185,20 +185,21 @@ def test_partial_sums_match_nested_fold(example, pairs, depth):
 def test_partial_sum_is_correctly_rounded():
     # the fold rounds 1e16 + 1 to 1e16 twice; one fsum rounds 1e16 + 2 once
     components = (M(1e16, 1.0), M(1.0, 1.0), M(1.0, 1.0))
-    sol = SolutionSeries(ProblemSpec(1.0, 1.0, components[0], FracSeries.zero(), 3), components)
+    sol = SolutionSeries(components)
     assert sol.partial_sum(3) == M(1.0000000000000002e16, 1.0)
     assert nested_partial_sums_oracle(components)[2] == M(1e16, 1.0)
 
 
 def test_partial_sum_overflow_names_component():
     components = (M(1e308, 1.0), M(1e308, 1.0))
-    sol = SolutionSeries(ProblemSpec(1.0, 1.0, components[0], FracSeries.zero(), 2), components)
+    sol = SolutionSeries(components)
     assert sol.partial_sum(1) == components[0]
     with pytest.raises(SolveError) as err:
         sol.partial_sum(2)
     assert err.value.depth == 1
     assert str(err.value).startswith("component u_1: ")
     assert "overflow" in str(err.value)
+    assert err.value.solution == SolutionSeries(components[:1])
 
 
 def test_deep_partial_sums_keep_their_constant_term():
@@ -258,7 +259,38 @@ def test_solve_error_carries_finished_components():
     shallow = solve(builtin_problem(1, 0.75, 0.75, 5))
     assert done.components == shallow.components
     assert done.partial_sum(5) == shallow.partial_sum(5)
-    assert done.problem.n_terms == 5
+    assert done == shallow
+
+
+def test_solve_error_at_u0_carries_no_components():
+    # u_0 = 1 + 1.7e308 * y^0.5 / Gamma(1.5), and the coefficient is past the
+    # double range
+    problem = ProblemSpec(0.5, 1.0, parse_series("1"), parse_series("1.7e308"), 3)
+    with pytest.raises(SolveError) as err:
+        solve(problem)
+    assert err.value.depth == 0
+    assert err.value.solution == SolutionSeries(())
+    assert str(err.value) == "component u_0: coefficient of x^0.0*y^0.5 is inf"
+
+
+@pytest.mark.parametrize(
+    "problem, depth",
+    [
+        # A_0 overflows on x^2
+        (ProblemSpec(1.0, 1.0, S((1e154, 1, 0), (6e153, 2, 0)), FracSeries.zero(), 3), 1),
+        # the Caputo pole of the x^-1 chain
+        (builtin_problem(1, 0.75, 0.75, 8), 5),
+        # the exact pole at Gamma(-6)
+        (builtin_problem(1, 0.6, 0.9, 14), 11),
+    ],
+    ids=["u_1", "u_5", "u_11"],
+)
+def test_failed_solve_carries_a_shallower_solve(problem, depth):
+    with pytest.raises(SolveError) as err:
+        solve(problem)
+    assert err.value.depth == depth
+    alpha, beta, ic, forcing, _ = problem
+    assert err.value.solution == solve(ProblemSpec(alpha, beta, ic, forcing, depth))
 
 
 def test_solve_overflow_error_carries_depth():
@@ -298,7 +330,7 @@ def test_solve_term_cap_error_carries_depth():
 def test_residual_zero_problem():
     problem = ProblemSpec(0.5, 0.5, FracSeries.zero(), FracSeries.zero(), 1)
     sol = solve(problem)
-    assert residual(problem, sol.partial_sum(1), [(0.3, 0.2), (1.0, 0.5)]) == 0.0
+    assert residual_oracle(problem, sol.partial_sum(1), [(0.3, 0.2), (1.0, 0.5)]) == 0.0
 
 
 def test_residual_of_u0_is_a0():
@@ -307,7 +339,7 @@ def test_residual_of_u0_is_a0():
     u0 = sol.components[0]
     a0 = adomian_polynomial([u0], 0, 0.7)
     for pt in [(0.3, 0.1), (0.8, 0.4), (1.2, 0.9)]:
-        assert residual(problem, u0, [pt]) == pytest.approx(
+        assert residual_oracle(problem, u0, [pt]) == pytest.approx(
             abs(a0.evaluate(*pt)), rel=1e-12
         )
 
@@ -320,14 +352,15 @@ def test_residual_example4_closed_form():
         phi = solve(problem).partial_sum(n)
         for x, y in [(0.5, 0.5), (0.3, 0.1), (0.1, 0.4)]:
             closed = x * y ** (n - 1) * (n * (1 + y) + y * (1 - y**n)) / (1 + y) ** 2
-            assert residual(problem, phi, [(x, y)]) == pytest.approx(closed, rel=1e-10)
+            got = residual_oracle(problem, phi, [(x, y)])
+            assert got == pytest.approx(closed, rel=1e-10)
 
 
 def test_residual_small_y_bound_example4():
     problem = builtin_problem(4, 1.0, 1.0, 8)
     phi = solve(problem).partial_sum(8)
     pts = [(x, y) for x in (0.1, 0.3, 0.5) for y in (0.1, 0.2, 0.3)]
-    assert residual(problem, phi, pts) <= 1e-3
+    assert residual_oracle(problem, phi, pts) <= 1e-3
 
 
 def test_residual_monotone_at_small_y():
@@ -336,7 +369,7 @@ def test_residual_monotone_at_small_y():
         problem = builtin_problem(example, 1.0, 1.0, 8)
         sol = solve(problem)
         values = [
-            residual(problem, sol.partial_sum(n), pts) for n in range(1, 8)
+            residual_oracle(problem, sol.partial_sum(n), pts) for n in range(1, 8)
         ]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-15

@@ -279,6 +279,33 @@ def test_solve_failing_in_a_later_block_writes_nothing(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_memory_running_out_exits_2(capsys):
+    with mock.patch.object(cli, "make_table", side_effect=MemoryError):
+        assert run(["table", "--example", "4", "--terms", "2"]) == 2
+    assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
+
+
+def test_memory_running_out_while_writing_exits_2(tmp_path, capsys):
+    # the first block, the header, is written before memory runs out: stdout
+    # keeps it, and the partial --out file is removed
+    grid_blocks = cli._grid_blocks
+
+    def one_block(*args):
+        yield next(grid_blocks(*args))
+        raise MemoryError
+
+    argv = ["solve", "--example", "4", "--terms", "2", "--grid", "x=0.5;y=0.1,0.2"]
+    target = tmp_path / "out.csv"
+    with mock.patch.object(cli, "_grid_blocks", one_block):
+        assert run(argv) == 2
+        stdout = capsys.readouterr()
+        assert run([*argv, "--out", str(target)]) == 2
+        out_file = capsys.readouterr()
+    assert stdout == ("y,x,alpha,beta,approx,exact,abs_error\n", "fracadm: error: out of memory\n")
+    assert out_file == ("", "fracadm: error: out of memory\n")
+    assert not target.exists()
+
+
 def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
     # the text is written one block of y rows at a time, so a 250,000-point
     # solve holds its values (2 MB as doubles) and one block's text, not the
@@ -476,6 +503,18 @@ def test_coefficient_overflow_exits_2(capsys):
     err = capsys.readouterr().err
     assert "fracadm: numeric error:" in err
     assert "component u_1: coefficient of x^2.0*y^0.0 overflows" in err
+
+
+def test_overflow_at_u0_exits_2(capsys):
+    # J_y^0.5 of the forcing puts 1.7e308 / Gamma(1.5) on y^0.5
+    argv = ["solve", "--ic", "1", "--g", "1.7e308", "--alpha", "0.5", "--terms", "3",
+            "--grid", "x=1;y=0.1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fracadm: numeric error: component u_0: coefficient of x^0.0*y^0.5 is inf\n"
+    )
 
 
 @pytest.mark.parametrize(
