@@ -44,13 +44,13 @@ class SolveError(ArithmeticError):
 
     ``solution`` is the SolutionSeries of the components u_0..u_{depth-1}
     finished before the failure, what a solve to that depth returns; it has
-    no components when u_0 itself failed.
+    no components when u_0 itself failed.  ``depth`` is its length.
     """
 
-    def __init__(self, depth: int, message: str, solution: SolutionSeries):
-        self.depth = depth
+    def __init__(self, message: str, solution: SolutionSeries):
+        self.depth = len(solution.components)
         self.solution = solution
-        super().__init__(f"component u_{depth}: {message}")
+        super().__init__(f"component u_{self.depth}: {message}")
 
 
 class ProblemSpec(namedtuple("ProblemSpec", "alpha beta ic forcing n_terms")):
@@ -104,8 +104,7 @@ class SolutionSeries(namedtuple("SolutionSeries", "components")):
         try:
             return sum_series(self.components[:n])
         except OverflowError as exc:
-            done = SolutionSeries(self.components[: n - 1])
-            raise SolveError(n - 1, str(exc), done) from exc
+            raise SolveError(str(exc), SolutionSeries(self.components[: n - 1])) from exc
 
 
 def _convolution(
@@ -150,6 +149,5 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
             a_n = _convolution(components, derivs, n)
             components.append(-rl_integral(a_n, alpha, Axis.Y))
     except (ArithmeticError, ValueError) as exc:
-        done = SolutionSeries(tuple(components))
-        raise SolveError(len(components), str(exc), done) from exc
+        raise SolveError(str(exc), SolutionSeries(tuple(components))) from exc
     return SolutionSeries(tuple(components))

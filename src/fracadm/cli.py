@@ -9,14 +9,14 @@ Subcommands:
 Exit codes: 0 success; 1 when the input is refused, always before any work
 (a UsageError), or when the output cannot be written; 2 when the computation
 fails (any ArithmeticError or ValueError after the input is read) or memory
-runs out.  Every value is computed before the first byte is written, so a
-failed call writes nothing, unless memory runs out while solve writes its
-blocks: then a partial --out file is removed.
+runs out.  Every value is computed before the first byte is written; if the
+writing itself fails, a partial --out file is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -354,7 +354,11 @@ def run(argv: Sequence[str] | None = None) -> int:
             with fh:
                 fh.writelines(blocks)
         except BaseException:
-            os.remove(args.out)  # a failed write leaves no partial file
+            # remove a partial regular file, never a device (/dev/null) or a
+            # symlink; a failed removal must not hide the failure behind it
+            with contextlib.suppress(OSError):
+                if os.path.isfile(args.out) and not os.path.islink(args.out):
+                    os.remove(args.out)
             raise
     except (UsageError, OSError) as exc:
         print(f"fracadm: error: {exc}", file=sys.stderr)

@@ -285,18 +285,23 @@ def test_memory_running_out_exits_2(capsys):
     assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
 
 
+_GRID_BLOCKS = cli._grid_blocks  # the original, for _fail_after_header
+
+
+def _fail_after_header(*args):
+    yield next(_GRID_BLOCKS(*args))
+    raise MemoryError
+
+
+_ONE_POINT = ["solve", "--example", "4", "--terms", "2", "--grid", "x=0.5;y=0.1"]
+
+
 def test_memory_running_out_while_writing_exits_2(tmp_path, capsys):
     # the first block, the header, is written before memory runs out: stdout
     # keeps it, and the partial --out file is removed
-    grid_blocks = cli._grid_blocks
-
-    def one_block(*args):
-        yield next(grid_blocks(*args))
-        raise MemoryError
-
     argv = ["solve", "--example", "4", "--terms", "2", "--grid", "x=0.5;y=0.1,0.2"]
     target = tmp_path / "out.csv"
-    with mock.patch.object(cli, "_grid_blocks", one_block):
+    with mock.patch.object(cli, "_grid_blocks", _fail_after_header):
         assert run(argv) == 2
         stdout = capsys.readouterr()
         assert run([*argv, "--out", str(target)]) == 2
@@ -304,6 +309,40 @@ def test_memory_running_out_while_writing_exits_2(tmp_path, capsys):
     assert stdout == ("y,x,alpha,beta,approx,exact,abs_error\n", "fracadm: error: out of memory\n")
     assert out_file == ("", "fracadm: error: out of memory\n")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("kind", ["device", "symlink"])
+def test_failed_write_removes_no_device_and_no_symlink(tmp_path, capsys, kind):
+    # os.remove is patched, so a wrong removal is seen and cannot happen
+    if kind == "device":
+        out = os.devnull
+    else:
+        out = str(tmp_path / "link.csv")
+        os.symlink(tmp_path / "real.csv", out)
+    with mock.patch.object(cli, "_grid_blocks", _fail_after_header), \
+            mock.patch.object(cli.os, "remove") as remove:
+        assert run([*_ONE_POINT, "--out", out]) == 2
+    remove.assert_not_called()
+    assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
+    assert os.path.lexists(out)
+
+
+def test_failed_removal_keeps_the_failure_that_caused_it(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    with mock.patch.object(cli, "_grid_blocks", _fail_after_header), \
+            mock.patch.object(cli.os, "remove", side_effect=PermissionError) as remove:
+        assert run([*_ONE_POINT, "--out", str(target)]) == 2
+    remove.assert_called_once_with(str(target))
+    assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
+
+
+def test_broken_stdout_pipe_exits_1(capsys):
+    stdout = mock.Mock()
+    stdout.writelines.side_effect = BrokenPipeError(32, "Broken pipe")
+    with mock.patch.object(cli.sys, "stdout", stdout):
+        assert run(_ONE_POINT) == 1
+    stdout.writelines.assert_called_once()
+    assert capsys.readouterr().err == "fracadm: error: [Errno 32] Broken pipe\n"
 
 
 def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
