@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import time
 import tracemalloc
 from unittest import mock
@@ -43,31 +44,31 @@ def _no_work():
 
 def test_grid_list_form():
     xs, ys = parse_grid("x=0.3,0.6,0.9;y=0.01,0.05,0.1")
-    assert xs == [0.3, 0.6, 0.9]
-    assert ys == [0.01, 0.05, 0.1]
+    assert list(xs) == [0.3, 0.6, 0.9]
+    assert list(ys) == [0.01, 0.05, 0.1]
 
 
 def test_grid_range_form():
     xs, ys = parse_grid("x=0.1:0.5:0.2;y=0.1")
-    assert xs == pytest.approx([0.1, 0.3, 0.5])
-    assert ys == [0.1]
+    assert list(xs) == pytest.approx([0.1, 0.3, 0.5])
+    assert list(ys) == [0.1]
     # floor((stop - start) / step) + 1 points, counted on the decimals: a stop
     # just short of 3 does not reach 3, and 0.3 / 0.1 is 3 although in floats
     # it is 2.9999999999999996
     xs, _ = parse_grid("x=0:2.9999999999:1;y=0")
-    assert xs == [0.0, 1.0, 2.0]
+    assert list(xs) == [0.0, 1.0, 2.0]
     xs, _ = parse_grid("x=0:0.3:0.1;y=0")
     assert len(xs) == 4
     # and each point is the decimal start + k*step, correctly rounded: the
     # third tenth is 0.3, not 0 + 3*0.1 = 0.30000000000000004
     xs, _ = parse_grid("x=0:1:0.1;y=0")
-    assert xs == [k / 10 for k in range(11)]
+    assert list(xs) == [k / 10 for k in range(11)]
 
 
 def test_grid_mixed_forms():
     xs, ys = parse_grid("y=0.0:1.0:0.25;x=0.5")
-    assert xs == [0.5]
-    assert ys == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert list(xs) == [0.5]
+    assert list(ys) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -343,6 +344,177 @@ def test_broken_stdout_pipe_exits_1(capsys):
         assert run(_ONE_POINT) == 1
     stdout.writelines.assert_called_once()
     assert capsys.readouterr().err == "fracadm: error: [Errno 32] Broken pipe\n"
+
+
+# -- solve --grid split across CPUs ----------------------------------------------
+
+
+def _split_into(k, point_terms=1):
+    """Patch the CLI so that solve --grid cuts its y rows into k slices, given
+    at least k rows and ``point_terms`` point-terms a slice."""
+    return mock.patch.multiple(
+        cli,
+        _SPLIT_POINT_TERMS=point_terms,
+        os=mock.Mock(wraps=os, sched_getaffinity=mock.Mock(return_value=set(range(k)))),
+    )
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_SPLIT_GRID = "x=0,0.3,0.9;y=0,0.01,0.05,0.1,0.2,0.5,1,2"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("block_points", [cli._BLOCK_POINTS, 7])
+@pytest.mark.parametrize(
+    "fmt, orders", [("csv", "1"), ("tsv", "1"), ("csv", "0.5"), ("tsv", "0.5")],
+    ids=["csv-exact", "tsv-exact", "csv-approx", "tsv-approx"],
+)
+def test_split_evaluation_prints_the_serial_bytes(k, block_points, fmt, orders, capsys):
+    # at the classical orders the exact columns are filled; with blocks of 7
+    # points a slice holds blocks of 2 y rows and a short last block
+    argv = ["solve", "--example", "1", "--alpha", orders, "--beta", orders, "--terms", "6",
+            "--format", fmt, "--grid", _SPLIT_GRID]
+    with _blocks_of(block_points):
+        with _split_into(1):
+            assert run(argv) == 0
+        serial = capsys.readouterr()
+        with _split_into(k):
+            assert run(argv) == 0
+            assert cli.os.fork.call_count == k - 1
+    assert capsys.readouterr() == serial
+    assert serial.out.count("\n") == 25 and serial.err == ""
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "ys",
+    ["0.1,0.2,0.3,0.4,-0.2,-0.1", "0.1,-0.3,0.3,0.4,0.5,0.6", "0.1,-0.3,0.3,0.4,-0.2,0.6"],
+    ids=["child", "parent", "both"],
+)
+def test_split_evaluation_fails_as_the_serial_one(ys, tmp_path, capsys):
+    # two slices of three y rows: the first failing point in row order is
+    # reported, wherever the other failures are
+    argv = ["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.6", "--beta", "0.7",
+            "--terms", "4", "--grid", f"x=0.5,0.25;y={ys}"]
+    with _split_into(1):
+        assert run(argv) == 2
+    serial = capsys.readouterr()
+    assert serial.out == "" and serial.err.startswith("fracadm: numeric error: y must be >= 0")
+    target = tmp_path / "out.csv"
+    for out in ([], ["--out", str(target)]):
+        with _split_into(2):
+            assert run([*argv, *out]) == 2
+            assert cli.os.fork.call_count == 1
+        assert capsys.readouterr() == serial
+        _assert_no_child_left()
+    assert not target.exists()
+
+
+def _in_children(action, in_parent):
+    """Patch evaluate_grid so that a forked child runs ``action`` first; the
+    y rows of each call in this process go to ``in_parent``."""
+    parent = os.getpid()
+    evaluate_grid = FracSeries.evaluate_grid
+
+    def patched(series, xs, ys):
+        if os.getpid() != parent:
+            action()
+        else:
+            in_parent.append(list(ys))
+        return evaluate_grid(series, xs, ys)
+
+    return mock.patch.object(FracSeries, "evaluate_grid", patched)
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _run_out_of_memory():
+    raise MemoryError
+
+
+@pytest.mark.parametrize("action", [_kill_self, _run_out_of_memory], ids=["killed", "memory"])
+def test_a_failed_child_slice_is_evaluated_in_process(action, capsys):
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
+    with _split_into(1):
+        assert run(argv) == 0
+    serial = capsys.readouterr()
+    in_parent = []
+    with _split_into(2), _in_children(action, in_parent):
+        assert run(argv) == 0
+        assert cli.os.fork.call_count == 1
+    # this process evaluated its own four rows, then the child's four again
+    assert in_parent == [[0.0, 0.01, 0.05, 0.1], [0.2, 0.5, 1.0, 2.0]]
+    assert capsys.readouterr() == serial
+    _assert_no_child_left()
+
+
+def test_rows_no_child_can_take_are_evaluated_in_process(capsys):
+    # three slices; the second fork fails, so the third slice is this process's
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
+    with _split_into(1):
+        assert run(argv) == 0
+    serial = capsys.readouterr()
+    forks = [os.fork, mock.Mock(side_effect=BlockingIOError(11, "fork refused"))]
+    with _split_into(3):
+        cli.os.fork.side_effect = lambda: forks.pop(0)()
+        assert run(argv) == 0
+        assert cli.os.fork.call_count == 2
+    assert capsys.readouterr() == serial
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_a_failing_parent_kills_and_reaps_its_children(error, capsys):
+    # the child would take a minute; the parent's own slice fails at once
+    parent = os.getpid()
+
+    def patched(series, xs, ys):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise error
+
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
+    started = time.perf_counter()
+    with _split_into(2), mock.patch.object(FracSeries, "evaluate_grid", patched):
+        if error is MemoryError:
+            assert run(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+        assert cli.os.fork.call_count == 1
+        assert cli.os.kill.call_count == 1
+    assert time.perf_counter() - started < 30
+    assert capsys.readouterr().out == ""
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "case, grid",
+    [("9 points", "x=0.3,0.6,0.9;y=0.001,0.005,0.02"),
+     ("one CPU", _SPLIT_GRID),
+     ("one y row", "x=0:1:0.01;y=0.1"),
+     ("no sched_getaffinity", _SPLIT_GRID)],
+)
+def test_no_fork_where_a_split_cannot_pay(case, grid, capsys):
+    argv = ["solve", "--example", "1", "--alpha", "0.5", "--beta", "0.5", "--terms", "20",
+            "--grid", grid]
+    if case == "9 points":  # the real work threshold: 9 points x 130 terms
+        split = _split_into(2, cli._SPLIT_POINT_TERMS)
+    else:
+        split = _split_into(1 if case == "one CPU" else 2)
+    with split:
+        if case == "no sched_getaffinity":
+            del cli.os.sched_getaffinity
+        cli.os.fork.side_effect = AssertionError("forked")
+        assert run(argv) == 0
+        cli.os.fork.assert_not_called()
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
