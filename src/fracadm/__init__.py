@@ -6,13 +6,7 @@ u_{n+1} = -J_y^a A_n with convolution polynomials for the bilinear
 nonlinearity.
 """
 
-from .adm import (
-    ProblemSpec,
-    SolutionSeries,
-    SolveError,
-    adomian_polynomial,
-    solve,
-)
+from .adm import ProblemSpec, SolutionSeries, SolveError, solve
 from .gammafn import GammaPoleError, gamma, gamma_ratio, rgamma
 from .parser import SeriesParseError, parse_series
 from .problems import (
@@ -31,7 +25,6 @@ from .series import (
     FracSeries,
     FracTerm,
     NonIntegrableTermError,
-    TermCapError,
     caputo_deriv,
     format_series,
     rl_integral,
@@ -53,8 +46,6 @@ __all__ = [
     "SolveError",
     "TableCell",
     "TableReport",
-    "TermCapError",
-    "adomian_polynomial",
     "builtin_problem",
     "caputo_deriv",
     "exact_solution",

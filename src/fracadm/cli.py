@@ -15,7 +15,8 @@ writing itself fails, a partial --out file is removed.
 solve evaluates a large grid in slices of whole y rows across the CPUs the
 process may run on, one forked child per slice after the first.  The output
 is byte-identical to one process's, and the rows of a child that fails are
-evaluated again here, so a failure is reported as in one process.
+evaluated again here, so a failure is reported as in one process.  A child
+whose calling process is gone exits before its next block.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ __all__ = ["build_parser", "run", "main"]
 # Largest grid `solve --grid` accepts, in points (x values times y values).
 MAX_GRID_POINTS = 1_000_000
 # `solve --grid` evaluates and writes whole y rows, about this many points at
-# a time (at least one row): enough for evaluate_grid's x rows to amortize,
-# few enough that the formatted text of a block stays small.
+# a time, or pieces of this many points of a wider row: enough for
+# evaluate_grid's x rows to amortize, few enough that the formatted text of a
+# block stays small.
 _BLOCK_POINTS = 65_536
 # `solve --grid` splits its evaluation across CPUs only into slices of at
 # least this many point-terms (grid points times series terms).  On a 2-core
@@ -312,7 +314,8 @@ def _cmd_solve(args) -> Iterable[str]:
 
 def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
     """phi on the grid as ``array('d')``, y outer and x inner: bit for bit one
-    ``evaluate_grid`` call per block of ``block_rows`` y rows.
+    ``evaluate_grid`` call per block of ``block_rows`` y rows, or, in a row
+    wider than ``_BLOCK_POINTS``, per piece of that many x values.
 
     The y rows are cut into k contiguous slices, k at most the CPUs this
     process may run on, the y rows, and the work in ``_SPLIT_POINT_TERMS``
@@ -322,15 +325,24 @@ def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
     only once it has them all, so a slice whose child fails or is killed
     arrives short and is evaluated again here: a failure raises what the
     serial evaluation raises, at the first failing point in row order.  A
-    failure or an interrupt here kills and reaps every child left.
+    failure or an interrupt here kills and reaps every child left; a child
+    whose parent is gone, even killed outright, exits before its next block.
     The library never forks: its callers may have threads.
     """
     from array import array
 
+    parent = os.getpid()
+    width = min(len(xs), _BLOCK_POINTS)  # block_rows is 1 if a row is cut
+
     def rows(part) -> array:
         values = array("d")
         for start in range(0, len(part), block_rows):
-            values.extend(phi.evaluate_grid(xs, part[start : start + block_rows]))
+            for x0 in range(0, len(xs), width):
+                if os.getpid() != parent and os.getppid() != parent:
+                    os._exit(1)  # a child whose parent is gone: no one reads on
+                values.extend(
+                    phi.evaluate_grid(xs[x0 : x0 + width], part[start : start + block_rows])
+                )
         return values
 
     k = 1
@@ -389,32 +401,39 @@ def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
 
 
 def _grid_blocks(xs, ys, block_rows, approx, exact, args) -> Iterator[str]:
-    """The header, then the text of each block of ``block_rows`` y rows."""
+    """The header, then the text of each block of ``block_rows`` y rows, or of
+    each piece of ``_BLOCK_POINTS`` x values of a wider row."""
     sep = _separator(args)
     spec = f".{args.digits}g"
     yield _GRID_HEADER.replace(",", sep) + "\n"
-    # a row is y_cell + prefix + approx + tail: the x, alpha and beta cells are
+    # a line is y_cell + prefix + approx + tail: the x, alpha and beta cells are
     # joined once per x, by position, not by value (0.0 and -0.0 are equal but
-    # print differently)
+    # print differently).  Whole rows share one list of prefixes; a piece of a
+    # wider row, which is all of its block, forms its own as it goes
     orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
-    prefixes = [sep + format(x, spec) + orders for x in xs]
-    empty_tail = sep + sep + "\n"
     nx = len(xs)
+    width = min(nx, _BLOCK_POINTS)
+    shared = [sep + format(x, spec) + orders for x in xs] if width == nx else None
+    empty_tail = sep + sep + "\n"
     for start in range(0, len(ys), block_rows):
-        block = []  # one string per y row, so a block holds few pieces
-        for iy in range(start, min(start + block_rows, len(ys))):
-            y_cell = format(ys[iy], spec)
-            row = approx[iy * nx : (iy + 1) * nx]
-            if exact is None:
-                lines = [y_cell + p + format(v, spec) + empty_tail for p, v in zip(prefixes, row)]
-            else:
-                lines = [
-                    y_cell + p + format(v, spec) + sep + format(e, spec)
-                    + sep + format(abs(e - v), spec) + "\n"
-                    for p, v, e in zip(prefixes, row, exact[iy * nx : (iy + 1) * nx])
-                ]
-            block.append("".join(lines))
-        yield "".join(block)
+        for x0 in range(0, nx, width):
+            x1 = min(x0 + width, nx)
+            block = []  # one string per y row, so a block holds few pieces
+            for iy in range(start, min(start + block_rows, len(ys))):
+                prefixes = shared or (sep + format(x, spec) + orders for x in xs[x0:x1])
+                y_cell = format(ys[iy], spec)
+                at = slice(iy * nx + x0, iy * nx + x1)
+                row = approx[at]
+                if exact is None:
+                    lines = [y_cell + p + format(v, spec) + empty_tail for p, v in zip(prefixes, row)]
+                else:
+                    lines = [
+                        y_cell + p + format(v, spec) + sep + format(e, spec)
+                        + sep + format(abs(e - v), spec) + "\n"
+                        for p, v, e in zip(prefixes, row, exact[at])
+                    ]
+                block.append("".join(lines))
+            yield "".join(block)
 
 
 def _cmd_table(args) -> list[str]:

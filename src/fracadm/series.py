@@ -39,7 +39,6 @@ __all__ = [
     "Axis",
     "FracTerm",
     "FracSeries",
-    "TermCapError",
     "EvaluationDomainError",
     "NonIntegrableTermError",
     "caputo_deriv",
@@ -48,15 +47,12 @@ __all__ = [
     "sum_series",
     "format_series",
     "DROP_ULPS",
-    "TERM_CAP",
 ]
 
 # A merged coefficient of several terms is cancellation residue, and dropped,
 # when it is at most this many ulps of the sum of their magnitudes (an ulp
 # of a magnitude in [2**(e-1), 2**e) taken as 2**(e-53), subnormal or not).
 DROP_ULPS = 4
-# Cauchy products larger than this raise instead of silently blowing up.
-TERM_CAP = 10_000
 # evaluate_grid holds at most this many x rows of coeff * x**px at a time.
 _GRID_BLOCK_ROWS = 256
 
@@ -66,15 +62,6 @@ class Axis:
 
     X = "x"
     Y = "y"
-
-
-class TermCapError(ArithmeticError):
-    """A product would exceed the term cap."""
-
-    def __init__(self, would_be: int, cap: int):
-        self.would_be = would_be
-        self.cap = cap
-        super().__init__(f"product would create {would_be} terms (cap {cap})")
 
 
 class EvaluationDomainError(ValueError):
@@ -216,19 +203,15 @@ def sum_of_products(
 ) -> "FracSeries":
     """sum of a*b over the pairs, normalized once over all raw product terms.
 
-    Each Cauchy product is checked on its own against ``TERM_CAP``, read at
-    call time, and one larger than the cap raises TermCapError.  A raw
-    product is one int add of packed exponent keys, one float multiply and
-    one dict lookup; no FracTerm is built.
+    A raw product is one int add of packed exponent keys, one float multiply
+    and one dict lookup; no FracTerm is built.  Nothing here bounds the work:
+    ``adm.solve`` counts its products before it asks for them.
     """
     pairs = tuple(pairs)
     den, width = _frame([s for pair in pairs for s in pair])
     cells: dict[int, list[float]] = {}
     get = cells.get
     for a, b in pairs:
-        would_be = len(a._coeffs) * len(b._coeffs)
-        if would_be > TERM_CAP:
-            raise TermCapError(would_be, TERM_CAP)
         b_terms = _packed(b, den, width)
         for key, c in _packed(a, den, width):
             for k, d in b_terms:
@@ -373,7 +356,7 @@ class FracSeries:
         return self.__mul__(other)
 
     def mul(self, other: "FracSeries") -> "FracSeries":
-        """Full Cauchy product; more than ``TERM_CAP`` raw terms raise TermCapError."""
+        """Full Cauchy product, normalized once over its raw terms."""
         return sum_of_products(((self, other),))
 
     # -- evaluation ----------------------------------------------------------

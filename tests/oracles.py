@@ -17,6 +17,9 @@ Each oracle takes another route than the code it checks:
 * ``residual_oracle`` evaluates the equation's residual by differentiating
   a truncated series itself, not from the products of its components.
 
+``adomian_polynomial`` is no oracle: it is the solver's own convolution,
+on its own, for the tests that check A_n.
+
 They live here, not in the package: quadrature needs scipy, which the
 runtime does without, and the runtime keeps one implementation of each step.
 (The runtime does without ``fractions`` too: importing it costs every CLI
@@ -33,7 +36,7 @@ from typing import Iterable, Sequence
 
 from scipy.integrate import quad
 
-from fracadm.adm import ProblemSpec, SolveError, solve
+from fracadm.adm import ProblemSpec, SolveError, _convolution, solve
 from fracadm.gammafn import rgamma
 from fracadm.problems import (
     CLASSICAL_PAIR,
@@ -89,6 +92,21 @@ def caputo_quadrature_oracle(p: float, order: float, x: float) -> float:
             f"for p={p!r}, order={order!r}, x={x!r}"
         )
     return p * rgamma(1.0 - order) * value
+
+
+def adomian_polynomial(
+    components: Sequence[FracSeries], n: int, beta: float
+) -> FracSeries:
+    """A_n for the bilinear nonlinearity, sum_{i+j=n} u_i * D_x^beta u_j, as
+    ``adm.solve`` forms it."""
+    if n < 0:
+        raise ValueError(f"polynomial index must be >= 0, got {n!r}")
+    if len(components) < n + 1:
+        raise ValueError(
+            f"A_{n} needs {n + 1} components, only {len(components)} given"
+        )
+    derivs = [caputo_deriv(u, beta, Axis.X) for u in components[: n + 1]]
+    return _convolution(components, derivs, n)
 
 
 def adomian_lambda_oracle(

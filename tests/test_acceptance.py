@@ -11,7 +11,7 @@ import random
 import mpmath
 import pytest
 
-from fracadm.adm import adomian_polynomial, solve
+from fracadm.adm import solve
 from fracadm.gammafn import gamma_ratio
 from fracadm.problems import (
     CLASSICAL_PAIR,
@@ -31,7 +31,7 @@ from fracadm.series import (
     rl_integral,
 )
 from helpers import random_series
-from oracles import adomian_lambda_oracle, caputo_quadrature_oracle
+from oracles import adomian_lambda_oracle, adomian_polynomial, caputo_quadrature_oracle
 
 mpmath.mp.dps = 50
 

@@ -2,22 +2,23 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 
-from fracadm.adm import (
-    ProblemSpec,
-    SolutionSeries,
-    SolveError,
-    adomian_polynomial,
-    solve,
-)
+from fracadm import adm
+from fracadm.adm import ProblemSpec, SolutionSeries, SolveError, solve
 from fracadm.parser import parse_series
 from fracadm.problems import ORDER_PAIRS, builtin_problem
-from fracadm.series import Axis, FracSeries, FracTerm, TermCapError, caputo_deriv
+from fracadm.series import Axis, FracSeries, FracTerm, caputo_deriv
 from fracadm.gammafn import gamma_ratio
 from helpers import assert_series_close, random_series
-from oracles import adomian_lambda_oracle, nested_partial_sums_oracle, residual_oracle
+from oracles import (
+    adomian_lambda_oracle,
+    adomian_polynomial,
+    nested_partial_sums_oracle,
+    residual_oracle,
+)
 
 G = math.gamma
 
@@ -314,14 +315,44 @@ def test_solve_opposite_infinities_carry_depth():
     assert err.value.solution.components == (problem.ic,)
 
 
-def test_solve_term_cap_error_carries_depth():
-    # 101 terms, none constant: A_0 = u_0 * D_x^beta u_0 has 101 x 101 products
-    ic = FracSeries(FracTerm(1.0, float(i) / 4.0, 0.0) for i in range(1, 102))
-    problem = ProblemSpec(0.5, 0.5, ic, FracSeries.zero(), 4)
-    with pytest.raises(SolveError) as err:
-        solve(problem)
-    assert err.value.depth >= 1
-    assert isinstance(err.value.__cause__, TermCapError)
+# -- the work budget --------------------------------------------------------------
+
+# u_0 = 1 + x and D_x u_0 = 1: A_0 forms 2 x 1 raw products.  u_1 = -y - x*y and
+# D_x u_1 = -y: A_1 forms 2 x 1 + 2 x 1 more, 6 in all
+_BUDGET_PROBLEM = ProblemSpec(1.0, 1.0, S((1, 0, 0), (1, 1, 0)), FracSeries.zero(), 3)
+
+
+def _budget(value):
+    return mock.patch.object(adm, "_WORK_BUDGET", value)
+
+
+def test_solve_over_budget_raises_with_its_count():
+    with _budget(5), mock.patch.object(
+        adm, "sum_of_products", wraps=adm.sum_of_products
+    ) as products:
+        with pytest.raises(
+            SolveError,
+            match=r"^component u_2: would take the solve to 6 raw products, "
+            r"past its budget of 5$",
+        ):
+            solve(_BUDGET_PROBLEM)
+    # A_0 was formed; A_1, which would pass the budget, was not
+    assert products.call_count == 1
+
+
+def test_solve_at_exactly_the_budget_passes():
+    with _budget(6):
+        sol = solve(_BUDGET_PROBLEM)
+    assert sol.components[2] == S((1, 0, 2), (1, 1, 2))
+
+
+@pytest.mark.parametrize("budget, depth", [(1, 1), (5, 2)])
+def test_solve_budget_error_carries_depth(budget, depth):
+    with _budget(budget), pytest.raises(SolveError) as err:
+        solve(_BUDGET_PROBLEM)
+    assert err.value.depth == depth
+    alpha, beta, ic, forcing, _ = _BUDGET_PROBLEM
+    assert err.value.solution == solve(ProblemSpec(alpha, beta, ic, forcing, depth))
 
 
 # -- residual ---------------------------------------------------------------------

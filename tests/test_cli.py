@@ -3,13 +3,15 @@
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest import mock
 
 import pytest
 
-from fracadm import cli
+from fracadm import adm, cli
 from fracadm.adm import ProblemSpec, solve
 from fracadm.cli import MAX_GRID_POINTS, parse_grid, run, UsageError
 from fracadm.parser import parse_series
@@ -210,10 +212,11 @@ def _blocks_of(points):
     return mock.patch.object(cli, "_BLOCK_POINTS", points)
 
 
-@pytest.mark.parametrize("block_points", [cli._BLOCK_POINTS, 7, 1])
+@pytest.mark.parametrize("block_points", [cli._BLOCK_POINTS, 7, 2, 1])
 def test_solve_grid_is_the_same_text_in_any_blocks(block_points, tmp_path, capsys):
     # 3 x values and 8 y values: with blocks of 7 points, that is 2 y rows a
-    # block and a short last block; with 1, one y row a block
+    # block and a short last block; with 2, each row in pieces of 2 and 1 x
+    # values; with 1, one point a block
     xs, ys = (0.0, 0.3, 0.9), (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
     grid = "x=0,0.3,0.9;y=0,0.01,0.05,0.1,0.2,0.5,1,2"
     argv = ["solve", "--example", "1", "--alpha", "1", "--beta", "1", "--terms", "6",
@@ -278,6 +281,27 @@ def test_solve_failing_in_a_later_block_writes_nothing(tmp_path, capsys):
     assert captured.err == f"fracadm: numeric error: {first.value}\n"
     assert str(first.value) == "y must be >= 0, got -0.2"
     assert not target.exists()
+
+
+def test_solve_cuts_a_wide_row_into_pieces_in_row_order(capsys):
+    # rows of 5 points in blocks of 2: pieces of 2, 2 and 1 x values.  The
+    # first failing point in row order, (x=0, y=0.1), is in the second piece
+    # and raises there, before the row y = -0.2, which fails too, is reached
+    argv = ["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.6", "--beta", "0.7",
+            "--terms", "6", "--grid", "x=0.5,0.25,0,0.75,1;y=0.1,-0.2"]
+    pieces = []
+    evaluate_grid = FracSeries.evaluate_grid
+
+    def counted(series, xs, ys):
+        pieces.append((list(xs), list(ys)))
+        return evaluate_grid(series, xs, ys)
+
+    with _blocks_of(2), mock.patch.object(FracSeries, "evaluate_grid", counted):
+        assert run(argv) == 2
+    assert pieces == [([0.5, 0.25], [0.1]), ([0.0, 0.75], [0.1])]
+    assert capsys.readouterr() == (
+        "", "fracadm: numeric error: x = 0 with negative exponent -2.5\n"
+    )
 
 
 def test_memory_running_out_exits_2(capsys):
@@ -494,6 +518,50 @@ def test_a_failing_parent_kills_and_reaps_its_children(error, capsys):
     _assert_no_child_left()
 
 
+# the calling process announces its fork on stdout, and its child holds that
+# pipe too: the pipe closes once both have exited
+_ANNOUNCE_FORK = """
+import os, sys
+from fracadm import adm, cli
+cli._BLOCK_POINTS = 4096
+fork = os.fork
+def announced():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announced
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a grid is split only across two or more CPUs",
+)
+def test_a_child_whose_parent_is_killed_exits_at_its_next_block(tmp_path):
+    # 1,000 x 1,000 points of a 130-term series in blocks of 4,096 points: the
+    # child's slice of 500 y rows is about 120 blocks.  On a 2-core x86 VM a
+    # child that did not look for its parent ran on for 6.7 s after the kill
+    argv = [sys.executable, "-c", _ANNOUNCE_FORK, "solve", "--example", "1",
+            "--alpha", "0.5", "--beta", "0.5", "--terms", "20",
+            "--grid", "x=0.001:1:0.001;y=0.0001:0.1:0.0001", "--out", os.devnull]
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err)
+    with proc:
+        child = int(proc.stdout.readline())  # the child is forked
+        proc.kill()
+        killed = time.perf_counter()
+        try:
+            # returns once the calling process and the child have both exited
+            assert proc.communicate(timeout=60) == (b"", None)
+        except subprocess.TimeoutExpired:
+            os.kill(child, signal.SIGKILL)
+            raise
+    assert time.perf_counter() - killed < 1.5
+    assert (tmp_path / "err.txt").read_bytes() == b""
+
+
 @pytest.mark.parametrize(
     "case, grid",
     [("9 points", "x=0.3,0.6,0.9;y=0.001,0.005,0.02"),
@@ -518,20 +586,21 @@ def test_no_fork_where_a_split_cannot_pay(case, grid, capsys):
 
 
 def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
-    # the text is written one block of y rows at a time, so a 250,000-point
-    # solve holds its values (2 MB as doubles) and one block's text, not the
-    # whole output: tracemalloc measured a peak of 6.2 MB, against 60.8 MB
-    # when the whole text was built before it was written
-    argv = ["solve", "--ic", "1+x", "--terms", "2", "--grid", "x=0:499:1;y=0:499:1",
-            "--out", os.devnull]
-    tracemalloc.start()
-    try:
-        assert run(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert capsys.readouterr().err == ""
-    assert peak < 20 * 2**20
+    # the text is written one block at a time, so a 250,000-point solve holds
+    # its values (2 MB as doubles) and one block's text, not the whole output:
+    # tracemalloc measured a peak of 6.2 MB on 500 x 500, against 60.8 MB when
+    # the whole text was built before it was written.  A row wider than a
+    # block is cut into pieces: 250,000 x 1 peaked at 50.9 MB as one piece
+    for grid in ("x=0:499:1;y=0:499:1", "x=0:249999:1;y=0"):
+        argv = ["solve", "--ic", "1+x", "--terms", "2", "--grid", grid, "--out", os.devnull]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == ""
+        assert peak < 20 * 2**20, grid
 
 
 # -- table and scan -----------------------------------------------------------------
@@ -774,6 +843,33 @@ def test_exact_pole_at_alpha_06_beta_09(terms, code, capsys):
 def test_table_pole_names_u5(capsys):
     assert run(["table", "--example", "1", "--terms", "6"]) == 2
     assert "component u_5:" in capsys.readouterr().err
+
+
+def test_a_solve_past_the_work_budget_exits_2_promptly(capsys):
+    # example 1 at generic orders forms 1,429,275 raw products up to u_75, and
+    # u_76 would pass the budget: on a 2-core x86 VM the call took 0.8 s
+    argv = ["solve", "--example", "1", "--alpha", "0.897148293561466",
+            "--beta", "0.7433369009864794", "--terms", "400", "--dump-series"]
+    started = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - started < 10
+    assert capsys.readouterr() == ("", (
+        "fracadm: numeric error: component u_76: would take the solve to "
+        "1505427 raw products, past its budget of 1500000\n"
+    ))
+
+
+def test_past_the_work_budget_table_exits_2_and_scan_keeps_the_depths_reached(capsys):
+    # with a budget of 10 raw products, example 4 at (0.5, 0.5) stops at u_5
+    with mock.patch.object(adm, "_WORK_BUDGET", 10):
+        assert run(["table", "--example", "4", "--terms", "6"]) == 2
+        assert capsys.readouterr() == ("", (
+            "fracadm: numeric error: component u_5: would take the solve to "
+            "15 raw products, past its budget of 10\n"
+        ))
+        assert run(["scan", "--example", "4", "--terms", "6"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [math.isinf(float(r[1])) for r in rows] == [False] * 5 + [True]
 
 
 def test_domain_error_reports_first_failing_point(capsys):
