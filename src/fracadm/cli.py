@@ -408,19 +408,17 @@ def _grid_blocks(xs, ys, block_rows, approx, exact, args) -> Iterator[str]:
     yield _GRID_HEADER.replace(",", sep) + "\n"
     # a line is y_cell + prefix + approx + tail: the x, alpha and beta cells are
     # joined once per x, by position, not by value (0.0 and -0.0 are equal but
-    # print differently).  Whole rows share one list of prefixes; a piece of a
-    # wider row, which is all of its block, forms its own as it goes
+    # print differently)
     orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
     nx = len(xs)
     width = min(nx, _BLOCK_POINTS)
-    shared = [sep + format(x, spec) + orders for x in xs] if width == nx else None
     empty_tail = sep + sep + "\n"
     for start in range(0, len(ys), block_rows):
         for x0 in range(0, nx, width):
             x1 = min(x0 + width, nx)
+            prefixes = [sep + format(x, spec) + orders for x in xs[x0:x1]]
             block = []  # one string per y row, so a block holds few pieces
             for iy in range(start, min(start + block_rows, len(ys))):
-                prefixes = shared or (sep + format(x, spec) + orders for x in xs[x0:x1])
                 y_cell = format(ys[iy], spec)
                 at = slice(iy * nx + x0, iy * nx + x1)
                 row = approx[at]

@@ -590,8 +590,9 @@ def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
     # its values (2 MB as doubles) and one block's text, not the whole output:
     # tracemalloc measured a peak of 6.2 MB on 500 x 500, against 60.8 MB when
     # the whole text was built before it was written.  A row wider than a
-    # block is cut into pieces: 250,000 x 1 peaked at 50.9 MB as one piece
-    for grid in ("x=0:499:1;y=0:499:1", "x=0:249999:1;y=0"):
+    # block is cut into pieces: 120,000 x 1 peaked at 24.1 MB as one piece
+    # (100,000 x 1 at 19.9 MB) and at 16.7 MB in pieces
+    for grid in ("x=0:499:1;y=0:499:1", "x=0:119999:1;y=0"):
         argv = ["solve", "--ic", "1+x", "--terms", "2", "--grid", grid, "--out", os.devnull]
         tracemalloc.start()
         try:
