@@ -19,7 +19,6 @@ numerical check.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 
 from .series import (
     Axis,
@@ -33,11 +32,12 @@ from .series import (
 __all__ = ["ProblemSpec", "SolutionSeries", "SolveError", "solve"]
 
 # A solve forms at most this many raw products, one per pair of terms of u_i
-# and D_x^beta u_j, over all its A_n; a step that would pass it fails before
-# it forms any.  The largest benchmark solve forms 137,256.  On a 2-core x86
-# VM with Python 3.11, example 1 at generic orders stops at u_76 after 0.54 s
-# and 18.6 MB RSS; one A_0 of 1,224 x 1,224 products on nearly distinct
-# exponents, the worst case for memory, took 4.7-6.2 s and 315 MB.
+# and D_x^beta u_j, over all its A_n; a pair of series with no products counts
+# as one.  A step that would pass it fails before it forms any.  The largest
+# benchmark solve forms 137,256.  On a 2-core x86 VM with Python 3.11, example
+# 1 at generic orders stops at u_76 after 0.54 s and 18.6 MB RSS; one A_0 of
+# 1,224 x 1,224 products on nearly distinct exponents, the worst case for
+# memory, took 4.7-6.2 s and 315 MB.
 _WORK_BUDGET = 1_500_000
 
 
@@ -109,13 +109,6 @@ class SolutionSeries(namedtuple("SolutionSeries", "components")):
             raise SolveError(str(exc), SolutionSeries(self.components[: n - 1])) from exc
 
 
-def _convolution(
-    components: Sequence[FracSeries], derivs: Sequence[FracSeries], n: int
-) -> FracSeries:
-    """sum_{i=0}^{n} u_i * derivs[n-i], with derivs[j] = D_x^beta u_j."""
-    return sum_of_products((components[i], derivs[n - i]) for i in range(n + 1))
-
-
 def solve(problem: ProblemSpec) -> SolutionSeries:
     """Run the recursion to problem.n_terms components.
 
@@ -135,14 +128,14 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
         for n in range(problem.n_terms - 1):
             # differentiate lazily: u_{N-1} itself is never differentiated
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
-            work += sum(len(components[i]) * len(derivs[n - i]) for i in range(n + 1))
+            pairs = tuple(zip(components, reversed(derivs)))
+            work += sum(max(1, len(u) * len(d)) for u, d in pairs)
             if work > _WORK_BUDGET:
                 raise ArithmeticError(
                     f"would take the solve to {work} raw products, "
                     f"past its budget of {_WORK_BUDGET}"
                 )
-            a_n = _convolution(components, derivs, n)
-            components.append(-rl_integral(a_n, alpha, Axis.Y))
+            components.append(-rl_integral(sum_of_products(pairs), alpha, Axis.Y))
     except (ArithmeticError, ValueError) as exc:
         raise SolveError(str(exc), SolutionSeries(tuple(components))) from exc
     return SolutionSeries(tuple(components))

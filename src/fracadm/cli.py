@@ -322,12 +322,12 @@ def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
     units.  Each of k - 1 forked children evaluates one slice and sends its
     doubles down a pipe; this process evaluates the first slice, then reads
     the others in row order and reaps each child.  A child sends its values
-    only once it has them all, so a slice whose child fails or is killed
-    arrives short and is evaluated again here: a failure raises what the
-    serial evaluation raises, at the first failing point in row order.  A
-    failure or an interrupt here kills and reaps every child left; a child
-    whose parent is gone, even killed outright, exits before its next block.
-    The library never forks: its callers may have threads.
+    only once it has them all, so a slice whose child fails, is killed or
+    was never forked arrives short and is evaluated here: a failure raises
+    what the serial evaluation raises, at the first failing point in row
+    order.  A failure or an interrupt here kills and reaps every child left;
+    a child whose parent is gone, even killed outright, exits before its
+    next block.  The library never forks: its callers may have threads.
     """
     from array import array
 
@@ -350,17 +350,14 @@ def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
         work = len(xs) * len(ys) * len(phi) // _SPLIT_POINT_TERMS
         k = max(1, min(len(os.sched_getaffinity(0)), len(ys), work))
     cuts = [len(ys) * i // k for i in range(k + 1)]
-    forked = cuts[1]  # the rows before this are this process's or a child's
-    children = []  # (pid, read end, first row, end row) of each child not reaped
+    children = []  # (pid, read end, first row, end row) of each slice not reaped
     try:
         for first, end in zip(cuts[1:-1], cuts[2:]):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the rows left are evaluated here
-                os.close(read_end)
-                os.close(write_end)
-                break
+            except OSError:  # no process to spare: a slice whose child sends nothing
+                pid = None
             if pid == 0:  # the child: whatever happens, it exits here
                 status = 1
                 try:
@@ -372,21 +369,20 @@ def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
                     os._exit(status)
             os.close(write_end)
             children.append((pid, open(read_end, "rb"), first, end))
-            forked = end
         approx = rows(ys[: cuts[1]])
         while children:
             pid, fh, first, end = children[0]
             part = array("d")
             try:
                 part.fromfile(fh, (end - first) * len(xs))
-            except EOFError:  # the child failed or was killed before it sent all
+            except EOFError:  # no child, or one that failed before it sent all
                 part = None
             fh.close()
             # the child has sent all it will send: it has exited or is exiting
-            os.waitpid(pid, 0)
+            if pid is not None:
+                os.waitpid(pid, 0)
             del children[0]
             approx.extend(rows(ys[first:end]) if part is None else part)
-        approx.extend(rows(ys[forked:]))
     except BaseException:
         import signal
 
@@ -394,8 +390,9 @@ def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
             fh.close()
             # an interrupt can land between waitpid and del: the child is gone
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
         raise
     return approx
 

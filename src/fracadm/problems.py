@@ -17,6 +17,7 @@ depth behind the reference data is recovered.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -117,31 +118,41 @@ class TableReport(namedtuple("TableReport", "example n_terms cells")):
         raise KeyError(f"no cell at y={y!r}, x={x!r}, pair={pair!r}")
 
 
+def _tabulate(example: int, sols, n: int) -> list[TableCell]:
+    """The cells of Phi_n, one solution per pair of ORDER_PAIRS, on the grid.
+
+    Cells come out by y, then x, then pair; each pair's Phi_n is evaluated on
+    the whole grid by one ``FracSeries.evaluate_grid`` call, pairs in order.
+    ``approx`` is None for a pair whose solution is shallower than n.
+    """
+    approxs = [
+        iter(sol.partial_sum(n).evaluate_grid(X_GRID, Y_GRID))
+        if n <= len(sol.components)
+        else itertools.repeat(None)
+        for sol in sols
+    ]
+    cells = []
+    for y in Y_GRID:
+        for x in X_GRID:
+            for pair, values in zip(ORDER_PAIRS, approxs):
+                approx = next(values)
+                exact = error = None
+                if pair == CLASSICAL_PAIR:
+                    exact = exact_solution(example, x, y)
+                    if approx is not None:
+                        error = abs(exact - approx)
+                cells.append(TableCell(y, x, *pair, approx, exact, error))
+    return cells
+
+
 def make_table(example: int, n_terms: int) -> TableReport:
     """Solve once per order pair and tabulate Phi_{n_terms} on the grid.
 
     The table covers ORDER_PAIRS on Y_GRID x X_GRID, the layout of the
-    reference tables.  Each pair's Phi is evaluated on the whole grid by one
-    ``FracSeries.evaluate_grid`` call, pairs in order; cells come out by y,
-    then x, then pair.
+    reference tables.
     """
-    approxs = {}
-    for pair in ORDER_PAIRS:
-        alpha, beta = pair
-        sol = solve(builtin_problem(example, alpha, beta, n_terms))
-        approxs[pair] = iter(sol.partial_sum(n_terms).evaluate_grid(X_GRID, Y_GRID))
-    cells = []
-    for y in Y_GRID:
-        for x in X_GRID:
-            for pair in ORDER_PAIRS:
-                approx = next(approxs[pair])
-                if pair == CLASSICAL_PAIR:
-                    exact = exact_solution(example, x, y)
-                    cell = TableCell(y, x, *pair, approx, exact, abs(exact - approx))
-                else:
-                    cell = TableCell(y, x, *pair, approx, None, None)
-                cells.append(cell)
-    return TableReport(example, n_terms, tuple(cells))
+    sols = [solve(builtin_problem(example, *pair, n_terms)) for pair in ORDER_PAIRS]
+    return TableReport(example, n_terms, tuple(_tabulate(example, sols, n_terms)))
 
 
 # -- reference data ----------------------------------------------------------
@@ -219,46 +230,38 @@ def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
     Each order pair is solved once, to n_max, and the table at depth n is
     tabulated from that solution's partial sum Phi_n, which equals a solve
     to depth n because components do not depend on the truncation depth.
-    Each Phi_n is formed once, by one normalization of u_0..u_{n-1}.
     Every depth's table is compared cell by cell against REFERENCE_TABLES.
     ``max_deviation`` covers all columns; ``error_column_deviation`` covers
     only the classical-pair absolute errors, which is the column that
     actually pins down the depth (the fractional columns have no
     independent ground truth).  A pair whose solve fails at u_k still
     supplies depths 1..k; at deeper depths its columns contribute ``inf``.
+    The scan ends at n_max or at the first depth no pair reached, whose row
+    reads ``inf`` twice, as every deeper row would.
     """
-    if example not in _CATALOGUE:
-        raise ValueError(f"unknown example id {example!r}; valid ids are 1..4")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    ref = REFERENCE_TABLES[example]
-    sols = {}
+    sols = []
     for pair in ORDER_PAIRS:
         try:
-            sols[pair] = solve(builtin_problem(example, pair[0], pair[1], n_max))
+            sols.append(solve(builtin_problem(example, *pair, n_max)))
         except SolveError as exc:
-            sols[pair] = exc.solution
+            sols.append(exc.solution)
+    ref = REFERENCE_TABLES[example]
     rows = []
-    for n in range(1, n_max + 1):
-        approxs = {}
-        for pair, sol in sols.items():
-            if n <= len(sol.components):
-                # the reference keys run over this grid in the same row order
-                approxs[pair] = iter(sol.partial_sum(n).evaluate_grid(X_GRID, Y_GRID))
+    for n in range(1, min(n_max, max(len(sol.components) for sol in sols) + 1) + 1):
         devs = []
         err_devs = []
-        for (y, x), row in ref.items():
-            exact = exact_solution(example, x, y)
-            for col, pair in enumerate(ORDER_PAIRS):
-                if pair not in approxs:
-                    devs.append(math.inf)
-                    continue
-                approx = next(approxs[pair])
-                devs.append(_rel_dev(approx, row[col]))
-                if pair == CLASSICAL_PAIR and _error_resolvable(row[4], exact):
-                    err_dev = _rel_dev(abs(exact - approx), row[4])
-                    devs.append(err_dev)
-                    err_devs.append(err_dev)
+        for y, x, alpha, beta, approx, exact, error in _tabulate(example, sols, n):
+            if approx is None:
+                devs.append(math.inf)
+                continue
+            row = ref[y, x]
+            devs.append(_rel_dev(approx, row[ORDER_PAIRS.index((alpha, beta))]))
+            if error is not None and _error_resolvable(row[4], exact):
+                err_dev = _rel_dev(error, row[4])
+                devs.append(err_dev)
+                err_devs.append(err_dev)
         rows.append(ScanRow(n, max(devs), max(err_devs, default=math.inf)))
     return rows
 

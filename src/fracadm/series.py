@@ -53,8 +53,9 @@ __all__ = [
 # when it is at most this many ulps of the sum of their magnitudes (an ulp
 # of a magnitude in [2**(e-1), 2**e) taken as 2**(e-53), subnormal or not).
 DROP_ULPS = 4
-# evaluate_grid holds at most this many x rows of coeff * x**px at a time.
-_GRID_BLOCK_ROWS = 256
+# evaluate_grid holds at most this many products coeff * x**px at a time, in
+# whole x rows, and at least one row.
+_GRID_BLOCK_TERMS = 65_536
 
 
 class Axis:
@@ -377,9 +378,9 @@ class FracSeries:
         once per point and term: a row ``coeff * x**px`` is formed once per x
         and each point is one ``fsum`` of that row times the y powers, which
         rounds as ``(coeff * x**px) * y**py`` just like the pointwise sum.  At
-        most ``_GRID_BLOCK_ROWS`` x rows are held at a time.  A failing grid
-        raises what the first failing point, in row order and then term order,
-        raises when evaluated alone.
+        most ``_GRID_BLOCK_TERMS`` products, or one x row, are held at a time.
+        A failing grid raises what the first failing point, in row order and
+        then term order, raises when evaluated alone.
         """
         xs, ys = tuple(xs), tuple(ys)
         if not xs or not ys:
@@ -392,10 +393,11 @@ class FracSeries:
         try:
             if any(y < 0.0 for y in ys):
                 raise EvaluationDomainError("y must be >= 0")
-            for start in range(0, nx, _GRID_BLOCK_ROWS):
+            block = max(1, _GRID_BLOCK_TERMS // max(1, len(coeffs)))
+            for start in range(0, nx, block):
                 cx_rows = [
                     list(map(operator.mul, coeffs, x_powers.row(x)))
-                    for x in xs[start : start + _GRID_BLOCK_ROWS]
+                    for x in xs[start : start + block]
                 ]
                 for iy, y in enumerate(ys):
                     y_row = y_powers.row(y)

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 from scipy.integrate import quad
 
-from fracadm.adm import ProblemSpec, SolveError, _convolution, solve
+from fracadm.adm import ProblemSpec, SolveError, solve
 from fracadm.gammafn import rgamma
 from fracadm.problems import (
     CLASSICAL_PAIR,
@@ -55,6 +55,7 @@ from fracadm.series import (
     FracSeries,
     FracTerm,
     caputo_deriv,
+    sum_of_products,
 )
 
 
@@ -98,15 +99,9 @@ def adomian_polynomial(
     components: Sequence[FracSeries], n: int, beta: float
 ) -> FracSeries:
     """A_n for the bilinear nonlinearity, sum_{i+j=n} u_i * D_x^beta u_j, as
-    ``adm.solve`` forms it."""
-    if n < 0:
-        raise ValueError(f"polynomial index must be >= 0, got {n!r}")
-    if len(components) < n + 1:
-        raise ValueError(
-            f"A_{n} needs {n + 1} components, only {len(components)} given"
-        )
+    ``adm.solve`` forms it from its pair list."""
     derivs = [caputo_deriv(u, beta, Axis.X) for u in components[: n + 1]]
-    return _convolution(components, derivs, n)
+    return sum_of_products(zip(components, reversed(derivs)))
 
 
 def adomian_lambda_oracle(

@@ -87,11 +87,6 @@ def test_a2_matches_hand_expansion():
     assert_series_close(adomian_polynomial(u, 2, beta), hand, rel=1e-12)
 
 
-def test_polynomial_requires_enough_components():
-    with pytest.raises(ValueError):
-        adomian_polynomial([S((1, 1, 0))], 1, 0.5)
-
-
 def test_polynomial_depends_only_on_prefix():
     rng = random.Random(13)
     u = [random_series(rng, max_terms=3) for _ in range(5)]
@@ -353,6 +348,19 @@ def test_solve_budget_error_carries_depth(budget, depth):
     assert err.value.depth == depth
     alpha, beta, ic, forcing, _ = _BUDGET_PROBLEM
     assert err.value.solution == solve(ProblemSpec(alpha, beta, ic, forcing, depth))
+
+
+def test_a_pair_with_no_products_counts_as_one():
+    # D_x 1 = 0, so u_1, u_2, ... are 0 and no A_n has a product; A_n's n + 1
+    # pairs count one each, 1 + 2 + 3 + 4 = 10 up to u_4, and u_5 would make 15
+    ic = S((1, 0, 0))
+    with _budget(10), pytest.raises(
+        SolveError,
+        match=r"^component u_5: would take the solve to 15 raw products, "
+        r"past its budget of 10$",
+    ) as err:
+        solve(ProblemSpec(1.0, 1.0, ic, FracSeries.zero(), 50))
+    assert err.value.solution.components == (ic,) + (FracSeries.zero(),) * 4
 
 
 # -- residual ---------------------------------------------------------------------

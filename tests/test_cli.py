@@ -493,6 +493,24 @@ def test_rows_no_child_can_take_are_evaluated_in_process(capsys):
     _assert_no_child_left()
 
 
+def test_a_refused_fork_leaves_later_slices_to_children(capsys):
+    # three slices; the first fork fails and the second does not, so this
+    # process evaluates the first two slices and a child the third
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
+    with _split_into(1):
+        assert run(argv) == 0
+    serial = capsys.readouterr()
+    forks = [mock.Mock(side_effect=BlockingIOError(11, "fork refused")), os.fork]
+    in_parent = []
+    with _split_into(3), _in_children(lambda: None, in_parent):
+        cli.os.fork.side_effect = lambda: forks.pop(0)()
+        assert run(argv) == 0
+        assert cli.os.fork.call_count == 2
+    assert in_parent == [[0.0, 0.01], [0.05, 0.1, 0.2]]
+    assert capsys.readouterr() == serial
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
 def test_a_failing_parent_kills_and_reaps_its_children(error, capsys):
     # the child would take a minute; the parent's own slice fails at once
@@ -871,6 +889,26 @@ def test_past_the_work_budget_table_exits_2_and_scan_keeps_the_depths_reached(ca
         assert run(["scan", "--example", "4", "--terms", "6"]) == 0
     _, rows = _rows(capsys.readouterr().out)
     assert [math.isinf(float(r[1])) for r in rows] == [False] * 5 + [True]
+
+
+def test_a_solve_with_no_products_exits_2_at_the_budget(capsys):
+    # --ic 1 forms no product at any depth; each pair still counts as one
+    argv = ["solve", "--ic", "1", "--terms", "50", "--grid", "x=1;y=1"]
+    with mock.patch.object(adm, "_WORK_BUDGET", 10):
+        assert run(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "fracadm: numeric error: component u_5: would take the solve to "
+        "15 raw products, past its budget of 10\n"
+    ))
+
+
+def test_a_scan_ends_at_the_first_depth_no_pair_reached(capsys):
+    # every pair stops at u_5, so the scan's last row is depth 6, not 10^9
+    with mock.patch.object(adm, "_WORK_BUDGET", 10):
+        assert run(["scan", "--example", "4", "--terms", "1000000000"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+    assert rows[-1] == ["6", "inf", "inf"]
 
 
 def test_domain_error_reports_first_failing_point(capsys):

@@ -1,14 +1,17 @@
 """Benchmark catalogue, closed-form solutions, tables, and depth recovery."""
 
 import math
+from unittest import mock
 
 import pytest
 
+from fracadm import adm, problems
 from fracadm.problems import (
     CLASSICAL_PAIR,
     EXAMPLE_IDS,
     ORDER_PAIRS,
     REFERENCE_TABLES,
+    ScanRow,
     X_GRID,
     Y_GRID,
     SingularPointError,
@@ -214,7 +217,7 @@ def test_make_table_matches_pointwise_evaluation(example, n_terms):
 
 
 def test_reference_tables_run_over_the_grid_in_row_order():
-    # truncation_scan pairs each reference key with one grid evaluation value
+    # each reference table covers the grid, point by point in row order
     for table in REFERENCE_TABLES.values():
         assert list(table) == [(y, x) for y in Y_GRID for x in X_GRID]
 
@@ -266,6 +269,20 @@ def test_truncation_scan_matches_one_solve_per_depth(example):
     # examples 1-3 fail at u_5 for (0.75, 0.75), so this covers the depths a
     # failed pair still supplies and the ones it cannot
     assert truncation_scan(example, 8) == per_depth_scan_oracle(example, 8)
+
+
+def test_truncation_scan_ends_at_the_first_depth_no_pair_reached():
+    with mock.patch.object(adm, "_WORK_BUDGET", 10):
+        rows = truncation_scan(4, 50)
+        assert rows == per_depth_scan_oracle(4, 6)
+    assert rows[-1] == ScanRow(6, math.inf, math.inf)
+
+
+def test_truncation_scan_reads_the_reference_by_point():
+    want = truncation_scan(4, 8)
+    reordered = {e: dict(reversed(t.items())) for e, t in REFERENCE_TABLES.items()}
+    with mock.patch.object(problems, "REFERENCE_TABLES", reordered):
+        assert truncation_scan(4, 8) == want
 
 
 def test_truncation_scan_validation():

@@ -1,6 +1,7 @@
 """Series algebra, fractional operators, and the quadrature cross-check."""
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -356,7 +357,7 @@ _grid_ys = st.lists(
 @given(_grid_series, _grid_xs, _grid_ys, st.sampled_from([1, 2, 3, 256]))
 def test_evaluate_grid_matches_pointwise_oracle(s, xs, ys, block_rows):
     # small blocks make the grid wider than one block of x rows
-    with mock.patch.object(series, "_GRID_BLOCK_ROWS", block_rows):
+    with mock.patch.object(series, "_GRID_BLOCK_TERMS", block_rows * len(s)):
         got, want = _grid_vs_oracle(s, xs, ys)
     assert got == want
 
@@ -364,11 +365,28 @@ def test_evaluate_grid_matches_pointwise_oracle(s, xs, ys, block_rows):
 def test_evaluate_grid_wider_than_one_block():
     rng = random.Random(7)
     s = random_series(rng, max_terms=8)
-    xs = [rng.uniform(0.0, 2.0) for _ in range(2 * series._GRID_BLOCK_ROWS + 17)]
+    xs = [rng.uniform(0.0, 2.0) for _ in range(2 * 256 + 17)]
     ys = [0.0, 0.3, 1.1]
-    got, want = _grid_vs_oracle(s, xs, ys)
+    with mock.patch.object(series, "_GRID_BLOCK_TERMS", 256 * len(s)):
+        got, want = _grid_vs_oracle(s, xs, ys)
     assert got == want
     assert len(got) == len(xs) * len(ys)
+
+
+def test_evaluate_grid_memory_is_bounded_by_held_products():
+    # x rows of a long series are held a block of products at a time: on 2,000
+    # terms x 256 x values tracemalloc measured a peak of 15.9 MiB holding 256
+    # whole x rows, and 4.1 MiB holding 65,536 products
+    s = FracSeries(FracTerm(1.0, k / 1000) for k in range(2000))
+    xs = [0.5 + k / 4096 for k in range(256)]
+    tracemalloc.start()
+    try:
+        got = s.evaluate_grid(xs, [0.1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert got[::85] == [pointwise_evaluate_oracle(s, x, 0.1) for x in xs[::85]]
 
 
 def test_evaluate_grid_reads_the_lattice():
@@ -414,7 +432,7 @@ def test_evaluate_grid_empty_axes():
 def test_evaluate_grid_raises_like_first_failing_point(terms, xs, ys):
     s = FracSeries._from_normalized(tuple(FracTerm(*t) for t in terms))
     for block_rows in (1, 256):
-        with mock.patch.object(series, "_GRID_BLOCK_ROWS", block_rows):
+        with mock.patch.object(series, "_GRID_BLOCK_TERMS", block_rows * len(s)):
             got, want = _grid_vs_oracle(s, xs, ys)
         assert isinstance(want, tuple), "case must fail"
         assert got == want
