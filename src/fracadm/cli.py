@@ -7,16 +7,18 @@ Subcommands:
     scan    truncation-depth scan against the stored reference table
 
 Exit codes: 0 success; 1 when the input is refused, always before any work
-(a UsageError), or when the output cannot be written; 2 when the computation
-fails (any ArithmeticError or ValueError after the input is read) or memory
+(a UsageError, such as a --digits past 2**31 - 1), or when the output cannot
+be written; 2 when the computation fails (any ArithmeticError or ValueError
+after the input is read, such as a grid past the evaluation budget) or memory
 runs out.  Every value is computed before the first byte is written; if the
 writing itself fails, a partial --out file is removed.
 
 solve evaluates a large grid in slices of whole y rows across the CPUs the
-process may run on, one forked child per slice after the first.  The output
-is byte-identical to one process's, and the rows of a child that fails are
-evaluated again here, so a failure is reported as in one process.  A child
-whose calling process is gone exits before its next block.
+process may run on, one forked child per slice after the first, into one
+buffer that all of them share; a child reports only through its exit status.
+The output is byte-identical to one process's, and the rows of a child that
+fails are evaluated again here, so a failure is reported as in one process.
+A child whose calling process is gone exits before its next block.
 """
 
 from __future__ import annotations
@@ -54,12 +56,18 @@ MAX_GRID_POINTS = 1_000_000
 _BLOCK_POINTS = 65_536
 # `solve --grid` splits its evaluation across CPUs only into slices of at
 # least this many point-terms (grid points times series terms).  On a 2-core
-# x86 VM, forking a child, piping its values back and reaping it took 2.0-3.8
+# x86 VM, forking a child, passing its values back and reaping it took 2.0-3.8
 # ms, and evaluation 58-78 ns a point-term.  Split in two, 100,000 point-terms
 # took as long as serial evaluation, and 200,000 and 400,000 took 0.81 and
 # 0.69 of its time: so the smallest split grid is about 12-16 ms of serial
 # work, several times the cost of a fork.
 _SPLIT_POINT_TERMS = 100_000
+# `solve --grid` evaluates at most this many point-terms, checked after the
+# solve and before any evaluation: a round value above the largest grid the
+# tests evaluate, 1,000,000 points of a 130-term series (130,000,000 point-
+# terms, 7.6 s on a 2-core x86 VM).  There, 51,000 points of a 2,927-term
+# series (149,277,000) took 11.6-14.4 s.
+_GRID_WORK_BUDGET = 150_000_000
 
 
 class UsageError(Exception):
@@ -83,6 +91,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _digits(text: str) -> int:
+    """--digits: an integer >= 1 and at most 2**31 - 1, format's largest
+    precision, checked while parsing."""
+    value = _positive_int(text)
+    if value >= 2**31:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1 and < 2**31, got {text!r}")
+    return value
+
+
 def _add_output_options(cmd: argparse.ArgumentParser) -> None:
     """--terms and the output options, which every subcommand takes."""
     cmd.add_argument(
@@ -95,7 +112,7 @@ def _add_output_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--out", metavar="FILE", help="write output here")
     cmd.add_argument(
         "--digits",
-        type=_positive_int,
+        type=_digits,
         default=17,
         help="significant digits in output (at least 1)",
     )
@@ -288,8 +305,9 @@ _GRID_HEADER = "y,x,alpha,beta,approx,exact,abs_error"
 def _cmd_solve(args) -> Iterable[str]:
     """Phi_{--terms} on the grid, one row per point with y outer and x inner.
 
-    The problem and the grid are read before the solve.  Everything that can
-    fail is computed before any text is formed: the approx values (see
+    The problem and the grid are read before the solve, and a grid past
+    ``_GRID_WORK_BUDGET`` fails after it.  Everything that can fail is
+    computed before any text is formed: the approx values (see
     ``_evaluate``), and then the exact column, which examples at the classical
     orders also get.  The text comes one block of y rows at a time.
     """
@@ -304,90 +322,95 @@ def _cmd_solve(args) -> Iterable[str]:
     from array import array
 
     xs, ys = grid
-    block_rows = max(1, _BLOCK_POINTS // len(xs))
-    approx = _evaluate(phi, xs, ys, block_rows)
+    points = len(xs) * len(ys)
+    if points * len(phi) > _GRID_WORK_BUDGET:
+        raise ArithmeticError(
+            f"{points} points x {len(phi)} terms = {points * len(phi)} point-terms "
+            f"is past the grid evaluation budget of {_GRID_WORK_BUDGET}"
+        )
+    approx = _evaluate(phi, xs, ys)
     exact = None
     if args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR:
         exact = array("d", (exact_solution(args.example, x, y) for y in ys for x in xs))
-    return _grid_blocks(xs, ys, block_rows, approx, exact, args)
+    return _grid_blocks(xs, ys, approx, exact, args)
 
 
-def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
-    """phi on the grid as ``array('d')``, y outer and x inner: bit for bit one
-    ``evaluate_grid`` call per block of ``block_rows`` y rows, or, in a row
-    wider than ``_BLOCK_POINTS``, per piece of that many x values.
+def _blocks(nx: int, first: int, end: int) -> Iterator[tuple[int, int, int, int]]:
+    """The blocks of y rows first..end-1 of a grid nx x values wide, in row
+    order, as (y0, y1, x0, x1): whole y rows of about ``_BLOCK_POINTS`` points,
+    or pieces of that many x values of a wider row; either is contiguous."""
+    block_rows = max(1, _BLOCK_POINTS // nx)
+    width = min(nx, _BLOCK_POINTS)  # block_rows is 1 if a row is cut
+    for y0 in range(first, end, block_rows):
+        for x0 in range(0, nx, width):
+            yield y0, min(y0 + block_rows, end), x0, min(x0 + width, nx)
+
+
+def _evaluate(phi: FracSeries, xs, ys):
+    """phi on the grid as doubles, y outer and x inner: bit for bit one
+    ``evaluate_grid`` call per block of ``_blocks``.
 
     The y rows are cut into k contiguous slices, k at most the CPUs this
     process may run on, the y rows, and the work in ``_SPLIT_POINT_TERMS``
-    units.  Each of k - 1 forked children evaluates one slice and sends its
-    doubles down a pipe; this process evaluates the first slice, then reads
-    the others in row order and reaps each child.  A child sends its values
-    only once it has them all, so a slice whose child fails, is killed or
-    was never forked arrives short and is evaluated here: a failure raises
-    what the serial evaluation raises, at the first failing point in row
-    order.  A failure or an interrupt here kills and reaps every child left;
-    a child whose parent is gone, even killed outright, exits before its
-    next block.  The library never forks: its callers may have threads.
+    units.  All values go to one buffer shared before any fork.  Each of
+    k - 1 forked children writes one slice there and exits 0 once it has
+    written it all; this process evaluates the first slice, then reaps each
+    child in row order.  A slice whose child exits non-zero, is killed or was
+    never forked is evaluated again here: a failure raises what the serial
+    evaluation raises, at the first failing point in row order.  A failure
+    or an interrupt here kills and reaps every child left; a child whose
+    parent is gone, even killed outright, exits before its next block.  The
+    library never forks: its callers may have threads.
     """
+    import mmap
     from array import array
 
     parent = os.getpid()
-    width = min(len(xs), _BLOCK_POINTS)  # block_rows is 1 if a row is cut
+    nx = len(xs)
+    try:
+        approx = memoryview(mmap.mmap(-1, 8 * nx * len(ys))).cast("d")
+    except OSError as exc:  # ENOMEM: memory ran out, as in any other allocation
+        raise MemoryError(str(exc)) from exc
 
-    def rows(part) -> array:
-        values = array("d")
-        for start in range(0, len(part), block_rows):
-            for x0 in range(0, len(xs), width):
-                if os.getpid() != parent and os.getppid() != parent:
-                    os._exit(1)  # a child whose parent is gone: no one reads on
-                values.extend(
-                    phi.evaluate_grid(xs[x0 : x0 + width], part[start : start + block_rows])
-                )
-        return values
+    def fill(first: int, end: int) -> None:
+        for y0, y1, x0, x1 in _blocks(nx, first, end):
+            if os.getpid() != parent and os.getppid() != parent:
+                os._exit(1)  # a child whose parent is gone: no one reads on
+            at = y0 * nx + x0  # a block is contiguous in row order
+            values = array("d", phi.evaluate_grid(xs[x0:x1], ys[y0:y1]))
+            approx[at : at + len(values)] = values
 
     k = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        work = len(xs) * len(ys) * len(phi) // _SPLIT_POINT_TERMS
+        work = nx * len(ys) * len(phi) // _SPLIT_POINT_TERMS
         k = max(1, min(len(os.sched_getaffinity(0)), len(ys), work))
     cuts = [len(ys) * i // k for i in range(k + 1)]
-    children = []  # (pid, read end, first row, end row) of each slice not reaped
+    children = []  # (pid, first row, end row) of each slice not reaped
     try:
         for first, end in zip(cuts[1:-1], cuts[2:]):
-            read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: a slice whose child sends nothing
+            except OSError:  # no process to spare: a slice whose child fails
                 pid = None
             if pid == 0:  # the child: whatever happens, it exits here
                 status = 1
                 try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as fh:
-                        rows(ys[first:end]).tofile(fh)
+                    fill(first, end)
                     status = 0
                 finally:
                     os._exit(status)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb"), first, end))
-        approx = rows(ys[: cuts[1]])
+            children.append((pid, first, end))
+        fill(0, cuts[1])
         while children:
-            pid, fh, first, end = children[0]
-            part = array("d")
-            try:
-                part.fromfile(fh, (end - first) * len(xs))
-            except EOFError:  # no child, or one that failed before it sent all
-                part = None
-            fh.close()
-            # the child has sent all it will send: it has exited or is exiting
-            if pid is not None:
-                os.waitpid(pid, 0)
+            pid, first, end = children[0]
+            status = 1 if pid is None else os.waitpid(pid, 0)[1]
             del children[0]
-            approx.extend(rows(ys[first:end]) if part is None else part)
+            if status:  # no child, or one that failed, maybe partway through
+                fill(first, end)
     except BaseException:
         import signal
 
-        for pid, fh, _, _ in children:
-            fh.close()
+        for pid, _, _ in children:
             # an interrupt can land between waitpid and del: the child is gone
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 if pid is not None:
@@ -397,9 +420,8 @@ def _evaluate(phi: FracSeries, xs, ys, block_rows: int):
     return approx
 
 
-def _grid_blocks(xs, ys, block_rows, approx, exact, args) -> Iterator[str]:
-    """The header, then the text of each block of ``block_rows`` y rows, or of
-    each piece of ``_BLOCK_POINTS`` x values of a wider row."""
+def _grid_blocks(xs, ys, approx, exact, args) -> Iterator[str]:
+    """The header, then the text of each block of ``_blocks``."""
     sep = _separator(args)
     spec = f".{args.digits}g"
     yield _GRID_HEADER.replace(",", sep) + "\n"
@@ -408,27 +430,23 @@ def _grid_blocks(xs, ys, block_rows, approx, exact, args) -> Iterator[str]:
     # print differently)
     orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
     nx = len(xs)
-    width = min(nx, _BLOCK_POINTS)
     empty_tail = sep + sep + "\n"
-    for start in range(0, len(ys), block_rows):
-        for x0 in range(0, nx, width):
-            x1 = min(x0 + width, nx)
-            prefixes = [sep + format(x, spec) + orders for x in xs[x0:x1]]
-            block = []  # one string per y row, so a block holds few pieces
-            for iy in range(start, min(start + block_rows, len(ys))):
-                y_cell = format(ys[iy], spec)
-                at = slice(iy * nx + x0, iy * nx + x1)
-                row = approx[at]
-                if exact is None:
-                    lines = [y_cell + p + format(v, spec) + empty_tail for p, v in zip(prefixes, row)]
-                else:
-                    lines = [
-                        y_cell + p + format(v, spec) + sep + format(e, spec)
-                        + sep + format(abs(e - v), spec) + "\n"
-                        for p, v, e in zip(prefixes, row, exact[at])
-                    ]
-                block.append("".join(lines))
-            yield "".join(block)
+    for y0, y1, x0, x1 in _blocks(nx, 0, len(ys)):
+        prefixes = [sep + format(x, spec) + orders for x in xs[x0:x1]]
+        block = []  # one string per y row, so a block holds few pieces
+        for iy in range(y0, y1):
+            y_cell = format(ys[iy], spec)
+            at = slice(iy * nx + x0, iy * nx + x1)
+            if exact is None:
+                lines = [y_cell + p + format(v, spec) + empty_tail for p, v in zip(prefixes, approx[at])]
+            else:
+                lines = [
+                    y_cell + p + format(v, spec) + sep + format(e, spec)
+                    + sep + format(abs(e - v), spec) + "\n"
+                    for p, v, e in zip(prefixes, approx[at], exact[at])
+                ]
+            block.append("".join(lines))
+        yield "".join(block)
 
 
 def _cmd_table(args) -> list[str]:

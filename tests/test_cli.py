@@ -10,6 +10,8 @@ import tracemalloc
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracadm import adm, cli
 from fracadm.adm import ProblemSpec, solve
@@ -180,7 +182,7 @@ def test_solve_digits_flag(capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "table", "scan"])
-@pytest.mark.parametrize("digits", ["-1", "0", "1.5", "x"])
+@pytest.mark.parametrize("digits", ["-1", "0", "1.5", "x", "2147483648"])
 def test_bad_digits_exit_1_before_any_work(command, digits, capsys):
     # rejected while parsing: no solve, table or scan is started
     with _no_work():
@@ -210,6 +212,20 @@ def _blocks_of(points):
     """Patch the CLI's block size: solve evaluates and writes about this many
     points at a time."""
     return mock.patch.object(cli, "_BLOCK_POINTS", points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 100), st.data())
+def test_blocks_cover_the_rows_once_in_row_order(nx, ny, block_points, data):
+    first = data.draw(st.integers(0, ny), label="first")
+    end = data.draw(st.integers(first, ny), label="end")
+    with _blocks_of(block_points):
+        blocks = list(cli._blocks(nx, first, end))
+    points = [(y, x) for y0, y1, x0, x1 in blocks for y in range(y0, y1) for x in range(x0, x1)]
+    assert points == [(y, x) for y in range(first, end) for x in range(nx)]
+    for y0, y1, x0, x1 in blocks:
+        assert 0 < (y1 - y0) * (x1 - x0) <= block_points
+        assert y1 - y0 == 1 or (x0, x1) == (0, nx)
 
 
 @pytest.mark.parametrize("block_points", [cli._BLOCK_POINTS, 7, 2, 1])
@@ -307,6 +323,16 @@ def test_solve_cuts_a_wide_row_into_pieces_in_row_order(capsys):
 def test_memory_running_out_exits_2(capsys):
     with mock.patch.object(cli, "make_table", side_effect=MemoryError):
         assert run(["table", "--example", "4", "--terms", "2"]) == 2
+    assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
+
+
+def test_no_memory_for_the_grid_values_exits_2(capsys):
+    # the values go to one shared mapping; failing to map it is running out
+    # of memory, as failing to allocate an array is
+    refused = mock.Mock(side_effect=OSError(12, "Cannot allocate memory"))
+    with mock.patch("mmap.mmap", refused):
+        assert run(["solve", "--example", "4", "--terms", "2", "--grid", "x=0.5;y=0.1"]) == 2
+    refused.assert_called_once()
     assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
 
 
@@ -474,6 +500,29 @@ def test_a_failed_child_slice_is_evaluated_in_process(action, capsys):
         assert cli.os.fork.call_count == 1
     # this process evaluated its own four rows, then the child's four again
     assert in_parent == [[0.0, 0.01, 0.05, 0.1], [0.2, 0.5, 1.0, 2.0]]
+    assert capsys.readouterr() == serial
+    _assert_no_child_left()
+
+
+def test_a_child_killed_partway_through_its_slice_is_evaluated_in_process(capsys):
+    # blocks of 2 y rows: the child writes its first block to the shared
+    # values, then is killed in its second
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
+    with _blocks_of(7), _split_into(1):
+        assert run(argv) == 0
+    serial = capsys.readouterr()
+    calls = []
+
+    def kill_at_second_block():
+        calls.append(None)
+        if len(calls) == 2:
+            _kill_self()
+
+    in_parent = []
+    with _blocks_of(7), _split_into(2), _in_children(kill_at_second_block, in_parent):
+        assert run(argv) == 0
+        assert cli.os.fork.call_count == 1
+    assert in_parent == [[0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]
     assert capsys.readouterr() == serial
     _assert_no_child_left()
 
@@ -899,6 +948,22 @@ def test_a_solve_with_no_products_exits_2_at_the_budget(capsys):
     assert capsys.readouterr() == ("", (
         "fracadm: numeric error: component u_5: would take the solve to "
         "15 raw products, past its budget of 10\n"
+    ))
+
+
+def test_a_grid_past_the_evaluation_budget_exits_2_before_any_evaluation(capsys):
+    # 2 points of example 4's 2-term Phi_2: 4 point-terms
+    argv = ["solve", "--example", "4", "--terms", "2", "--grid", "x=0.5,0.6;y=0.1"]
+    with mock.patch.object(cli, "_GRID_WORK_BUDGET", 4):
+        assert run(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    evaluate_grid = mock.Mock(side_effect=AssertionError("evaluated"))
+    with mock.patch.object(cli, "_GRID_WORK_BUDGET", 3), \
+            mock.patch.object(FracSeries, "evaluate_grid", evaluate_grid):
+        assert run(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "fracadm: numeric error: 2 points x 2 terms = 4 point-terms "
+        "is past the grid evaluation budget of 3\n"
     ))
 
 
