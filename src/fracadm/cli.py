@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
 
 from .adm import ProblemSpec, solve
 from .parser import parse_series
@@ -93,11 +94,14 @@ def _positive_int(text: str) -> int:
 
 def _digits(text: str) -> int:
     """--digits: an integer >= 1 and at most 2**31 - 1, format's largest
-    precision, checked while parsing."""
+    precision, checked while parsing; a value above 767 is 767."""
     value = _positive_int(text)
     if value >= 2**31:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1 and < 2**31, got {text!r}")
-    return value
+    # format reserves about a byte per digit of precision, but a double's exact
+    # decimal has at most 767 significant digits and an exponent within +-324,
+    # so "g" prints the same bytes at any precision from 767 up
+    return min(value, 767)
 
 
 def _add_output_options(cmd: argparse.ArgumentParser) -> None:
@@ -114,7 +118,7 @@ def _add_output_options(cmd: argparse.ArgumentParser) -> None:
         "--digits",
         type=_digits,
         default=17,
-        help="significant digits in output (at least 1)",
+        help="significant digits in output (at least 1; above 767 prints as 767)",
     )
 
 
@@ -421,7 +425,8 @@ def _evaluate(phi: FracSeries, xs, ys):
 
 
 def _grid_blocks(xs, ys, approx, exact, args) -> Iterator[str]:
-    """The header, then the text of each block of ``_blocks``."""
+    """The header, then the text of each block of ``_blocks`` as one string;
+    every row's cells after approx are its exact and abs_error, or empty."""
     sep = _separator(args)
     spec = f".{args.digits}g"
     yield _GRID_HEADER.replace(",", sep) + "\n"
@@ -430,21 +435,19 @@ def _grid_blocks(xs, ys, approx, exact, args) -> Iterator[str]:
     # print differently)
     orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
     nx = len(xs)
-    empty_tail = sep + sep + "\n"
+    tails = repeat(sep + sep + "\n")
     for y0, y1, x0, x1 in _blocks(nx, 0, len(ys)):
         prefixes = [sep + format(x, spec) + orders for x in xs[x0:x1]]
         block = []  # one string per y row, so a block holds few pieces
         for iy in range(y0, y1):
             y_cell = format(ys[iy], spec)
             at = slice(iy * nx + x0, iy * nx + x1)
-            if exact is None:
-                lines = [y_cell + p + format(v, spec) + empty_tail for p, v in zip(prefixes, approx[at])]
-            else:
-                lines = [
-                    y_cell + p + format(v, spec) + sep + format(e, spec)
-                    + sep + format(abs(e - v), spec) + "\n"
-                    for p, v, e in zip(prefixes, approx[at], exact[at])
-                ]
+            if exact is not None:
+                tails = (
+                    sep + format(e, spec) + sep + format(abs(e - v), spec) + "\n"
+                    for v, e in zip(approx[at], exact[at])
+                )
+            lines = [y_cell + p + format(v, spec) + t for p, v, t in zip(prefixes, approx[at], tails)]
             block.append("".join(lines))
         yield "".join(block)
 

@@ -366,21 +366,26 @@ class FracSeries:
         """Sum coeff * x**px * y**py with the 0**0 = 1 convention.
 
         y must be >= 0, 0 has no negative powers and a negative x only
-        integer ones; otherwise EvaluationDomainError.
-        This is the one-point case of ``evaluate_grid``.
+        integer ones; otherwise EvaluationDomainError.  A power per term, in
+        term order, at the float exponents of ``terms``: every grid equals it.
         """
-        return self.evaluate_grid((x,), (y,))[0]
+        if y < 0.0:
+            raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
+        return math.fsum(
+            c * _power(x, n / self._den, "x") * _power(y, m / self._den, "y")
+            for c, n, m in zip(self._coeffs, self._xs, self._ys)
+        )
 
     def evaluate_grid(self, xs: Iterable[float], ys: Iterable[float]) -> list[float]:
-        """``[evaluate(x, y) for y in ys for x in xs]``, bit for bit.
+        """``[self.evaluate(x, y) for y in ys for x in xs]``, bit for bit.
 
         Each power is computed once per grid value and distinct exponent, not
         once per point and term: a row ``coeff * x**px`` is formed once per x
         and each point is one ``fsum`` of that row times the y powers, which
-        rounds as ``(coeff * x**px) * y**py`` just like the pointwise sum.  At
+        rounds as ``(coeff * x**px) * y**py`` just like ``evaluate``.  At
         most ``_GRID_BLOCK_TERMS`` products, or one x row, are held at a time.
-        A failing grid raises what the first failing point, in row order and
-        then term order, raises when evaluated alone.
+        A failing grid is evaluated again through ``evaluate``, in row order,
+        so it raises what its first failing point raises.
         """
         xs, ys = tuple(xs), tuple(ys)
         if not xs or not ys:
@@ -408,10 +413,10 @@ class FracSeries:
         except (ArithmeticError, ValueError):
             # Blocks run out of row order, and fsum can overflow partway through
             # a point's terms, before a later term's power fails: re-evaluate
-            # term by term in row order, so the first failing point raises.
+            # point by point in row order, so the first failing point raises.
             for y in ys:
                 for x in xs:
-                    _evaluate_point(self.terms, x, y)
+                    self.evaluate(x, y)
             raise
         return out
 
@@ -452,13 +457,6 @@ class _Powers:
         """value**p for each term's exponent p."""
         distinct = [_power(value, p, self.var) for p in self.exponents]
         return list(map(distinct.__getitem__, self.slot))
-
-
-def _evaluate_point(terms: tuple[FracTerm, ...], x: float, y: float) -> float:
-    """One point, a power per term: the order in which a failing grid fails."""
-    if y < 0.0:
-        raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
-    return math.fsum(t.coeff * _power(x, t.px, "x") * _power(y, t.py, "y") for t in terms)
 
 
 # -- fractional operators ------------------------------------------------

@@ -313,9 +313,12 @@ def _outcome(compute):
 
 
 def _grid_vs_oracle(s, xs, ys):
-    got = _outcome(lambda: s.evaluate_grid(xs, ys))
+    """The outcomes of evaluate_grid, of evaluate at each point in row order,
+    and of the oracle at each point."""
+    grid = _outcome(lambda: s.evaluate_grid(xs, ys))
+    points = _outcome(lambda: [s.evaluate(x, y) for y in ys for x in xs])
     want = _outcome(lambda: [pointwise_evaluate_oracle(s, x, y) for y in ys for x in xs])
-    return got, want
+    return grid, points, want
 
 
 # Exponents at 0 and at integers, others 1e-13 or 5e-13 from them (which are
@@ -358,8 +361,9 @@ _grid_ys = st.lists(
 def test_evaluate_grid_matches_pointwise_oracle(s, xs, ys, block_rows):
     # small blocks make the grid wider than one block of x rows
     with mock.patch.object(series, "_GRID_BLOCK_TERMS", block_rows * len(s)):
-        got, want = _grid_vs_oracle(s, xs, ys)
+        got, points, want = _grid_vs_oracle(s, xs, ys)
     assert got == want
+    assert points == want
 
 
 def test_evaluate_grid_wider_than_one_block():
@@ -368,8 +372,9 @@ def test_evaluate_grid_wider_than_one_block():
     xs = [rng.uniform(0.0, 2.0) for _ in range(2 * 256 + 17)]
     ys = [0.0, 0.3, 1.1]
     with mock.patch.object(series, "_GRID_BLOCK_TERMS", 256 * len(s)):
-        got, want = _grid_vs_oracle(s, xs, ys)
+        got, points, want = _grid_vs_oracle(s, xs, ys)
     assert got == want
+    assert points == want
     assert len(got) == len(xs) * len(ys)
 
 
@@ -390,9 +395,12 @@ def test_evaluate_grid_memory_is_bounded_by_held_products():
 
 
 def test_evaluate_grid_reads_the_lattice():
-    # the float view of the terms is built only when a point fails
+    # no evaluation builds the float view of the terms, not even a failing one
     s = S((1, 0.5, 0), (2, 1, 0.3), (-1, 0.5, 0.3))
     got = s.evaluate_grid([0.3, 0.6], [0.0, 0.1])
+    assert s._terms is None
+    with pytest.raises(EvaluationDomainError, match=r"^x = -0\.3 < 0 with non-integer"):
+        s.evaluate_grid([0.3, -0.3], [0.1])
     assert s._terms is None
     assert got == [pointwise_evaluate_oracle(s, x, y) for y in (0.0, 0.1) for x in (0.3, 0.6)]
 
@@ -433,9 +441,10 @@ def test_evaluate_grid_raises_like_first_failing_point(terms, xs, ys):
     s = FracSeries._from_normalized(tuple(FracTerm(*t) for t in terms))
     for block_rows in (1, 256):
         with mock.patch.object(series, "_GRID_BLOCK_TERMS", block_rows * len(s)):
-            got, want = _grid_vs_oracle(s, xs, ys)
+            got, points, want = _grid_vs_oracle(s, xs, ys)
         assert isinstance(want, tuple), "case must fail"
         assert got == want
+        assert points == want
 
 
 def test_evaluate_grid_two_failure_grid_reports_first_point():
@@ -444,8 +453,9 @@ def test_evaluate_grid_two_failure_grid_reports_first_point():
     phi = sol.partial_sum(6)
     with pytest.raises(EvaluationDomainError, match=r"^x = 0 with negative exponent -2\.5$"):
         phi.evaluate_grid((0.5, 0.0), (0.1, -0.2))
-    got, want = _grid_vs_oracle(phi, (0.5, 0.0), (0.1, -0.2))
+    got, points, want = _grid_vs_oracle(phi, (0.5, 0.0), (0.1, -0.2))
     assert got == want
+    assert points == want
 
 
 def test_merge_rejects_non_finite_coefficients():
