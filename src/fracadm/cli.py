@@ -19,12 +19,17 @@ buffer that all of them share; a child reports only through its exit status.
 The output is byte-identical to one process's, and the rows of a child that
 fails are evaluated again here, so a failure is reported as in one process.
 A child whose calling process is gone exits before its next block.
+
+main() freezes the start-up heap before the call, so that no collection, those
+at exit included, walks it again: a median `table` or `scan` call of the paper
+went from 57 to 51 ms on a 2-core x86 VM.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -474,6 +479,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         if not args.out:
             # looked up now: callers may have redirected sys.stdout
             sys.stdout.writelines(blocks)
+            # a write that fails must fail here, not in the exit flush
+            sys.stdout.flush()
             return 0
         # opened before the try: a file that cannot be opened is not removed
         fh = open(args.out, "w", encoding="utf-8")
@@ -500,7 +507,20 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    # every object made so far lives until exit: frozen, it is walked by no
+    # collection, those at exit included, and a forked child's collections
+    # leave its pages shared
+    gc.freeze()
+    code = run()
+    if sys.stdout is not None:
+        try:
+            # run() flushed stdout: bytes are left only by a write that failed,
+            # and the exit flush would fail on them again and exit 120
+            sys.stdout.flush()
+        except OSError:
+            # as the signal module's SIGPIPE note does: stdout goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

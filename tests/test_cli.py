@@ -441,6 +441,55 @@ def test_broken_stdout_pipe_exits_1(capsys):
     assert capsys.readouterr().err == "fracadm: error: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fits in stdout's buffer: only a flush can fail
+        ["table", "--example", "4", "--terms", "6"],
+        # about 15 kB, past the 8 kB buffer: a write fails with bytes left in it
+        ["solve", "--ic", "1+x", "--terms", "2", "--grid", "x=0:99:1;y=0:9:1"],
+    ],
+    ids=["in-buffer", "past-buffer"],
+)
+def test_full_stdout_exits_1_with_buffered_stdout(argv):
+    # PYTHONUNBUFFERED would write every line at once and hide the exit flush,
+    # which failed on the buffered bytes again and exited 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "fracadm.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("fracadm: error: ")
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_closed_stdout_with_out_file_exits_0(tmp_path):
+    # with descriptor 1 closed, sys.stdout is None; --out needs no stdout
+    target = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "fracadm.cli", "table", "--example", "4",
+                           "--terms", "2", "--out", str(target)],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(target.read_text().splitlines()) == 28
+
+
+def test_main_freezes_the_heap_once_before_run():
+    calls = []
+    with mock.patch.object(cli.gc, "freeze", lambda: calls.append("freeze")), \
+            mock.patch.object(cli, "run", lambda: calls.append("run") or 0), \
+            pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert calls == ["freeze", "run"]
+    assert exit_.value.code == 0
+
+
+def test_run_never_freezes(capsys):
+    with mock.patch.object(cli.gc, "freeze", side_effect=AssertionError("frozen")) as freeze:
+        assert run(["table", "--example", "4", "--terms", "2"]) == 0
+    freeze.assert_not_called()
+
+
 # -- solve --grid split across CPUs ----------------------------------------------
 
 

@@ -61,3 +61,14 @@ def test_cli_runs_without_site_packages(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 28
+
+
+def test_import_leaves_the_collector_unfrozen(tmp_path):
+    # only main(), the process's own entry, freezes the heap; an importer's
+    # collector is not fracadm's to change
+    code = (
+        "import gc, fracadm, fracadm.cli\n"
+        "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+    )
+    proc = _python([], "-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
