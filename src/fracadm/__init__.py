@@ -7,12 +7,11 @@ nonlinearity.
 """
 
 from .adm import ProblemSpec, SolutionSeries, SolveError, solve
-from .gammafn import GammaPoleError, gamma, gamma_ratio, rgamma
+from .gammafn import GammaPoleError, gamma_ratio
 from .parser import SeriesParseError, parse_series
 from .problems import (
     REFERENCE_TABLES,
     TableCell,
-    TableReport,
     builtin_problem,
     exact_solution,
     make_table,
@@ -45,17 +44,14 @@ __all__ = [
     "SolutionSeries",
     "SolveError",
     "TableCell",
-    "TableReport",
     "builtin_problem",
     "caputo_deriv",
     "exact_solution",
     "format_series",
-    "gamma",
     "gamma_ratio",
     "make_table",
     "parse_series",
     "recovered_depth",
-    "rgamma",
     "rl_integral",
     "solve",
     "truncation_scan",

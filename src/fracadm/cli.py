@@ -459,7 +459,7 @@ def _grid_blocks(xs, ys, approx, exact, args) -> Iterator[str]:
 
 def _cmd_table(args) -> list[str]:
     # a TableCell's fields are the _GRID_HEADER columns, in order
-    return _render(_GRID_HEADER, make_table(args.example, args.terms).cells, args)
+    return _render(_GRID_HEADER, make_table(args.example, args.terms), args)
 
 
 def _cmd_scan(args) -> list[str]:
@@ -477,7 +477,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         # blocks are formatted as they are written
         blocks = _COMMANDS[args.command](args)
         if not args.out:
-            # looked up now: callers may have redirected sys.stdout
+            # looked up now: callers may have redirected sys.stdout, and it is
+            # None when descriptor 1 was closed at start-up
+            if sys.stdout is None:
+                raise OSError("standard output is closed")
             sys.stdout.writelines(blocks)
             # a write that fails must fail here, not in the exit flush
             sys.stdout.flush()

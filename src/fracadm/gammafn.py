@@ -7,11 +7,11 @@ cleanly rather than blow up, so the reciprocal 1/Gamma is treated as the
 entire function it is: exactly zero at non-positive integers.
 
 Values are the standard library's ``math.gamma``, and no threshold picks
-another formula: only ``math.gamma``'s own OverflowError does.  Then gamma
-saturates to a signed inf, and a ratio of positive arguments is taken as
-``exp(lgamma(num) - lgamma(den))``, so it survives where a factor
-overflows.  Every other ratio is the product ``Gamma(num) * (1/Gamma(den))``;
-on power-rule pairs with num in (20, 60] it was within 8.7e-16 of mpmath.
+another formula: only ``math.gamma``'s own OverflowError does.  Then a
+ratio of positive arguments is taken as ``exp(lgamma(num) - lgamma(den))``,
+so it survives where a factor overflows.  Every other ratio is the product
+``Gamma(num) * (1/Gamma(den))``; on power-rule pairs with num in (20, 60]
+it was within 8.7e-16 of mpmath.
 The pole test has no tolerance: the series operators round each gamma
 argument once from its exact decimal value, so an argument whose exact
 value is a non-positive integer arrives as that integer (as does one within
@@ -24,8 +24,6 @@ import math
 
 __all__ = [
     "GammaPoleError",
-    "gamma",
-    "rgamma",
     "gamma_ratio",
 ]
 
@@ -40,25 +38,6 @@ class GammaPoleError(ArithmeticError):
 
 def _is_pole(z: float) -> bool:
     return z <= 0.0 and z == math.floor(z)
-
-
-def gamma(z: float) -> float:
-    """Gamma(z) for real z, raising GammaPoleError at non-positive integers.
-
-    Past the double range (z above 171.62, or next to 0) it saturates to
-    an inf of z's sign.
-    """
-    if _is_pole(z):
-        raise GammaPoleError(z)
-    try:
-        return math.gamma(z)
-    except OverflowError:
-        return math.copysign(math.inf, z)
-
-
-def rgamma(z: float) -> float:
-    """1/Gamma(z), entire in z: exactly 0.0 at non-positive integers."""
-    return gamma_ratio(1.0, z)
 
 
 def gamma_ratio(num: float, den: float) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "builtin_problem",
     "exact_solution",
     "TableCell",
-    "TableReport",
     "make_table",
     "REFERENCE_TABLES",
     "ScanRow",
@@ -106,18 +105,6 @@ def exact_solution(example: int, x: float, y: float) -> float:
 TableCell = namedtuple("TableCell", "y x alpha beta approx exact abs_error")
 
 
-class TableReport(namedtuple("TableReport", "example n_terms cells")):
-    """Grid of approximate values per order pair, with errors at (1, 1)."""
-
-    __slots__ = ()
-
-    def cell(self, y: float, x: float, pair: tuple[float, float]) -> TableCell:
-        for c in self.cells:
-            if (c.y, c.x, (c.alpha, c.beta)) == (y, x, pair):
-                return c
-        raise KeyError(f"no cell at y={y!r}, x={x!r}, pair={pair!r}")
-
-
 def _tabulate(example: int, sols, n: int) -> list[TableCell]:
     """The cells of Phi_n, one solution per pair of ORDER_PAIRS, on the grid.
 
@@ -145,14 +132,14 @@ def _tabulate(example: int, sols, n: int) -> list[TableCell]:
     return cells
 
 
-def make_table(example: int, n_terms: int) -> TableReport:
+def make_table(example: int, n_terms: int) -> tuple[TableCell, ...]:
     """Solve once per order pair and tabulate Phi_{n_terms} on the grid.
 
-    The table covers ORDER_PAIRS on Y_GRID x X_GRID, the layout of the
-    reference tables.
+    The cells cover ORDER_PAIRS on Y_GRID x X_GRID, the layout of the
+    reference tables, by y, then x, then pair.
     """
     sols = [solve(builtin_problem(example, *pair, n_terms)) for pair in ORDER_PAIRS]
-    return TableReport(example, n_terms, tuple(_tabulate(example, sols, n_terms)))
+    return tuple(_tabulate(example, sols, n_terms))
 
 
 # -- reference data ----------------------------------------------------------

@@ -3,7 +3,7 @@
 The universal value type is :class:`FracSeries`: a normalized, immutable
 sum of monomials ``c * x**px * y**py`` whose exponents are arbitrary reals
 (py stays >= 0 in solver output; px may go negative at fractional orders).
-On top of the plain algebra (add, scale, Cauchy product) the module
+On top of the plain algebra (add, negate, Cauchy product) the module
 provides the two operators the solver is built from:
 
 * ``caputo_deriv`` -- term-wise Caputo fractional derivative,
@@ -298,10 +298,6 @@ class FracSeries:
     def zero(cls) -> "FracSeries":
         return cls()
 
-    @classmethod
-    def monomial(cls, coeff: float, px: float = 0.0, py: float = 0.0) -> "FracSeries":
-        return cls((FracTerm(coeff, px, py),))
-
     # -- container protocol --------------------------------------------------
 
     def __iter__(self) -> Iterator[FracTerm]:
@@ -333,7 +329,7 @@ class FracSeries:
         return sum_series((self, other))
 
     def __neg__(self) -> "FracSeries":
-        # the drop rule is symmetric in sign: the same terms as scale(-1.0)
+        # the drop rule is symmetric in sign: negated, the terms need no new merge
         return FracSeries._lattice(
             tuple(-c for c in self._coeffs), self._xs, self._ys, self._den
         )
@@ -343,18 +339,10 @@ class FracSeries:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c: float) -> "FracSeries":
-        return _ordered([c * a for a in self._coeffs], self._xs, self._ys, self._den)
-
-    def __mul__(self, other: FracSeries | float | int) -> "FracSeries":
-        if isinstance(other, FracSeries):
-            return self.mul(other)
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    def __mul__(self, other: "FracSeries") -> "FracSeries":
+        if not isinstance(other, FracSeries):
+            return NotImplemented
+        return self.mul(other)
 
     def mul(self, other: "FracSeries") -> "FracSeries":
         """Full Cauchy product, normalized once over its raw terms."""
@@ -419,10 +407,6 @@ class FracSeries:
                     self.evaluate(x, y)
             raise
         return out
-
-    def min_exponent(self, axis: Axis) -> float:
-        """Smallest exponent on the chosen axis (0.0 for the zero series)."""
-        return min(self._xs if axis == Axis.X else self._ys, default=0) / self._den
 
 
 def _power(base: float, expo: float, var: str) -> float:

@@ -23,6 +23,11 @@ def assert_series_close(
         assert abs(ta.coeff - tb.coeff) <= bound, f"coeff mismatch: {ta} vs {tb}"
 
 
+def cells_by_key(cells) -> dict:
+    """A table's cells keyed by (y, x, (alpha, beta))."""
+    return {(c.y, c.x, (c.alpha, c.beta)): c for c in cells}
+
+
 def random_series(
     rng: random.Random,
     max_terms: int = 5,

@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 from scipy.integrate import quad
 
 from fracadm.adm import ProblemSpec, SolveError, solve
-from fracadm.gammafn import rgamma
 from fracadm.problems import (
     CLASSICAL_PAIR,
     ORDER_PAIRS,
@@ -92,7 +91,8 @@ def caputo_quadrature_oracle(p: float, order: float, x: float) -> float:
             f"quadrature error estimate {abserr!r} exceeds 1e-10 "
             f"for p={p!r}, order={order!r}, x={x!r}"
         )
-    return p * rgamma(1.0 - order) * value
+    # 1 - order lies in (0, 1), never a pole of Gamma
+    return p * (1.0 / math.gamma(1.0 - order)) * value
 
 
 def adomian_polynomial(

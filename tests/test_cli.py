@@ -464,6 +464,22 @@ def test_full_stdout_exits_1_with_buffered_stdout(argv):
     assert "Exception ignored" not in proc.stderr
 
 
+def test_missing_stdout_exits_1(capsys):
+    # with descriptor 1 closed at start-up, Python sets sys.stdout to None
+    with mock.patch.object(cli.sys, "stdout", None):
+        assert run(["table", "--example", "4", "--terms", "2"]) == 1
+    assert capsys.readouterr().err == "fracadm: error: standard output is closed\n"
+
+
+def test_closed_stdout_exits_1_with_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "fracadm.cli", "table", "--example", "4",
+                           "--terms", "2"],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                          timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "fracadm: error: standard output is closed\n"
+
+
 def test_closed_stdout_with_out_file_exits_0(tmp_path):
     # with descriptor 1 closed, sys.stdout is None; --out needs no stdout
     target = tmp_path / "out.csv"
@@ -771,9 +787,9 @@ def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
 def test_table_matches_make_table_exactly(capsys):
     assert run(["table", "--example", "4", "--terms", "6"]) == 0
     header, rows = _rows(capsys.readouterr().out)
-    report = make_table(4, 6)
-    assert len(rows) == len(report.cells)
-    for row, cell in zip(rows, report.cells):
+    cells = make_table(4, 6)
+    assert len(rows) == len(cells)
+    for row, cell in zip(rows, cells):
         assert float(row[0]) == cell.y and float(row[1]) == cell.x
         assert float(row[4]) == cell.approx  # 17 significant digits round-trip
         if (cell.alpha, cell.beta) == CLASSICAL_PAIR:

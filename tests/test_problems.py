@@ -15,6 +15,7 @@ from fracadm.problems import (
     X_GRID,
     Y_GRID,
     SingularPointError,
+    TableCell,
     builtin_problem,
     exact_solution,
     make_table,
@@ -23,7 +24,7 @@ from fracadm.problems import (
 )
 from fracadm.adm import solve
 from fracadm.series import FracSeries, FracTerm
-from helpers import assert_series_close
+from helpers import assert_series_close, cells_by_key
 from oracles import per_depth_scan_oracle, pointwise_evaluate_oracle
 
 G = math.gamma
@@ -162,12 +163,11 @@ def test_printed_first_components_fractional_orders():
 
 
 def test_make_table_layout_and_invariants():
-    report = make_table(2, 3)
-    assert report._fields == ("example", "n_terms", "cells")
-    assert report.example == 2
-    assert report.n_terms == 3
-    assert len(report.cells) == len(Y_GRID) * len(X_GRID) * len(ORDER_PAIRS)
-    for cell in report.cells:
+    cells = make_table(2, 3)
+    assert type(cells) is tuple
+    assert all(type(cell) is TableCell for cell in cells)
+    assert len(cells) == len(Y_GRID) * len(X_GRID) * len(ORDER_PAIRS)
+    for cell in cells:
         if (cell.alpha, cell.beta) == CLASSICAL_PAIR:
             assert cell.exact is not None
             assert cell.abs_error == abs(cell.exact - cell.approx)
@@ -176,26 +176,24 @@ def test_make_table_layout_and_invariants():
 
 
 def test_make_table_depth1_is_initial_condition():
-    report = make_table(4, 1)
+    cells = cells_by_key(make_table(4, 1))
     for y in Y_GRID:
         for x in X_GRID:
-            cell = report.cell(y, x, CLASSICAL_PAIR)
+            cell = cells[y, x, CLASSICAL_PAIR]
             assert cell.approx == pytest.approx(x, rel=1e-12)
 
 
 def test_make_table_reference_cells():
-    report = make_table(4, 6)
-    cell = report.cell(0.01, 0.3, CLASSICAL_PAIR)
+    cell = cells_by_key(make_table(4, 6))[0.01, 0.3, CLASSICAL_PAIR]
     assert cell.approx == pytest.approx(0.29703, abs=1e-5)
     assert cell.abs_error == pytest.approx(2.97029e-13, rel=0.05)
-    report3 = make_table(3, 4)
-    cell3 = report3.cell(0.1, 0.3, CLASSICAL_PAIR)
+    cell3 = cells_by_key(make_table(3, 4))[0.1, 0.3, CLASSICAL_PAIR]
     assert cell3.abs_error == pytest.approx(1.18182e-4, rel=0.05)
 
 
 @pytest.mark.parametrize("example, n_terms", [(1, 4), (2, 4), (3, 4), (4, 4), (4, 6)])
 def test_make_table_matches_pointwise_evaluation(example, n_terms):
-    report = make_table(example, n_terms)
+    cells = make_table(example, n_terms)
     phis = {
         pair: solve(builtin_problem(example, *pair, n_terms)).partial_sum(n_terms)
         for pair in ORDER_PAIRS
@@ -211,7 +209,7 @@ def test_make_table_matches_pointwise_evaluation(example, n_terms):
                     error = abs(exact - approx)
                 expected.append((y, x, *pair, approx, exact, error))
     got = [
-        (c.y, c.x, c.alpha, c.beta, c.approx, c.exact, c.abs_error) for c in report.cells
+        (c.y, c.x, c.alpha, c.beta, c.approx, c.exact, c.abs_error) for c in cells
     ]
     assert repr(got) == repr(expected)  # bit for bit
 
@@ -220,12 +218,6 @@ def test_reference_tables_run_over_the_grid_in_row_order():
     # each reference table covers the grid, point by point in row order
     for table in REFERENCE_TABLES.values():
         assert list(table) == [(y, x) for y in Y_GRID for x in X_GRID]
-
-
-def test_make_table_missing_cell_lookup():
-    report = make_table(4, 2)
-    with pytest.raises(KeyError):
-        report.cell(0.5, 0.5, CLASSICAL_PAIR)
 
 
 def test_reference_error_columns_match_geometric_tails():

@@ -63,6 +63,13 @@ def test_cli_runs_without_site_packages(tmp_path):
     assert len(proc.stdout.splitlines()) == 28
 
 
+def test_reproduce_tables_script_runs_without_site_packages(tmp_path):
+    script = SRC.parent / "scripts" / "reproduce_tables.py"
+    proc = _python(["-S"], str(script), "--example", "4", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "recovered depth: 6\n" in proc.stdout
+
+
 def test_import_leaves_the_collector_unfrozen(tmp_path):
     # only main(), the process's own entry, freezes the heap; an importer's
     # collector is not fracadm's to change
