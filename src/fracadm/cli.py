@@ -284,7 +284,7 @@ def _build_problem(args) -> ProblemSpec:
         if args.example is not None:
             return builtin_problem(args.example, args.alpha, args.beta, args.terms)
         ic = _parse_expression(args.ic, "--ic")
-        forcing = FracSeries.zero()
+        forcing = FracSeries()
         if args.g is not None:
             forcing = _parse_expression(args.g, "--g")
         return ProblemSpec(args.alpha, args.beta, ic, forcing, args.terms)

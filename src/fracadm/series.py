@@ -231,12 +231,12 @@ class FracSeries:
     The constructor *is* the normalization: terms with equal exact exponents
     are merged by one fsum, sorted lexicographically by (px, py), and
     cancellation residue and zeros are dropped.  The empty series is the
-    zero series.  Inside, a series is its coefficients and the exact
-    numerators of its exponents over one denominator; ``terms`` is a float
-    view of that, built when first asked for.
+    zero series.  A series is its coefficients and the exact numerators of
+    its exponents over one denominator, and two series are equal when those
+    are; ``terms`` is a float view of that, built each time it is asked for.
     """
 
-    __slots__ = ("_coeffs", "_xs", "_ys", "_den", "_y_max", "_terms", "_packed")
+    __slots__ = ("_coeffs", "_xs", "_ys", "_den", "_y_max", "_packed")
 
     def __new__(cls, terms: Iterable[FracTerm] = ()):
         return _normalize(terms)
@@ -260,7 +260,6 @@ class FracSeries:
         init(s, "_ys", ys)
         init(s, "_den", den)
         init(s, "_y_max", max(map(abs, ys), default=0))
-        init(s, "_terms", None)
         init(s, "_packed", None)
         return s
 
@@ -281,22 +280,8 @@ class FracSeries:
     @property
     def terms(self) -> tuple[FracTerm, ...]:
         """The terms with float exponents, each rounded once from its exact value."""
-        terms = self._terms
-        if terms is None:
-            den = self._den
-            px = {x: x / den for x in set(self._xs)}
-            py = {y: y / den for y in set(self._ys)}
-            terms = tuple(
-                map(FracTerm, self._coeffs, map(px.get, self._xs), map(py.get, self._ys))
-            )
-            object.__setattr__(self, "_terms", terms)
-        return terms
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "FracSeries":
-        return cls()
+        d = self._den
+        return tuple(FracTerm(c, x / d, y / d) for c, x, y in zip(self._coeffs, self._xs, self._ys))
 
     # -- container protocol --------------------------------------------------
 
@@ -310,9 +295,15 @@ class FracSeries:
         return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FracSeries) and self.terms == other.terms
+        return (
+            isinstance(other, FracSeries)
+            and self._coeffs == other._coeffs
+            and [n * other._den for n in self._xs + self._ys]
+            == [n * self._den for n in other._xs + other._ys]
+        )
 
     def __hash__(self) -> int:
+        # equal exact exponents round to equal floats
         return hash(self.terms)
 
     def __repr__(self) -> str:
@@ -354,15 +345,19 @@ class FracSeries:
         """Sum coeff * x**px * y**py with the 0**0 = 1 convention.
 
         y must be >= 0, 0 has no negative powers and a negative x only
-        integer ones; otherwise EvaluationDomainError.  A power per term, in
-        term order, at the float exponents of ``terms``: every grid equals it.
+        integer ones; otherwise EvaluationDomainError.  A value that is not
+        finite raises OverflowError.  A power per term, in term order, at
+        the float exponents of ``terms``: every grid equals it.
         """
         if y < 0.0:
             raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
-        return math.fsum(
+        value = math.fsum(
             c * _power(x, n / self._den, "x") * _power(y, m / self._den, "y")
             for c, n, m in zip(self._coeffs, self._xs, self._ys)
         )
+        if not math.isfinite(value):
+            raise OverflowError(f"value at x = {x!r}, y = {y!r} is {value!r}")
+        return value
 
     def evaluate_grid(self, xs: Iterable[float], ys: Iterable[float]) -> list[float]:
         """``[self.evaluate(x, y) for y in ys for x in xs]``, bit for bit.
@@ -398,10 +393,12 @@ class FracSeries:
                     out[at : at + len(cx_rows)] = [
                         math.fsum(map(operator.mul, cx_row, y_row)) for cx_row in cx_rows
                     ]
+            if not all(map(math.isfinite, out)):
+                raise OverflowError("a grid value is not finite")
         except (ArithmeticError, ValueError):
-            # Blocks run out of row order, and fsum can overflow partway through
-            # a point's terms, before a later term's power fails: re-evaluate
-            # point by point in row order, so the first failing point raises.
+            # Blocks run out of row order, values are checked after them all, and
+            # fsum can overflow before a later term's power fails at one point:
+            # re-evaluate point by point in row order, so the first failure raises.
             for y in ys:
                 for x in xs:
                     self.evaluate(x, y)
@@ -428,7 +425,7 @@ class _Powers:
     """Powers of one variable at the exponents of a series' terms, in term order.
 
     The exponents are numerators over ``den``.  Each distinct one is computed
-    once per value, at the float ``n / den`` that ``FracSeries.terms`` holds.
+    once per value, at the float ``n / den`` that ``FracSeries.terms`` shows.
     """
 
     def __init__(self, numerators: Sequence[int], den: int, var: str):
@@ -447,13 +444,14 @@ class _Powers:
 
 
 def _ordered(
-    coeffs: Sequence[float], xs: Sequence[int], ys: Sequence[int], den: int
+    coeffs: Sequence[float], on: Sequence[int], off: Sequence[int], den: int, axis: Axis
 ) -> FracSeries:
-    """The normalized series of terms whose exponents are distinct and in order.
+    """The normalized series of distinct, ordered terms, by exponents on and off axis.
 
     Nothing merges, so, as in a merge, zeros are dropped and a non-finite
     coefficient raises.
     """
+    xs, ys = (on, off) if axis == Axis.X else (off, on)
     kept = []
     for c, x, y in zip(coeffs, xs, ys):
         if not math.isfinite(c):
@@ -495,9 +493,7 @@ def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
         coeffs.append(c * gamma_ratio(p1 / den, (p1 - step) / den))
         new_on.append(p - step)
         new_off.append(q)
-    if axis == Axis.X:
-        return _ordered(coeffs, new_on, new_off, den)
-    return _ordered(coeffs, new_off, new_on, den)
+    return _ordered(coeffs, new_on, new_off, den, axis)
 
 
 def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
@@ -513,10 +509,7 @@ def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
                 f"exponent {p / den!r} on axis {axis} is not integrable"
             )
         coeffs.append(c * gamma_ratio(p1 / den, (p1 + step) / den))
-    on = [p + step for p in on]
-    if axis == Axis.X:
-        return _ordered(coeffs, on, off, den)
-    return _ordered(coeffs, off, on, den)
+    return _ordered(coeffs, [p + step for p in on], off, den, axis)
 
 
 # -- display ---------------------------------------------------------------
@@ -540,12 +533,14 @@ def format_series(s: FracSeries, digits: int = 17) -> str:
     """Render as ``c*x^p*y^q`` terms joined by signed ``+``/``-``.
 
     The output re-parses to the same series whenever all exponents are
-    non-negative (the expression grammar does not admit negative powers).
+    non-negative (the expression grammar does not admit negative powers) and
+    each exact exponent is the decimal its float's ``repr`` prints.
     """
-    if not s.terms:
+    terms = s.terms
+    if not terms:
         return "0"
     pieces = []
-    for i, t in enumerate(s.terms):
+    for i, t in enumerate(terms):
         body = _term_body(t, digits)
         if i == 0:
             pieces.append(body if t.coeff >= 0 else f"-{body}")

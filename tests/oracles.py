@@ -215,13 +215,17 @@ def pointwise_evaluate_oracle(s: FracSeries, x: float, y: float) -> float:
 
     ``FracSeries.evaluate_grid`` must return these values bit for bit and,
     on a failing grid, raise what this raises at the first failing point.
+    A value that is not finite is a failure, as it is for ``evaluate``.
     """
     if y < 0.0:
         raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
-    return math.fsum(
+    value = math.fsum(
         t.coeff * _power_oracle(x, t.px, "x") * _power_oracle(y, t.py, "y")
         for t in s.terms
     )
+    if not math.isfinite(value):
+        raise OverflowError(f"value at x = {x!r}, y = {y!r} is {value!r}")
+    return value
 
 
 def _power_oracle(base: float, expo: float, var: str) -> float:

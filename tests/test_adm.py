@@ -41,19 +41,19 @@ def _bits(s):
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.5), (1.2, 0.5), (0.5, 0.0), (0.5, -1.0)])
 def test_problem_rejects_bad_orders(alpha, beta):
     with pytest.raises(ValueError):
-        ProblemSpec(alpha, beta, S((1, 0, 0)), FracSeries.zero(), 3)
+        ProblemSpec(alpha, beta, S((1, 0, 0)), FracSeries(), 3)
 
 
 def test_problem_rejects_y_dependence():
     with pytest.raises(ValueError):
-        ProblemSpec(1.0, 1.0, S((1, 0, 1)), FracSeries.zero(), 3)
+        ProblemSpec(1.0, 1.0, S((1, 0, 1)), FracSeries(), 3)
     with pytest.raises(ValueError):
         ProblemSpec(1.0, 1.0, S((1, 1, 0)), S((1, 0, 0.5)), 3)
 
 
 def test_problem_rejects_bad_depth():
     with pytest.raises(ValueError):
-        ProblemSpec(1.0, 1.0, S((1, 1, 0)), FracSeries.zero(), 0)
+        ProblemSpec(1.0, 1.0, S((1, 1, 0)), FracSeries(), 0)
 
 
 # -- Adomian polynomials ---------------------------------------------------------
@@ -68,7 +68,7 @@ def test_a0_of_linear_component():
 
 
 def test_a0_of_constant_vanishes():
-    assert adomian_polynomial([S((1, 0, 0))], 0, 0.5) == FracSeries.zero()
+    assert adomian_polynomial([S((1, 0, 0))], 0, 0.5) == FracSeries()
 
 
 def test_a1_matches_hand_expansion():
@@ -108,7 +108,7 @@ def test_lambda_oracle_n0_is_plain_product():
 
 
 def test_lambda_oracle_zero_components():
-    zeros = [FracSeries.zero()] * 4
+    zeros = [FracSeries()] * 4
     assert adomian_lambda_oracle(zeros, 3, 0.5, [(0.5, 0.5)]) == [0.0]
 
 
@@ -151,7 +151,7 @@ def test_solve_example4_classical_components():
 
 def test_partial_sums_cached_and_consistent():
     sol = solve(builtin_problem(3, 0.75, 0.5, 5))
-    acc = FracSeries.zero()
+    acc = FracSeries()
     for n in range(1, 6):
         acc = acc + sol.components[n - 1]
         assert sol.partial_sum(n) == acc  # same fold order, bit-identical
@@ -241,7 +241,7 @@ def test_component_y_exponents_grow():
 def test_solve_error_carries_depth():
     # u_0 = x^-0.5 gives u_1 ~ x^-2 y, whose formal derivative needs the
     # non-representable Gamma(-1)/Gamma(-2) coefficient
-    problem = ProblemSpec(0.5, 1.0, S((1, -0.5, 0)), FracSeries.zero(), 4)
+    problem = ProblemSpec(0.5, 1.0, S((1, -0.5, 0)), FracSeries(), 4)
     with pytest.raises(SolveError) as err:
         solve(problem)
     assert err.value.depth == 2
@@ -274,7 +274,7 @@ def test_solve_error_at_u0_carries_no_components():
     "problem, depth",
     [
         # A_0 overflows on x^2
-        (ProblemSpec(1.0, 1.0, S((1e154, 1, 0), (6e153, 2, 0)), FracSeries.zero(), 3), 1),
+        (ProblemSpec(1.0, 1.0, S((1e154, 1, 0), (6e153, 2, 0)), FracSeries(), 3), 1),
         # the Caputo pole of the x^-1 chain
         (builtin_problem(1, 0.75, 0.75, 8), 5),
         # the exact pole at Gamma(-6)
@@ -292,7 +292,7 @@ def test_failed_solve_carries_a_shallower_solve(problem, depth):
 
 def test_solve_overflow_error_carries_depth():
     # u_0 = a*x + b*x^2 puts 2ab and ab on x^2 in A_0; their sum overflows
-    problem = ProblemSpec(1.0, 1.0, S((1e154, 1, 0), (6e153, 2, 0)), FracSeries.zero(), 3)
+    problem = ProblemSpec(1.0, 1.0, S((1e154, 1, 0), (6e153, 2, 0)), FracSeries(), 3)
     with pytest.raises(SolveError) as err:
         solve(problem)
     assert err.value.depth == 1
@@ -304,7 +304,7 @@ def test_solve_overflow_error_carries_depth():
 def test_solve_opposite_infinities_carry_depth():
     # A_0 puts inf and -inf on x^2, which fsum refuses as a ValueError
     ic = S((10, 0, 0), (1e154, 1, 0), (-1e200, 2, 0), (5e307, 3, 0))
-    problem = ProblemSpec(1.0, 1.0, ic, FracSeries.zero(), 2)
+    problem = ProblemSpec(1.0, 1.0, ic, FracSeries(), 2)
     with pytest.raises(SolveError, match=r"^component u_1: .* is nan$") as err:
         solve(problem)
     assert err.value.depth == 1
@@ -315,7 +315,7 @@ def test_solve_opposite_infinities_carry_depth():
 
 # u_0 = 1 + x and D_x u_0 = 1: A_0 forms 2 x 1 raw products.  u_1 = -y - x*y and
 # D_x u_1 = -y: A_1 forms 2 x 1 + 2 x 1 more, 6 in all
-_BUDGET_PROBLEM = ProblemSpec(1.0, 1.0, S((1, 0, 0), (1, 1, 0)), FracSeries.zero(), 3)
+_BUDGET_PROBLEM = ProblemSpec(1.0, 1.0, S((1, 0, 0), (1, 1, 0)), FracSeries(), 3)
 
 
 def _budget(value):
@@ -360,15 +360,15 @@ def test_a_pair_with_no_products_counts_as_one():
         match=r"^component u_5: would take the solve to 15 raw products, "
         r"past its budget of 10$",
     ) as err:
-        solve(ProblemSpec(1.0, 1.0, ic, FracSeries.zero(), 50))
-    assert err.value.solution.components == (ic,) + (FracSeries.zero(),) * 4
+        solve(ProblemSpec(1.0, 1.0, ic, FracSeries(), 50))
+    assert err.value.solution.components == (ic,) + (FracSeries(),) * 4
 
 
 # -- residual ---------------------------------------------------------------------
 
 
 def test_residual_zero_problem():
-    problem = ProblemSpec(0.5, 0.5, FracSeries.zero(), FracSeries.zero(), 1)
+    problem = ProblemSpec(0.5, 0.5, FracSeries(), FracSeries(), 1)
     sol = solve(problem)
     assert residual_oracle(problem, sol.partial_sum(1), [(0.3, 0.2), (1.0, 0.5)]) == 0.0
 

@@ -229,7 +229,7 @@ def test_solve_grid_prints_signed_zeros_as_given(capsys):
     # 0.0 and -0.0 are equal but print as 0 and -0: each cell shows its own value
     grid = "x=-0.0,0.0,0.5;y=0.0,-0.0,0.1"
     assert run(["solve", "--ic", "1+x", "--terms", "3", "--grid", grid]) == 0
-    phi = solve(ProblemSpec(1.0, 1.0, S((1, 0, 0), (1, 1, 0)), FracSeries.zero(), 3))
+    phi = solve(ProblemSpec(1.0, 1.0, S((1, 0, 0), (1, 1, 0)), FracSeries(), 3))
     phi = phi.partial_sum(3)
     lines = ["y,x,alpha,beta,approx,exact,abs_error"]
     for y in (0.0, -0.0, 0.1):
@@ -1095,6 +1095,24 @@ def test_domain_error_reports_first_failing_point(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "fracadm: numeric error: x = 0 with negative exponent -2.5\n"
+
+
+@pytest.mark.parametrize(
+    "ic, g, value",
+    [
+        # 1 + 1e300*x*y is 1 at y = 0, but its term (1e300*x)*y is inf * 0
+        ("1", "1e300*x", "nan"),
+        # 1e300*x is past the double range at x = 1e10
+        ("1e300*x", "0", "inf"),
+    ],
+)
+def test_a_grid_value_that_is_not_finite_exits_2(ic, g, value, capsys):
+    assert run(["solve", "--ic", ic, "--g", g, "--terms", "1", "--grid", "x=1e10;y=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"fracadm: numeric error: value at x = 10000000000.0, y = 0.0 is {value}\n"
+    )
 
 
 def test_exponent_next_to_0_is_not_0(capsys):

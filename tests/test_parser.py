@@ -16,7 +16,7 @@ def test_basic_expressions():
     assert parse_series("1 + x") == S((1, 0, 0), (1, 1, 0))
     assert parse_series("-x") == S((-1, 1, 0))
     assert parse_series("2*x^1.5") == S((2, 1.5, 0))
-    assert parse_series("0") == FracSeries.zero()
+    assert parse_series("0") == FracSeries()
 
 
 def test_whitespace_insensitive():
@@ -43,7 +43,7 @@ def test_repeated_variable_exponents_add_as_decimals():
 
 def test_duplicate_monomials_merge():
     assert parse_series("x + x") == S((2, 1, 0))
-    assert parse_series("x - x") == FracSeries.zero()
+    assert parse_series("x - x") == FracSeries()
     assert parse_series("1 + x - 1") == S((1, 1, 0))
 
 

@@ -46,10 +46,10 @@ def test_catalogue_contents():
     assert p2.forcing == S((1, 0, 0))
     p3 = builtin_problem(3, 1.0, 1.0, 4)
     assert p3.ic == S((1, 0, 0), (1, 1, 0))
-    assert p3.forcing == FracSeries.zero()
+    assert p3.forcing == FracSeries()
     p4 = builtin_problem(4, 1.0, 1.0, 6)
     assert p4.ic == S((1, 1, 0))
-    assert p4.forcing == FracSeries.zero()
+    assert p4.forcing == FracSeries()
 
 
 def test_unknown_example_rejected():

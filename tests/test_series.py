@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -51,7 +52,7 @@ def test_normalize_merges_duplicates():
 
 
 def test_normalize_drops_zero_terms():
-    assert S((0, 2, 0)) == FracSeries.zero()
+    assert S((0, 2, 0)) == FracSeries()
     assert not S((0, 2, 0))
 
 
@@ -80,12 +81,74 @@ def test_single_terms_are_never_dropped():
 
 
 def test_normalize_cancellation():
-    assert S((1, 0.5, 1), (-1, 0.5, 1)) == FracSeries.zero()
+    assert S((1, 0.5, 1), (-1, 0.5, 1)) == FracSeries()
 
 
 def test_normalize_is_idempotent():
     s = S((2, 0.5, 0), (-1, 1, 2), (3, 0.5, 0))
     assert FracSeries(s.terms) == s
+
+
+# J_y^0.6527354766087804 of y^0.375 has the exact exponent 1.0277354766087804,
+# whose float prints as another decimal, 1.0277354766087805
+_LONG_DECIMAL = rl_integral(M(1.0, 0.0, 0.375), 0.6527354766087804, Y)
+
+
+def test_a_series_rebuilt_from_its_float_view_can_differ():
+    rebuilt = FracSeries(_LONG_DECIMAL)
+    assert rebuilt.terms == _LONG_DECIMAL.terms
+    assert rebuilt != _LONG_DECIMAL
+    # + keeps the two exponents apart, and == agrees
+    assert len(_LONG_DECIMAL + rebuilt) == 2
+
+
+def test_equal_exact_exponents_over_different_denominators_are_equal():
+    # x^0.5 parsed is 5/10; J_x^0.25 of x^0.25 reaches it as 50/100
+    derived = rl_integral(M(1.0, 0.25), 0.25, X)
+    parsed = parse_series(f"{derived.terms[0].coeff!r}*x^0.5")
+    assert parsed._den != derived._den
+    assert parsed == derived and derived == parsed
+    assert hash(parsed) == hash(derived)
+    assert parsed != rl_integral(M(1.0, 0.25), 0.2500000001, X)
+
+
+def _exact(s):
+    """s's coefficients with its exact exponents, as Fractions."""
+    return [
+        (c, Fraction(x, s._den), Fraction(y, s._den))
+        for c, x, y in zip(s._coeffs, s._xs, s._ys)
+    ]
+
+
+def _refined(s):
+    """s with the same exact exponents over a finer denominator."""
+    eps = M(1.0, 0.0078125)  # a key none of _eq_series' terms has, over 10**7
+    return s + eps - eps
+
+
+# few coefficients and exponents, so that equal series are often drawn
+_eq_series = st.one_of(
+    st.lists(
+        st.builds(
+            FracTerm,
+            st.sampled_from([1.0, -2.0, 0.5]),
+            st.sampled_from([0.0, 0.5, 1.5]),
+            st.sampled_from([0.0, 0.25]),
+        ),
+        max_size=3,
+    ).map(FracSeries),
+    st.sampled_from([_LONG_DECIMAL, FracSeries(_LONG_DECIMAL)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eq_series, _eq_series, st.booleans(), st.booleans())
+def test_equality_is_equality_of_coefficients_and_exact_exponents(a, b, refine_a, refine_b):
+    a = _refined(a) if refine_a else a
+    b = _refined(b) if refine_b else b
+    assert (a == b) is (_exact(a) == _exact(b))
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def _bits(terms):
@@ -123,7 +186,7 @@ def test_exponent_sums_are_exact_decimals():
     for _ in range(3):
         s = caputo_deriv(s, 0.1, X)
     assert [t.px for t in s] == [0.0]
-    assert caputo_deriv(s, 0.1, X) == FracSeries.zero()
+    assert caputo_deriv(s, 0.1, X) == FracSeries()
 
 
 # Exponents that stress exact merging: both zeros, decimals whose binary
@@ -228,8 +291,8 @@ def test_terms_sorted_lexicographically():
 def test_add_identity_and_cancellation():
     s = S((1, 0, 0), (1, 1, 0))
     assert S((1, 0, 0)) + S((1, 1, 0)) == s
-    assert s + FracSeries.zero() == s
-    assert S((1, 1, 0)) + S((-1, 1, 0)) == FracSeries.zero()
+    assert s + FracSeries() == s
+    assert S((1, 1, 0)) + S((-1, 1, 0)) == FracSeries()
 
 
 def test_product_is_series_by_series_only():
@@ -400,12 +463,15 @@ def test_evaluate_grid_memory_is_bounded_by_held_products():
 def test_evaluate_grid_reads_the_lattice():
     # no evaluation builds the float view of the terms, not even a failing one
     s = S((1, 0.5, 0), (2, 1, 0.3), (-1, 0.5, 0.3))
-    got = s.evaluate_grid([0.3, 0.6], [0.0, 0.1])
-    assert s._terms is None
-    with pytest.raises(EvaluationDomainError, match=r"^x = -0\.3 < 0 with non-integer"):
-        s.evaluate_grid([0.3, -0.3], [0.1])
-    assert s._terms is None
-    assert got == [pointwise_evaluate_oracle(s, x, y) for y in (0.0, 0.1) for x in (0.3, 0.6)]
+    want = [pointwise_evaluate_oracle(s, x, y) for y in (0.0, 0.1) for x in (0.3, 0.6)]
+    float_view = property(lambda _: pytest.fail("the float view was built"))
+    with mock.patch.object(FracSeries, "terms", float_view):
+        got = s.evaluate_grid([0.3, 0.6], [0.0, 0.1])
+        with pytest.raises(EvaluationDomainError, match=r"^x = -0\.3 < 0 with non-integer"):
+            s.evaluate_grid([0.3, -0.3], [0.1])
+        with pytest.raises(OverflowError, match=r"^value at x = 1e\+300, y = 1e\+300 is inf$"):
+            s.evaluate_grid([0.3, 1e300], [1e300])
+    assert got == want
 
 
 def test_evaluate_grid_empty_axes():
@@ -435,9 +501,16 @@ def test_evaluate_grid_empty_axes():
         (((1e308, 0, 0), (1e308, 0, 0), (1, 0, -1)), (0.0,), (0.0,)),
         # fsum meets inf - inf
         (((1e308, 1, 0), (-1e308, 2, 0)), (0.5, 3.0), (1.0,)),
-        # fsum overflows at (1, 0) in row order; x block (2.0,) meets
-        # inf - inf at (2, 2) first, and must not win
+        # the value at (2, 0) is inf, first in row order; x block (2.0,)
+        # meets inf - inf at (2, 2) first, and must not win
         (((1e308, 1, 0), (-1e308, 0, 1), (1e308, 0, 0)), (2.0, 1.0), (0.0, 2.0)),
+        # a term is inf * 0, so the point's value is nan, not the 1 of 1 + 0
+        (((1, 0, 0), (1e300, 1, 1)), (1e10,), (0.0,)),
+        # a term is inf, and so is the value
+        (((1e300, 1, 0),), (1e10,), (0.0,)),
+        # the value at (1e10, 0.5) is inf; x block (1.0,) meets y^-1 at
+        # (1, 0) first, and must not win
+        (((1e300, 1, 0), (1, 0, -1)), (1.0, 1e10), (0.5, 0.0)),
     ],
 )
 def test_evaluate_grid_raises_like_first_failing_point(terms, xs, ys):
@@ -483,8 +556,8 @@ def test_caputo_classical_derivative():
 
 
 def test_caputo_constant_vanishes():
-    assert caputo_deriv(S((1, 0, 0)), 0.5, X) == FracSeries.zero()
-    assert caputo_deriv(S((3, 0, 2)), 0.5, X) == FracSeries.zero()  # constant in x
+    assert caputo_deriv(S((1, 0, 0)), 0.5, X) == FracSeries()
+    assert caputo_deriv(S((3, 0, 2)), 0.5, X) == FracSeries()  # constant in x
 
 
 def test_caputo_half_derivative_of_x():
@@ -650,7 +723,7 @@ def test_quadrature_oracle_validation():
 
 
 def test_format_zero():
-    assert format_series(FracSeries.zero()) == "0"
+    assert format_series(FracSeries()) == "0"
 
 
 def test_format_examples():
