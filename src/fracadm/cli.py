@@ -20,21 +20,23 @@ The output is byte-identical to one process's, and the rows of a child that
 fails are evaluated again here, so a failure is reported as in one process.
 A child whose calling process is gone exits before its next block.
 
-main() freezes the start-up heap before the call, so that no collection, those
-at exit included, walks it again: a median `table` or `scan` call of the paper
-went from 57 to 51 ms on a 2-core x86 VM.
+main() freezes the start-up heap before the call, so that no collection walks
+it again, and ends the process by os._exit once stdout and stderr are
+flushed: nothing runs at interpreter exit, so a wrapper such as ``python -m
+cProfile -m fracadm.cli`` prints no profile (profile ``cli.run`` instead).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import math
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import repeat
+from types import SimpleNamespace
 
 from .adm import ProblemSpec, solve
 from .parser import parse_series
@@ -50,7 +52,7 @@ from .problems import (
 )
 from .series import FracSeries, _decimal, format_series
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["run", "main"]
 
 
 # Largest grid `solve --grid` accepts, in points (x values times y values).
@@ -80,12 +82,6 @@ class UsageError(Exception):
     """The input is refused (exit 1); raised only while the input is read."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract here is 1
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _positive_int(text: str) -> int:
     """An integer >= 1, checked while parsing, before any work is done."""
     try:
@@ -93,7 +89,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
     return value
 
 
@@ -102,75 +98,22 @@ def _digits(text: str) -> int:
     precision, checked while parsing; a value above 767 is 767."""
     value = _positive_int(text)
     if value >= 2**31:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1 and < 2**31, got {text!r}")
+        raise ValueError(f"expected an integer >= 1 and < 2**31, got {text!r}")
     # format reserves about a byte per digit of precision, but a double's exact
     # decimal has at most 767 significant digits and an exponent within +-324,
     # so "g" prints the same bytes at any precision from 767 up
     return min(value, 767)
 
 
-def _add_output_options(cmd: argparse.ArgumentParser) -> None:
-    """--terms and the output options, which every subcommand takes."""
-    cmd.add_argument(
-        "--terms",
-        type=_positive_int,
-        default=6,
-        help="truncation depth (scan: max depth)",
-    )
-    cmd.add_argument("--format", choices=("csv", "tsv"), help="default csv")
-    cmd.add_argument("--out", metavar="FILE", help="write output here")
-    cmd.add_argument(
-        "--digits",
-        type=_digits,
-        default=17,
-        help="significant digits in output (at least 1; above 767 prints as 767)",
-    )
+def _choice(convert: Callable[[str], object], choices: Sequence) -> Callable[[str], object]:
+    """A converter that refuses a converted value not among ``choices``."""
 
+    def parse(text: str):
+        if (value := convert(text)) not in choices:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(str, choices))})")
+        return value
 
-def build_parser() -> _ArgumentParser:
-    """solve takes a problem, orders and a grid; table and scan take only a
-    built-in example, since their orders and grid are the reference tables'."""
-    parser = _ArgumentParser(
-        prog="fracadm",
-        description="Decomposition-series solver for D_y^a u + u*D_x^b u = g(x).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    solve_cmd = sub.add_parser("solve", help="solve and evaluate on a grid")
-    solve_cmd.add_argument(
-        "--example", type=int, choices=EXAMPLE_IDS, help="built-in problem id"
-    )
-    solve_cmd.add_argument("--ic", metavar="EXPR", help="initial condition f(x)")
-    solve_cmd.add_argument("--g", metavar="EXPR", help="forcing g(x) (default 0)")
-    solve_cmd.add_argument("--alpha", type=float, default=1.0, help="order of D_y")
-    solve_cmd.add_argument("--beta", type=float, default=1.0, help="order of D_x")
-    shown = solve_cmd.add_mutually_exclusive_group()
-    shown.add_argument(
-        "--grid",
-        metavar="SPEC",
-        help="evaluation grid, e.g. 'x=0.1:0.9:0.2;y=0.01,0.05,0.1'",
-    )
-    shown.add_argument(
-        "--dump-series",
-        action="store_true",
-        help="print the truncated series instead of grid values",
-    )
-    _add_output_options(solve_cmd)
-
-    for name, text in (
-        ("table", "report table over the standard order pairs"),
-        ("scan", "truncation-depth scan against the reference table"),
-    ):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument(
-            "--example",
-            type=int,
-            choices=EXAMPLE_IDS,
-            required=True,
-            help="built-in problem id",
-        )
-        _add_output_options(cmd)
-    return parser
+    return parse
 
 
 def _parse_axis(spec: str, axis: str) -> tuple[int, Callable[[], Sequence[float]]]:
@@ -320,8 +263,6 @@ def _cmd_solve(args) -> Iterable[str]:
     ``_evaluate``), and then the exact column, which examples at the classical
     orders also get.  The text comes one block of y rows at a time.
     """
-    if args.dump_series and args.format is not None:
-        raise UsageError("argument --format: not allowed with argument --dump-series")
     problem = _build_problem(args)
     grid = None if args.dump_series else _grid_for(args)
     phi = solve(problem).partial_sum(problem.n_terms)
@@ -467,15 +408,98 @@ def _cmd_scan(args) -> list[str]:
     return _render("n,max_rel_deviation,error_column_deviation", rows, args)
 
 
-_COMMANDS = {"solve": _cmd_solve, "table": _cmd_table, "scan": _cmd_scan}
+# Every option: name -> (converter, default, help); a flag has no converter.
+_OPTIONS = {
+    "--example": (_choice(int, EXAMPLE_IDS), None, "built-in problem id, 1 to 4"),
+    "--ic": (str, None, "initial condition f(x)"),
+    "--g": (str, None, "forcing g(x) (default 0)"),
+    "--alpha": (float, 1.0, "order of D_y (default 1)"),
+    "--beta": (float, 1.0, "order of D_x (default 1)"),
+    "--grid": (str, None, "evaluation grid, e.g. 'x=0.1:0.9:0.2;y=0.01,0.05,0.1'"),
+    "--dump-series": (None, False, "print the truncated series instead of grid values"),
+    "--terms": (_positive_int, 6, "truncation depth (scan: max depth; default 6)"),
+    "--format": (_choice(str, ("csv", "tsv")), None, "csv (the default) or tsv"),
+    "--out": (str, None, "write output here"),
+    "--digits": (_digits, 17, "significant digits in output (default 17; above 767 prints as 767)"),
+}
+# Each command: (its function, its summary, the options it takes, those it
+# requires).  solve takes a problem, orders and a grid; table and scan take
+# only a built-in example, since their orders and grid are the reference tables'.
+_TABLE = ("--example", "--terms", "--format", "--out", "--digits")
+_COMMANDS = {
+    "solve": (_cmd_solve, "solve and evaluate on a grid", tuple(_OPTIONS), ()),
+    "table": (_cmd_table, "report table over the standard order pairs", _TABLE, ("--example",)),
+    "scan": (_cmd_scan, "truncation-depth scan against the reference table", _TABLE, ("--example",)),
+}
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command argv names and each option it takes, given or defaulted;
+    or, for -h/--help, only the help text.  A value follows its option, as the
+    next argument or after "=".  A next argument that starts with "-" is a
+    value only as "-", a negative number, or text with a space and no "=" that
+    does not start with "-h": argparse (7 ms a call to import and set up)
+    refused every other one too, but for a few with a space and "=".
+    """
+    command, *rest = list(argv) or [""]
+    if command in ("-h", "--help"):
+        return SimpleNamespace(help=_help(None), out=None)
+    if command not in _COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+    _, _, names, required = _COMMANDS[command]
+    values = {name: _OPTIONS[name][1] for name in names}
+    rest = iter(rest)
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return SimpleNamespace(help=_help(command), out=None)
+        name, given, value = arg.partition("=")
+        if name not in values:
+            raise UsageError(f"unrecognized argument {arg!r}")
+        convert = _OPTIONS[name][0]
+        if convert is None:
+            if given:
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            values[name] = True
+            continue
+        if not given:
+            value = next(rest, None)
+            if value is None or value[:1] == "-" and not re.fullmatch(
+                    r"-|-\d+|-\d*\.\d+|-(?!h)[^=]* [^=]*", value):
+                raise UsageError(f"argument {name}: expected one argument")
+        try:
+            values[name] = convert(value)
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+    for name in required:
+        if values[name] is None:
+            raise UsageError(f"the following arguments are required: {name}")
+    if values.get("--dump-series") and (values["--grid"], values["--format"]) != (None, None):
+        raise UsageError("argument --dump-series: not allowed with argument --grid or --format")
+    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, help=None, **fields)
+
+
+def _help(command: str | None) -> str:
+    """The -h/--help text of a command, or of fracadm for None."""
+    if command is None:
+        lines = [f"usage: fracadm {{{','.join(_COMMANDS)}}} [-h] [options]", "",
+                 "Decomposition-series solver for D_y^a u + u*D_x^b u = g(x).", ""]
+        lines += [f"  {name:<8}{summary}" for name, (_, summary, _, _) in _COMMANDS.items()]
+    else:
+        _, summary, names, required = _COMMANDS[command]
+        spelled = {n: f"{n} {n[2:].upper()}" if _OPTIONS[n][0] else n for n in names}
+        usage = [s if n in required else f"[{s}]" for n, s in spelled.items()]
+        lines = [f"usage: fracadm {command} [-h] {' '.join(usage)}", "", summary, ""]
+        lines += [f"  {spelled[n]:<20}{_OPTIONS[n][2]}" for n in names]
+    return "\n".join(lines) + "\n"
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         # every value is computed here, so a failure writes nothing; solve's
         # blocks are formatted as they are written
-        blocks = _COMMANDS[args.command](args)
+        blocks = [args.help] if args.help else _COMMANDS[args.command][0](args)
         if not args.out:
             # looked up now: callers may have redirected sys.stdout, and it is
             # None when descriptor 1 was closed at start-up
@@ -511,19 +535,15 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     # every object made so far lives until exit: frozen, it is walked by no
-    # collection, those at exit included, and a forked child's collections
-    # leave its pages shared
+    # collection, and a forked child's collections leave its pages shared
     gc.freeze()
     code = run()
-    if sys.stdout is not None:
-        try:
-            # run() flushed stdout: bytes are left only by a write that failed,
-            # and the exit flush would fail on them again and exit 120
-            sys.stdout.flush()
-        except OSError:
-            # as the signal module's SIGPIPE note does: stdout goes nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    # os._exit skips the exit flush: run() flushed stdout, so bytes left there
+    # are a failed write's, and they are dropped, not written again
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start-up
+        with contextlib.suppress(OSError):
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

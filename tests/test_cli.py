@@ -491,13 +491,31 @@ def test_closed_stdout_with_out_file_exits_0(tmp_path):
 
 
 def test_main_freezes_the_heap_once_before_run():
+    # then it ends the process by os._exit with run's code; patched here, as
+    # called for real it would end the test process
     calls = []
     with mock.patch.object(cli.gc, "freeze", lambda: calls.append("freeze")), \
-            mock.patch.object(cli, "run", lambda: calls.append("run") or 0), \
-            pytest.raises(SystemExit) as exit_:
+            mock.patch.object(cli, "run", lambda: calls.append("run") or 2), \
+            mock.patch.object(cli.os, "_exit", lambda code: calls.append(("_exit", code))):
         cli.main()
-    assert calls == ["freeze", "run"]
-    assert exit_.value.code == 0
+    assert calls == ["freeze", "run", ("_exit", 2)]
+
+
+def test_os_exit_loses_no_output(tmp_path):
+    # main() ends by os._exit, which skips the interpreter's exit flush: a
+    # numeric error's whole line still reaches stderr, and an --out file all
+    # of its lines
+    target = tmp_path / "out.csv"
+    procs = [subprocess.run([sys.executable, "-m", "fracadm.cli", *argv], capture_output=True,
+                            text=True, timeout=60)
+             for argv in (["table", "--example", "1", "--terms", "6"],
+                          ["table", "--example", "4", "--terms", "6", "--out", str(target)])]
+    assert (procs[0].returncode, procs[0].stdout) == (2, "")
+    assert procs[0].stderr.startswith("fracadm: numeric error: ")
+    assert "u_5" in procs[0].stderr and procs[0].stderr.endswith("\n")
+    assert procs[0].stderr.count("\n") == 1
+    assert (procs[1].returncode, procs[1].stdout, procs[1].stderr) == (0, "", "")
+    assert len(target.read_text().splitlines()) == 28
 
 
 def test_run_never_freezes(capsys):
@@ -866,8 +884,19 @@ _SOLVE_ONLY_OPTIONS = [
     + [["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.75", "--beta", "0.75",
         "--terms", "8", *grid]
        for grid in ([], ["--grid", "x=1"], ["--grid", "x=0:1e9:1e-9;y=0"])]
-    + [[command, "--example", "4", "--terms", "0"] for command in ("table", "scan", "solve")],
-    ids=" ".join,
+    + [[command, "--example", "4", "--terms", "0"] for command in ("table", "scan", "solve")]
+    # argv itself: no command or an unknown one, an unknown or abbreviated
+    # option, a missing value or one that reads as an option, a flag given a
+    # value, and values out of their choices or not numbers
+    + [[], ["bogus"], ["--terms", "6"], ["table", "--example", "4", "--bogus", "1"],
+       ["table", "--example", "4", "--ter", "6"], ["table", "--example"],
+       ["table", "--example", "4", "--out"], ["solve", "--example", "--terms", "2"],
+       ["solve", "--ic", "-x", "--grid", "x=1;y=0.1"], ["solve", "--example", "4", "--dump-series=1"],
+       ["table", "--example", "5"], ["solve", "--example", "x"], ["scan", "--example=0"],
+       ["solve", "--example", "4", "--alpha", "x"], ["solve", "--example", "4", "--alpha="],
+       ["table", "--example", "4", "--format", "json"], ["scan", "--example", "4", "--format=CSV"],
+       ["table", "--example", "4", "extra"]],
+    ids=lambda argv: " ".join(argv) or "no-argv",
 )
 def test_unread_option_exits_1_before_any_work(argv, capsys):
     # table and scan take only the options they read; solve refuses --g with
@@ -878,6 +907,35 @@ def test_unread_option_exits_1_before_any_work(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("fracadm: error: ")
+
+
+@pytest.mark.parametrize("command", ["table", "scan", "solve"])
+def test_an_option_and_its_value_may_be_joined_by_equals(command, capsys):
+    spelled = [[command, "--example", "4", *terms] for terms in (["--terms", "6"], ["--terms=6"])]
+    outputs = [(run(argv), capsys.readouterr()) for argv in spelled]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].out
+
+
+def _help_cases():
+    # fracadm's own help names every command, and a command's every option
+    cases = [(["-h"], cli._COMMANDS), (["--help"], cli._COMMANDS)]
+    for command, (_, _, options, _) in cli._COMMANDS.items():
+        cases += [([command, flag], options) for flag in ("-h", "--help")]
+    # help wins over the required --example missing from a call
+    cases.append((["table", "--terms", "3", "-h"], cli._COMMANDS["table"][2]))
+    return [pytest.param(argv, names, id=" ".join(argv)) for argv, names in cases]
+
+
+@pytest.mark.parametrize("argv, names", _help_cases())
+def test_help_exits_0_and_names_every_option(argv, names, capsys):
+    with _no_work():
+        assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: fracadm")
+    for name in names:
+        assert name in captured.out
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):

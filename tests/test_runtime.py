@@ -54,6 +54,20 @@ def test_import_loads_no_fractions_decimal_or_numbers(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_a_call_loads_no_argparse_gettext_or_locale(tmp_path):
+    # argv is read by cli's own table: importing and setting up argparse took
+    # about 7 ms a call, gettext and locale included
+    code = (
+        "import sys\n"
+        "from fracadm import cli\n"
+        "assert cli.run(['table', '--example', '4', '--terms', '2']) == 0\n"
+        "bad = sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules)\n"
+        "assert not bad, bad\n"
+    )
+    proc = _python(["-S"], "-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_runs_without_site_packages(tmp_path):
     proc = _python(
         ["-S"], "-m", "fracadm.cli", "table", "--example", "4", "--terms", "6",
