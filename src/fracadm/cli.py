@@ -14,11 +14,17 @@ runs out.  Every value is computed before the first byte is written; if the
 writing itself fails, a partial --out file is removed.
 
 solve evaluates a large grid in slices of whole y rows across the CPUs the
-process may run on, one forked child per slice after the first, into one
-buffer that all of them share; a child reports only through its exit status.
-The output is byte-identical to one process's, and the rows of a child that
-fails are evaluated again here, so a failure is reported as in one process.
-A child whose calling process is gone exits before its next block.
+process may run on, one forked child per slice after the first, and each
+process forms the text of the rows it evaluates.  A child writes one byte on
+its own pipe once its values are good, then streams its text there a block
+at a time; this process writes its own rows, then copies each child's text
+in row order.  So each process holds the values of its slice and one block of
+text, this process also one read of at most 1 MB, and each pipe buffers at
+most 1 MB.  The output is byte-identical to one process's: the rows a child
+did not deliver, because it failed, was killed or was never forked, are
+evaluated and formatted here, so a failure is reported as in one process.  A
+child whose calling process is gone exits before its next block, or at its
+next write, as only that process holds its pipe's read end.
 
 main() freezes the start-up heap before the call, so that no collection walks
 it again, and ends the process by os._exit once stdout and stderr are
@@ -68,7 +74,8 @@ _BLOCK_POINTS = 65_536
 # ms, and evaluation 58-78 ns a point-term.  Split in two, 100,000 point-terms
 # took as long as serial evaluation, and 200,000 and 400,000 took 0.81 and
 # 0.69 of its time: so the smallest split grid is about 12-16 ms of serial
-# work, several times the cost of a fork.
+# work, several times the cost of a fork.  (Measured when a child passed back
+# its values, not its text.)
 _SPLIT_POINT_TERMS = 100_000
 # `solve --grid` evaluates at most this many point-terms, checked after the
 # solve and before any evaluation: a round value above the largest grid the
@@ -76,6 +83,10 @@ _SPLIT_POINT_TERMS = 100_000
 # terms, 7.6 s on a 2-core x86 VM).  There, 51,000 points of a 2,927-term
 # series (149,277,000) took 11.6-14.4 s.
 _GRID_WORK_BUDGET = 150_000_000
+# A forked child streams its slice's text into a pipe raised to this size (best
+# effort: Linux's default cap for an unprivileged process), and `solve --grid`
+# reads it up to this many bytes at a time.
+_PIPE_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -258,19 +269,16 @@ def _cmd_solve(args) -> Iterable[str]:
     """Phi_{--terms} on the grid, one row per point with y outer and x inner.
 
     The problem and the grid are read before the solve, and a grid past
-    ``_GRID_WORK_BUDGET`` fails after it.  Everything that can fail is
-    computed before any text is formed: the approx values (see
-    ``_evaluate``), and then the exact column, which examples at the classical
-    orders also get.  The text comes one block of y rows at a time.
+    ``_GRID_WORK_BUDGET`` fails after it.  The grid's text comes one block of
+    y rows at a time, from ``_grid_blocks``, which computes every value before
+    it forms the first block: the approx values, and then the exact column,
+    which examples at the classical orders also get.
     """
     problem = _build_problem(args)
     grid = None if args.dump_series else _grid_for(args)
     phi = solve(problem).partial_sum(problem.n_terms)
     if grid is None:
         return [format_series(phi, args.digits) + "\n"]
-    # an extension module: imported here, so table and scan start without it
-    from array import array
-
     xs, ys = grid
     points = len(xs) * len(ys)
     if points * len(phi) > _GRID_WORK_BUDGET:
@@ -278,11 +286,8 @@ def _cmd_solve(args) -> Iterable[str]:
             f"{points} points x {len(phi)} terms = {points * len(phi)} point-terms "
             f"is past the grid evaluation budget of {_GRID_WORK_BUDGET}"
         )
-    approx = _evaluate(phi, xs, ys)
-    exact = None
-    if args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR:
-        exact = array("d", (exact_solution(args.example, x, y) for y in ys for x in xs))
-    return _grid_blocks(xs, ys, approx, exact, args)
+    classical = args.example is not None and (args.alpha, args.beta) == CLASSICAL_PAIR
+    return _grid_blocks(phi, xs, ys, args.example if classical else None, args)
 
 
 def _blocks(nx: int, first: int, end: int) -> Iterator[tuple[int, int, int, int]]:
@@ -296,106 +301,159 @@ def _blocks(nx: int, first: int, end: int) -> Iterator[tuple[int, int, int, int]
             yield y0, min(y0 + block_rows, end), x0, min(x0 + width, nx)
 
 
-def _evaluate(phi: FracSeries, xs, ys):
-    """phi on the grid as doubles, y outer and x inner: bit for bit one
-    ``evaluate_grid`` call per block of ``_blocks``.
+def _grid_blocks(phi: FracSeries, xs, ys, example: int | None, args) -> Iterator[str]:
+    """The header, then the text of each block of ``_blocks`` in row order;
+    every row's cells after approx are its exact and abs_error, the solution
+    of ``example`` (None for none), or empty.
 
-    The y rows are cut into k contiguous slices, k at most the CPUs this
-    process may run on, the y rows, and the work in ``_SPLIT_POINT_TERMS``
-    units.  All values go to one buffer shared before any fork.  Each of
-    k - 1 forked children writes one slice there and exits 0 once it has
-    written it all; this process evaluates the first slice, then reaps each
-    child in row order.  A slice whose child exits non-zero, is killed or was
-    never forked is evaluated again here: a failure raises what the serial
-    evaluation raises, at the first failing point in row order.  A failure
-    or an interrupt here kills and reaps every child left; a child whose
-    parent is gone, even killed outright, exits before its next block.  The
-    library never forks: its callers may have threads.
+    Nothing is yielded before every value is computed.  The y rows are cut
+    into k contiguous slices, k at most the CPUs this process may run on, the
+    y rows, and the work in ``_SPLIT_POINT_TERMS`` units, and a forked child
+    takes each slice after the first (see the module docstring).  This
+    process evaluates its own slice and that of every child that sent no
+    byte, all approx values before any exact one, each in row order, so a
+    failure raises what one process raises.  Closing the generator, or a
+    failure, kills and reaps every child left.  The library never forks: its
+    callers may have threads.
     """
-    import mmap
-    from array import array
-
     parent = os.getpid()
-    nx = len(xs)
-    try:
-        approx = memoryview(mmap.mmap(-1, 8 * nx * len(ys))).cast("d")
-    except OSError as exc:  # ENOMEM: memory ran out, as in any other allocation
-        raise MemoryError(str(exc)) from exc
-
-    def fill(first: int, end: int) -> None:
-        for y0, y1, x0, x1 in _blocks(nx, first, end):
-            if os.getpid() != parent and os.getppid() != parent:
-                os._exit(1)  # a child whose parent is gone: no one reads on
-            at = y0 * nx + x0  # a block is contiguous in row order
-            values = array("d", phi.evaluate_grid(xs[x0:x1], ys[y0:y1]))
-            approx[at : at + len(values)] = values
-
     k = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        work = nx * len(ys) * len(phi) // _SPLIT_POINT_TERMS
+        work = len(xs) * len(ys) * len(phi) // _SPLIT_POINT_TERMS
         k = max(1, min(len(os.sched_getaffinity(0)), len(ys), work))
     cuts = [len(ys) * i // k for i in range(k + 1)]
-    children = []  # (pid, first row, end row) of each slice not reaped
+    # each slice in row order: its y rows, its child and the read end of that
+    # child's pipe until reaped, and its values once evaluated here
+    slices = [SimpleNamespace(first=first, end=end, pid=None, fd=None, approx=None, exact=None)
+              for first, end in zip(cuts, cuts[1:])]
     try:
-        for first, end in zip(cuts[1:-1], cuts[2:]):
+        if k > 1:
+            import fcntl
+        for s in slices[1:]:
             try:
-                pid = os.fork()
-            except OSError:  # no process to spare: a slice whose child fails
-                pid = None
-            if pid == 0:  # the child: whatever happens, it exits here
+                s.fd, w = os.pipe()
+            except OSError:  # no descriptor to spare: this process takes the slice
+                continue
+            with contextlib.suppress(OSError):  # best effort: the child streams
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)  # more before a read
+            try:
+                s.pid = os.fork()
+            except OSError:  # no process to spare: this process takes the slice
+                os.close(s.fd)
+                s.fd = None
+            if s.pid == 0:  # the child: whatever happens, it exits here
                 status = 1
                 try:
-                    fill(first, end)
+                    for other in slices:  # only the caller holds a read end, so
+                        if other.fd is not None:  # a write fails once it is gone
+                            os.close(other.fd)
+                    approx = _approx(phi, xs, ys, s.first, s.end, parent)
+                    exact = _exact(example, xs, ys, s.first, s.end)
+                    os.write(w, b"+")  # every value is good
+                    for text in _text(xs, ys, s.first, s.end, approx, exact, args):
+                        data = memoryview(text.encode())
+                        while data:
+                            data = data[os.write(w, data):]
                     status = 0
                 finally:
                     os._exit(status)
-            children.append((pid, first, end))
-        fill(0, cuts[1])
-        while children:
-            pid, first, end = children[0]
-            status = 1 if pid is None else os.waitpid(pid, 0)[1]
-            del children[0]
-            if status:  # no child, or one that failed, maybe partway through
-                fill(first, end)
-    except BaseException:
-        import signal
+            os.close(w)
+        for s in slices:  # this process's slice, or one whose child failed
+            if s.fd is None or not os.read(s.fd, 1):
+                s.approx = _approx(phi, xs, ys, s.first, s.end, parent)
+        for s in slices:
+            if s.approx is not None:
+                s.exact = _exact(example, xs, ys, s.first, s.end)
+        yield _GRID_HEADER.replace(",", _separator(args)) + "\n"
+        for s in slices:
+            done = 0  # characters of the slice's text its child delivered
+            if s.pid is not None:
+                while chunk := os.read(s.fd, _PIPE_BYTES):
+                    done += len(chunk)
+                    yield chunk.decode()
+                status = os.waitpid(s.pid, 0)[1]
+                s.pid = None
+                fd, s.fd = s.fd, None
+                os.close(fd)
+                if not status:
+                    continue
+                if s.approx is None:  # it failed after its values were good
+                    s.approx = _approx(phi, xs, ys, s.first, s.end, parent)
+                    s.exact = _exact(example, xs, ys, s.first, s.end)
+            yield from _skip(_text(xs, ys, s.first, s.end, s.approx, s.exact, args), done)
+    finally:
+        for s in slices:
+            if s.pid is not None:
+                import signal
 
-        for pid, _, _ in children:
-            # an interrupt can land between waitpid and del: the child is gone
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-        raise
-    return approx
+                # an interrupt can land between waitpid and the reset: the child is gone
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(s.pid, signal.SIGKILL)
+                    os.waitpid(s.pid, 0)
+            if s.fd is not None:
+                os.close(s.fd)
 
 
-def _grid_blocks(xs, ys, approx, exact, args) -> Iterator[str]:
-    """The header, then the text of each block of ``_blocks`` as one string;
-    every row's cells after approx are its exact and abs_error, or empty."""
+def _approx(phi: FracSeries, xs, ys, first: int, end: int, parent: int) -> list:
+    """phi on y rows first..end-1, one array of doubles per block of
+    ``_blocks``: bit for bit one ``evaluate_grid`` call per block.  A forked
+    child whose calling process, ``parent``, is gone exits before its next
+    block."""
+    from array import array  # an extension module: table and scan start without it
+
+    values = []
+    for y0, y1, x0, x1 in _blocks(len(xs), first, end):
+        if os.getpid() != parent and os.getppid() != parent:
+            os._exit(1)  # no one reads on
+        values.append(array("d", phi.evaluate_grid(xs[x0:x1], ys[y0:y1])))
+    return values
+
+
+def _exact(example: int | None, xs, ys, first: int, end: int) -> list | None:
+    """The exact solution of ``example`` on the blocks ``_approx`` evaluates,
+    or None for no example."""
+    if example is None:
+        return None
+    from array import array
+
+    return [array("d", (exact_solution(example, x, y) for y in ys[y0:y1] for x in xs[x0:x1]))
+            for y0, y1, x0, x1 in _blocks(len(xs), first, end)]
+
+
+def _text(xs, ys, first: int, end: int, approx: list, exact: list | None, args) -> Iterator[str]:
+    """The text of y rows first..end-1 from the values of ``_approx`` and
+    ``_exact``, one string per block."""
     sep = _separator(args)
     spec = f".{args.digits}g"
-    yield _GRID_HEADER.replace(",", sep) + "\n"
     # a line is y_cell + prefix + approx + tail: the x, alpha and beta cells are
     # joined once per x, by position, not by value (0.0 and -0.0 are equal but
     # print differently)
     orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
-    nx = len(xs)
     tails = repeat(sep + sep + "\n")
-    for y0, y1, x0, x1 in _blocks(nx, 0, len(ys)):
+    for (y0, y1, x0, x1), values, exact_values in zip(
+            _blocks(len(xs), first, end), approx, exact or repeat(None)):
         prefixes = [sep + format(x, spec) + orders for x in xs[x0:x1]]
+        width = x1 - x0
         block = []  # one string per y row, so a block holds few pieces
-        for iy in range(y0, y1):
-            y_cell = format(ys[iy], spec)
-            at = slice(iy * nx + x0, iy * nx + x1)
-            if exact is not None:
+        for at, y in zip(range(0, len(values), width), ys[y0:y1]):
+            row = slice(at, at + width)
+            if exact_values is not None:
                 tails = (
                     sep + format(e, spec) + sep + format(abs(e - v), spec) + "\n"
-                    for v, e in zip(approx[at], exact[at])
+                    for v, e in zip(values[row], exact_values[row])
                 )
-            lines = [y_cell + p + format(v, spec) + t for p, v, t in zip(prefixes, approx[at], tails)]
+            y_cell = format(y, spec)
+            lines = [y_cell + p + format(v, spec) + t for p, v, t in zip(prefixes, values[row], tails)]
             block.append("".join(lines))
         yield "".join(block)
+
+
+def _skip(blocks: Iterable[str], n: int) -> Iterator[str]:
+    """``blocks`` less their first n characters."""
+    for block in blocks:
+        if n < len(block):
+            yield block[n:]
+        n = max(0, n - len(block))
 
 
 def _cmd_table(args) -> list[str]:
@@ -495,16 +553,19 @@ def _help(command: str | None) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    blocks = iter(())
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        # every value is computed here, so a failure writes nothing; solve's
-        # blocks are formatted as they are written
-        blocks = [args.help] if args.help else _COMMANDS[args.command][0](args)
+        blocks = iter([args.help] if args.help else _COMMANDS[args.command][0](args))
+        # every value is computed by the time the first block is formed, so a
+        # failure writes nothing; solve's later blocks are formed as they are written
+        first = next(blocks)
         if not args.out:
             # looked up now: callers may have redirected sys.stdout, and it is
             # None when descriptor 1 was closed at start-up
             if sys.stdout is None:
                 raise OSError("standard output is closed")
+            sys.stdout.write(first)
             sys.stdout.writelines(blocks)
             # a write that fails must fail here, not in the exit flush
             sys.stdout.flush()
@@ -513,6 +574,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         fh = open(args.out, "w", encoding="utf-8")
         try:
             with fh:
+                fh.write(first)
                 fh.writelines(blocks)
         except BaseException:
             # remove a partial regular file, never a device (/dev/null) or a
@@ -530,6 +592,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"fracadm: numeric error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # solve --grid's generator kills and reaps any child still streaming
+        if hasattr(blocks, "close"):
+            blocks.close()
     return 0
 
 

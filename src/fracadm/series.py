@@ -366,7 +366,8 @@ class FracSeries:
         once per point and term: a row ``coeff * x**px`` is formed once per x
         and each point is one ``fsum`` of that row times the y powers, which
         rounds as ``(coeff * x**px) * y**py`` just like ``evaluate``.  At
-        most ``_GRID_BLOCK_TERMS`` products, or one x row, are held at a time.
+        most ``_GRID_BLOCK_TERMS`` products, or one x row, are held at a time,
+        and the y rows too if they fit in that room or there is one.
         A failing grid is evaluated again through ``evaluate``, in row order,
         so it raises what its first failing point raises.
         """
@@ -382,13 +383,17 @@ class FracSeries:
             if any(y < 0.0 for y in ys):
                 raise EvaluationDomainError("y must be >= 0")
             block = max(1, _GRID_BLOCK_TERMS // max(1, len(coeffs)))
+            # the y rows are built once per call if there is one, or all of them
+            # fit in a block's room; else once per block of x rows
+            y_rows = None
+            if len(ys) == 1 or len(ys) * len(coeffs) <= _GRID_BLOCK_TERMS:
+                y_rows = list(map(y_powers.row, ys))
             for start in range(0, nx, block):
                 cx_rows = [
                     list(map(operator.mul, coeffs, x_powers.row(x)))
                     for x in xs[start : start + block]
                 ]
-                for iy, y in enumerate(ys):
-                    y_row = y_powers.row(y)
+                for iy, y_row in enumerate(y_rows or map(y_powers.row, ys)):
                     at = iy * nx + start
                     out[at : at + len(cx_rows)] = [
                         math.fsum(map(operator.mul, cx_row, y_row)) for cx_row in cx_rows

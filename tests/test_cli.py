@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, grids, formats, and exit codes."""
 
+import array
 import math
 import os
 import signal
@@ -372,13 +373,28 @@ def test_memory_running_out_exits_2(capsys):
 
 
 def test_no_memory_for_the_grid_values_exits_2(capsys):
-    # the values go to one shared mapping; failing to map it is running out
-    # of memory, as failing to allocate an array is
-    refused = mock.Mock(side_effect=OSError(12, "Cannot allocate memory"))
-    with mock.patch("mmap.mmap", refused):
-        assert run(["solve", "--example", "4", "--terms", "2", "--grid", "x=0.5;y=0.1"]) == 2
-    refused.assert_called_once()
+    # each block's values are copied into an array of doubles, in every
+    # process; refusing that copy in this process is running out of memory,
+    # as refusing any other allocation is, and it leaves no child behind
+    real_array, evaluate_grid = array.array, FracSeries.evaluate_grid
+    evaluated = []
+
+    def evaluate(series, xs, ys):
+        evaluated.append(evaluate_grid(series, xs, ys))
+        return evaluated[-1]
+
+    def allocate(typecode, values=()):
+        if any(values is block for block in evaluated):
+            raise MemoryError
+        return real_array(typecode, values)
+
+    with _split_into(2), mock.patch.object(FracSeries, "evaluate_grid", evaluate), \
+            mock.patch("array.array", allocate):
+        assert run(["solve", "--example", "4", "--terms", "2", "--grid", _SPLIT_GRID]) == 2
+        assert cli.os.fork.call_count == 1
+    assert len(evaluated) == 1
     assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
+    _assert_no_child_left()
 
 
 _GRID_BLOCKS = cli._grid_blocks  # the original, for _fail_after_header
@@ -633,8 +649,8 @@ def test_a_failed_child_slice_is_evaluated_in_process(action, capsys):
 
 
 def test_a_child_killed_partway_through_its_slice_is_evaluated_in_process(capsys):
-    # blocks of 2 y rows: the child writes its first block to the shared
-    # values, then is killed in its second
+    # blocks of 2 y rows: the child evaluates its first block, then is killed
+    # in its second, before it reports its values good
     argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
     with _blocks_of(7), _split_into(1):
         assert run(argv) == 0
@@ -726,8 +742,30 @@ def announced():
         print(pid, flush=True)
     return pid
 os.fork = announced
-sys.exit(cli.run(sys.argv[1:]))
 """
+# the calling process never gets past its own slice, so it reads nothing from
+# its child's pipe; the child announces the write that finds that pipe full
+_BLOCK_ON_A_FULL_PIPE = """
+import fcntl, time
+from fracadm.series import FracSeries
+caller = os.getpid()
+evaluate_grid = FracSeries.evaluate_grid
+def evaluate(series, xs, ys):
+    if os.getpid() == caller:
+        time.sleep(60)
+    return evaluate_grid(series, xs, ys)
+FracSeries.evaluate_grid = evaluate
+write, written = os.write, [0]
+def announced_write(fd, data):
+    if 0 <= fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) - written[0] < len(data):
+        print("blocked", flush=True)  # once: the count goes far below 0
+        written[0] = -2**62
+    n = write(fd, data)
+    written[0] += n
+    return n
+os.write = announced_write
+"""
+_RUN = "sys.exit(cli.run(sys.argv[1:]))"
 
 
 @pytest.mark.skipif(
@@ -735,26 +773,126 @@ sys.exit(cli.run(sys.argv[1:]))
     reason="a grid is split only across two or more CPUs",
 )
 def test_a_child_whose_parent_is_killed_exits_at_its_next_block(tmp_path):
-    # 1,000 x 1,000 points of a 130-term series in blocks of 4,096 points: the
-    # child's slice of 500 y rows is about 120 blocks.  On a 2-core x86 VM a
-    # child that did not look for its parent ran on for 6.7 s after the kill
-    argv = [sys.executable, "-c", _ANNOUNCE_FORK, "solve", "--example", "1",
-            "--alpha", "0.5", "--beta", "0.5", "--terms", "20",
-            "--grid", "x=0.001:1:0.001;y=0.0001:0.1:0.0001", "--out", os.devnull]
-    with open(tmp_path / "err.txt", "wb") as err:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err)
-    with proc:
-        child = int(proc.stdout.readline())  # the child is forked
-        proc.kill()
-        killed = time.perf_counter()
-        try:
-            # returns once the calling process and the child have both exited
-            assert proc.communicate(timeout=60) == (b"", None)
-        except subprocess.TimeoutExpired:
-            os.kill(child, signal.SIGKILL)
-            raise
-    assert time.perf_counter() - killed < 1.5
-    assert (tmp_path / "err.txt").read_bytes() == b""
+    # evaluating: 1,000 x 1,000 points of a 130-term series in blocks of 4,096
+    # points, so the child's slice of 500 y rows is about 120 blocks.  On a
+    # 2-core x86 VM a child that did not look for its parent ran on for 6.7 s
+    # after the kill.  Blocked: 1,000 x 40 points with the exact columns, so
+    # the child's 20 y rows are about 1.8 MB of text, past a pipe of 1 MB; its
+    # write fails once the calling process, the only reader, is gone
+    cases = [
+        ("evaluating", _ANNOUNCE_FORK, ["--alpha", "0.5", "--beta", "0.5", "--terms", "20",
+                                        "--grid", "x=0.001:1:0.001;y=0.0001:0.1:0.0001"]),
+        ("blocked", _ANNOUNCE_FORK + _BLOCK_ON_A_FULL_PIPE,
+         ["--terms", "6", "--grid", "x=0.001:1:0.001;y=0.01:0.4:0.01"]),
+    ]
+    for case, script, options in cases:
+        argv = [sys.executable, "-c", script + _RUN, "solve", "--example", "1", *options,
+                "--out", os.devnull]
+        with open(tmp_path / "err.txt", "wb") as err:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err)
+        with proc:
+            child = int(proc.stdout.readline())  # the child is forked
+            if case == "blocked":
+                assert proc.stdout.readline() == b"blocked\n"
+            proc.kill()
+            killed = time.perf_counter()
+            try:
+                # returns once the calling process and the child have both exited
+                assert proc.communicate(timeout=60) == (b"", None)
+            except subprocess.TimeoutExpired:
+                os.kill(child, signal.SIGKILL)
+                raise
+        assert time.perf_counter() - killed < 1.5, case
+        assert (tmp_path / "err.txt").read_bytes() == b"", case
+
+
+def test_a_child_killed_partway_through_its_text_is_completed_in_process(capsys):
+    # blocks of 2 y rows: the child's values are good, it writes its first
+    # block of text and half of its second, and is killed.  This process
+    # evaluates the child's rows again and writes the text it did not deliver
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
+    with _blocks_of(7), _split_into(1):
+        assert run(argv) == 0
+    serial = capsys.readouterr()
+    parent, texts = os.getpid(), []
+
+    def write(fd, data):
+        if os.getpid() != parent and len(data) > 1:  # not the byte of good values
+            texts.append(data)
+            if len(texts) == 2:
+                os.write(fd, data[: len(data) // 2])
+                _kill_self()
+        return os.write(fd, data)
+
+    in_parent = []
+    with _blocks_of(7), _split_into(2), _in_children(lambda: None, in_parent):
+        cli.os.write.side_effect = write
+        assert run(argv) == 0
+        assert cli.os.fork.call_count == 1
+    assert in_parent == [[0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]
+    assert capsys.readouterr() == serial
+    _assert_no_child_left()
+
+
+def test_an_approx_failure_in_a_child_outranks_an_exact_one_here(capsys):
+    # this process's rows, y = 0.5 and 1, evaluate, but example 2's exact
+    # solution is singular at y = 1; the child's rows fail at y = -0.1.  As in
+    # one process, every approx value comes before any exact one
+    argv = ["solve", "--example", "2", "--terms", "3", "--grid", "x=0.5;y=0.5,1,0.2,-0.1"]
+    with _split_into(1):
+        assert run(argv) == 2
+    serial = capsys.readouterr()
+    assert serial == ("", "fracadm: numeric error: y must be >= 0, got -0.1\n")
+    with _split_into(2):
+        assert run(argv) == 2
+        assert cli.os.fork.call_count == 1
+    assert capsys.readouterr() == serial
+    _assert_no_child_left()
+
+
+# forced to split the grid in k slices, k the first argument
+_SPLIT_IN_K = """
+import os, sys
+from fracadm import cli
+cli._SPLIT_POINT_TERMS = 1
+cpus = set(range(int(sys.argv.pop(1))))
+os.sched_getaffinity = lambda pid: cpus
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_a_child_with_more_text_than_its_pipe_holds_prints_the_serial_bytes():
+    # 201 x 201 points with the exact columns: the child's 100 y rows are about
+    # 1.8 MB of text, past a pipe of 1 MB, which it fills while this process
+    # evaluates and writes its own rows; this process reads the pipe before it
+    # reaps the child, so neither waits on the other
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", "x=0:1:0.005;y=0:1:0.005"]
+    outs = [subprocess.run([sys.executable, "-c", _SPLIT_IN_K, k, *argv], capture_output=True,
+                           timeout=60)
+            for k in ("1", "2")]
+    assert outs[0].returncode == 0 and outs[0].stderr == b""
+    assert (outs[1].returncode, outs[1].stdout, outs[1].stderr) == (0, outs[0].stdout, b"")
+    assert outs[0].stdout.count(b"\n") == 201 * 201 + 1
+    assert len(outs[0].stdout) > 3 * 2**20
+
+
+def test_a_failed_write_while_a_child_streams_exits_1_and_kills_it(capsys):
+    # the child's text, about 1.8 MB, fills its pipe; the first write of this
+    # process's rows fails
+    stdout = mock.Mock()
+
+    def fail(blocks):
+        next(blocks)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    stdout.writelines.side_effect = fail
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", "x=0:1:0.005;y=0:1:0.005"]
+    with _split_into(2), mock.patch.object(cli.sys, "stdout", stdout):
+        assert run(argv) == 1
+        assert cli.os.fork.call_count == 1
+        assert cli.os.kill.call_count == 1
+    assert capsys.readouterr().err == "fracadm: error: [Errno 32] Broken pipe\n"
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(

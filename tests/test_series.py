@@ -444,6 +444,29 @@ def test_evaluate_grid_wider_than_one_block():
     assert len(got) == len(xs) * len(ys)
 
 
+@pytest.mark.parametrize("ys", [[0.3], [0.0, 0.3, 1.1]], ids=["one y row", "y rows that fit"])
+def test_evaluate_grid_builds_each_y_row_once(ys):
+    # a block holds 2 (one y row) or 3 x rows of the 4-term series, so 9 x
+    # values take 5 or 3 blocks; there is one y row, or the y rows fit in a
+    # block's room, and each is built once per call, not once per block
+    rng = random.Random(11)
+    s = S((1.5, 0, 0), (-2, 0.5, 0.25), (0.75, 1, 1), (3, 2, 0.5))
+    xs = [rng.uniform(0.0, 2.0) for _ in range(9)]
+    rows = []
+    row = series._Powers.row
+
+    def counted(powers, value):
+        rows.append((powers.var, value))
+        return row(powers, value)
+
+    with mock.patch.object(series, "_GRID_BLOCK_TERMS", max(8, 4 * len(ys))), \
+            mock.patch.object(series._Powers, "row", counted):
+        got, points, want = _grid_vs_oracle(s, xs, ys)
+    assert got == want
+    assert points == want
+    assert [value for var, value in rows if var == "y"] == ys
+
+
 def test_evaluate_grid_memory_is_bounded_by_held_products():
     # x rows of a long series are held a block of products at a time: on 2,000
     # terms x 256 x values tracemalloc measured a peak of 15.9 MiB holding 256
