@@ -13,18 +13,8 @@ after the input is read, such as a grid past the evaluation budget) or memory
 runs out.  Every value is computed before the first byte is written; if the
 writing itself fails, a partial --out file is removed.
 
-solve evaluates a large grid in slices of whole y rows across the CPUs the
-process may run on, one forked child per slice after the first, and each
-process forms the text of the rows it evaluates.  A child writes one byte on
-its own pipe once its values are good, then streams its text there a block
-at a time; this process writes its own rows, then copies each child's text
-in row order.  So each process holds the values of its slice and one block of
-text, this process also one read of at most 1 MB, and each pipe buffers at
-most 1 MB.  The output is byte-identical to one process's: the rows a child
-did not deliver, because it failed, was killed or was never forked, are
-evaluated and formatted here, so a failure is reported as in one process.  A
-child whose calling process is gone exits before its next block, or at its
-next write, as only that process holds its pipe's read end.
+solve may split a large grid across the CPUs the process may run on, and
+always prints what one process prints (see ``_grid_blocks``).
 
 main() freezes the start-up heap before the call, so that no collection walks
 it again, and ends the process by os._exit once stdout and stderr are
@@ -41,7 +31,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 from .adm import ProblemSpec, solve
@@ -70,12 +60,12 @@ MAX_GRID_POINTS = 1_000_000
 _BLOCK_POINTS = 65_536
 # `solve --grid` splits its evaluation across CPUs only into slices of at
 # least this many point-terms (grid points times series terms).  On a 2-core
-# x86 VM, forking a child, passing its values back and reaping it took 2.0-3.8
-# ms, and evaluation 58-78 ns a point-term.  Split in two, 100,000 point-terms
-# took as long as serial evaluation, and 200,000 and 400,000 took 0.81 and
-# 0.69 of its time: so the smallest split grid is about 12-16 ms of serial
-# work, several times the cost of a fork.  (Measured when a child passed back
-# its values, not its text.)
+# x86 VM, with each child streaming its text, a 35-point-wide grid of a
+# 130-term series split in two took 1.23-1.37 times as long as in one process
+# at 50,000 point-terms, 0.91-0.95 at 100,000, 0.75-0.78 at 200,000 and
+# 0.62-0.66 at 400,000 (medians of two sets of 16 alternating fresh-process
+# runs): the crossover lies between 50,000 and 100,000, about 10 ms of serial
+# evaluation and formatting.
 _SPLIT_POINT_TERMS = 100_000
 # `solve --grid` evaluates at most this many point-terms, checked after the
 # solve and before any evaluation: a round value above the largest grid the
@@ -304,17 +294,28 @@ def _blocks(nx: int, first: int, end: int) -> Iterator[tuple[int, int, int, int]
 def _grid_blocks(phi: FracSeries, xs, ys, example: int | None, args) -> Iterator[str]:
     """The header, then the text of each block of ``_blocks`` in row order;
     every row's cells after approx are its exact and abs_error, the solution
-    of ``example`` (None for none), or empty.
+    of ``example`` (None for none), or empty.  Nothing is yielded before every
+    value is computed.
 
-    Nothing is yielded before every value is computed.  The y rows are cut
-    into k contiguous slices, k at most the CPUs this process may run on, the
-    y rows, and the work in ``_SPLIT_POINT_TERMS`` units, and a forked child
-    takes each slice after the first (see the module docstring).  This
-    process evaluates its own slice and that of every child that sent no
-    byte, all approx values before any exact one, each in row order, so a
-    failure raises what one process raises.  Closing the generator, or a
-    failure, kills and reaps every child left.  The library never forks: its
-    callers may have threads.
+    One process's output is the definition: ``_slice`` of every y row.  A
+    split is an optimisation of it.  The y rows are cut into k contiguous
+    slices, k at most the CPUs this process may run on, the y rows, and the
+    work in ``_SPLIT_POINT_TERMS`` units, and a forked child takes each slice
+    after the first.  A child writes one byte on its own pipe once its values
+    are good, then streams its text there a block at a time; this process
+    evaluates its own slice meanwhile, reads each child's byte, writes its own
+    rows, then copies each child's text in row order.  So each process holds
+    the values of its slice and one block of text, this process also one read
+    of at most 1 MB, and each pipe buffers at most 1 MB.  On any failure of a
+    split (a refused pipe or fork, an ArithmeticError or ValueError in this
+    process's slice, a child that sends no byte or exits non-zero after its
+    text), every child is killed and reaped, and this process evaluates the
+    whole grid as one process does and yields the characters past those it
+    has yielded: so the output, the failure and the exit code are one
+    process's.  Any other exit kills and reaps every child too.  A child whose
+    calling process is gone exits before its next block, or at its next
+    write, as only that process holds its pipe's read end.  The library never
+    forks: its callers may have threads.
     """
     parent = os.getpid()
     k = 1
@@ -322,107 +323,91 @@ def _grid_blocks(phi: FracSeries, xs, ys, example: int | None, args) -> Iterator
         work = len(xs) * len(ys) * len(phi) // _SPLIT_POINT_TERMS
         k = max(1, min(len(os.sched_getaffinity(0)), len(ys), work))
     cuts = [len(ys) * i // k for i in range(k + 1)]
-    # each slice in row order: its y rows, its child and the read end of that
-    # child's pipe until reaped, and its values once evaluated here
-    slices = [SimpleNamespace(first=first, end=end, pid=None, fd=None, approx=None, exact=None)
-              for first, end in zip(cuts, cuts[1:])]
+    header = _GRID_HEADER.replace(",", _separator(args)) + "\n"
+    children = {}  # the read end of each child's pipe: its pid, in row order
+    done = 0  # characters yielded
     try:
-        if k > 1:
+        for first, end in zip(cuts[1:], cuts[2:]):
             import fcntl
-        for s in slices[1:]:
+
+            fd, w = os.pipe()
+            children[fd] = None  # until forked
             try:
-                s.fd, w = os.pipe()
-            except OSError:  # no descriptor to spare: this process takes the slice
-                continue
-            with contextlib.suppress(OSError):  # best effort: the child streams
-                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)  # more before a read
-            try:
-                s.pid = os.fork()
-            except OSError:  # no process to spare: this process takes the slice
-                os.close(s.fd)
-                s.fd = None
-            if s.pid == 0:  # the child: whatever happens, it exits here
-                status = 1
-                try:
-                    for other in slices:  # only the caller holds a read end, so
-                        if other.fd is not None:  # a write fails once it is gone
-                            os.close(other.fd)
-                    approx = _approx(phi, xs, ys, s.first, s.end, parent)
-                    exact = _exact(example, xs, ys, s.first, s.end)
-                    os.write(w, b"+")  # every value is good
-                    for text in _text(xs, ys, s.first, s.end, approx, exact, args):
-                        data = memoryview(text.encode())
-                        while data:
-                            data = data[os.write(w, data):]
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-        for s in slices:  # this process's slice, or one whose child failed
-            if s.fd is None or not os.read(s.fd, 1):
-                s.approx = _approx(phi, xs, ys, s.first, s.end, parent)
-        for s in slices:
-            if s.approx is not None:
-                s.exact = _exact(example, xs, ys, s.first, s.end)
-        yield _GRID_HEADER.replace(",", _separator(args)) + "\n"
-        for s in slices:
-            done = 0  # characters of the slice's text its child delivered
-            if s.pid is not None:
-                while chunk := os.read(s.fd, _PIPE_BYTES):
-                    done += len(chunk)
-                    yield chunk.decode()
-                status = os.waitpid(s.pid, 0)[1]
-                s.pid = None
-                fd, s.fd = s.fd, None
-                os.close(fd)
-                if not status:
-                    continue
-                if s.approx is None:  # it failed after its values were good
-                    s.approx = _approx(phi, xs, ys, s.first, s.end, parent)
-                    s.exact = _exact(example, xs, ys, s.first, s.end)
-            yield from _skip(_text(xs, ys, s.first, s.end, s.approx, s.exact, args), done)
+                with contextlib.suppress(OSError):  # best effort: the child streams
+                    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)  # more before a read
+                if not (pid := os.fork()):  # the child: whatever happens, it exits here
+                    status = 1
+                    try:
+                        for other in children:  # only the caller holds a read end,
+                            os.close(other)  # so a write fails once it is gone
+                        text = _slice(phi, xs, ys, first, end, example, args, parent)
+                        os.write(w, b"+")  # every value is good
+                        for block in text:
+                            data = memoryview(block.encode())
+                            while data:
+                                data = data[os.write(w, data):]
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children[fd] = pid
+            finally:
+                os.close(w)
+        text = _slice(phi, xs, ys, 0, cuts[1], example, args, parent)
+        if not all(os.read(fd, 1) for fd in children):
+            raise ChildProcessError("a child's values are not good")
+        for block in chain((header,), text):
+            done += len(block)
+            yield block
+        for fd, pid in list(children.items()):
+            while chunk := os.read(fd, _PIPE_BYTES):
+                done += len(chunk)
+                yield chunk.decode()
+            status = os.waitpid(pid, 0)[1]
+            del children[fd]
+            os.close(fd)
+            if status:
+                raise ChildProcessError(f"a child exited with status {status}")
+        return
+    except (OSError, ArithmeticError, ValueError):
+        if k == 1:
+            raise
     finally:
-        for s in slices:
-            if s.pid is not None:
+        for fd, pid in children.items():
+            if pid is not None:
                 import signal
 
-                # an interrupt can land between waitpid and the reset: the child is gone
+                # an interrupt can land between waitpid and the del: the child is gone
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(s.pid, signal.SIGKILL)
-                    os.waitpid(s.pid, 0)
-            if s.fd is not None:
-                os.close(s.fd)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            os.close(fd)
+    yield from _skip(chain((header,), _slice(phi, xs, ys, 0, len(ys), example, args, parent)), done)
 
 
-def _approx(phi: FracSeries, xs, ys, first: int, end: int, parent: int) -> list:
-    """phi on y rows first..end-1, one array of doubles per block of
-    ``_blocks``: bit for bit one ``evaluate_grid`` call per block.  A forked
-    child whose calling process, ``parent``, is gone exits before its next
-    block."""
+def _slice(phi: FracSeries, xs, ys, first: int, end: int, example: int | None, args,
+           parent: int) -> Iterator[str]:
+    """The text of y rows first..end-1, one string per block of ``_blocks``,
+    once every value is computed: all of phi's, bit for bit one
+    ``evaluate_grid`` call per block, then all of the exact solution of
+    ``example`` (None for none).  So approx comes before exact in every
+    process, and a failure raises what one process raises.  A forked child
+    whose calling process, ``parent``, is gone exits before its next block."""
     from array import array  # an extension module: table and scan start without it
 
-    values = []
-    for y0, y1, x0, x1 in _blocks(len(xs), first, end):
+    blocks = list(_blocks(len(xs), first, end))
+    approx = []
+    for y0, y1, x0, x1 in blocks:
         if os.getpid() != parent and os.getppid() != parent:
             os._exit(1)  # no one reads on
-        values.append(array("d", phi.evaluate_grid(xs[x0:x1], ys[y0:y1])))
-    return values
+        approx.append(array("d", phi.evaluate_grid(xs[x0:x1], ys[y0:y1])))
+    exact = None if example is None else [
+        array("d", (exact_solution(example, x, y) for y in ys[y0:y1] for x in xs[x0:x1]))
+        for y0, y1, x0, x1 in blocks]
+    return _text(xs, ys, blocks, approx, exact, args)
 
 
-def _exact(example: int | None, xs, ys, first: int, end: int) -> list | None:
-    """The exact solution of ``example`` on the blocks ``_approx`` evaluates,
-    or None for no example."""
-    if example is None:
-        return None
-    from array import array
-
-    return [array("d", (exact_solution(example, x, y) for y in ys[y0:y1] for x in xs[x0:x1]))
-            for y0, y1, x0, x1 in _blocks(len(xs), first, end)]
-
-
-def _text(xs, ys, first: int, end: int, approx: list, exact: list | None, args) -> Iterator[str]:
-    """The text of y rows first..end-1 from the values of ``_approx`` and
-    ``_exact``, one string per block."""
+def _text(xs, ys, blocks: list, approx: list, exact: list | None, args) -> Iterator[str]:
+    """The text of ``blocks`` from their values, one string per block."""
     sep = _separator(args)
     spec = f".{args.digits}g"
     # a line is y_cell + prefix + approx + tail: the x, alpha and beta cells are
@@ -430,8 +415,7 @@ def _text(xs, ys, first: int, end: int, approx: list, exact: list | None, args) 
     # print differently)
     orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
     tails = repeat(sep + sep + "\n")
-    for (y0, y1, x0, x1), values, exact_values in zip(
-            _blocks(len(xs), first, end), approx, exact or repeat(None)):
+    for (y0, y1, x0, x1), values, exact_values in zip(blocks, approx, exact or repeat(None)):
         prefixes = [sep + format(x, spec) + orders for x in xs[x0:x1]]
         width = x1 - x0
         block = []  # one string per y row, so a block holds few pieces

@@ -82,7 +82,14 @@ def builtin_problem(
 def exact_solution(example: int, x: float, y: float) -> float:
     """Closed-form classical solution of the chosen benchmark problem."""
     if example == 1:
-        return x * math.tanh(y) + 1.0 / math.cosh(y)
+        try:
+            sech = 1.0 / math.cosh(y)
+        except OverflowError:
+            # |y| > 710.4759: sech is 2e^-|y|, rounded once into the subnormals
+            # (2.0 * math.exp(-|y|) rounds twice: 1e-323 at y = 745, for 5e-324)
+            half = math.exp(-abs(y) / 2)
+            sech = 2.0 * half * half
+        return x * math.tanh(y) + sech
     if example == 2:
         if y == 1.0:
             raise SingularPointError("example 2 is singular at y = 1")

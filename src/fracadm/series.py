@@ -423,7 +423,10 @@ def _power(base: float, expo: float, var: str) -> float:
         raise EvaluationDomainError(
             f"{var} = {base!r} < 0 with non-integer exponent {expo!r}"
         )
-    return math.pow(base, expo)
+    try:
+        return math.pow(base, expo)
+    except OverflowError:  # math.pow's own message names nothing
+        raise OverflowError(f"{var} = {base!r} with exponent {expo!r} overflows") from None
 
 
 class _Powers:

@@ -236,13 +236,14 @@ def _power_oracle(base: float, expo: float, var: str) -> float:
         if expo > 0.0:
             return 0.0
         raise EvaluationDomainError(f"{var} = 0 with negative exponent {expo!r}")
-    if base < 0.0:
-        if expo == math.floor(expo):
-            return math.pow(base, expo)
+    if base < 0.0 and expo != math.floor(expo):
         raise EvaluationDomainError(
             f"{var} = {base!r} < 0 with non-integer exponent {expo!r}"
         )
-    return math.pow(base, expo)
+    try:
+        return math.pow(base, expo)
+    except OverflowError:
+        raise OverflowError(f"{var} = {base!r} with exponent {expo!r} overflows") from None
 
 
 def nested_partial_sums_oracle(components: Sequence[FracSeries]) -> list[FracSeries]:

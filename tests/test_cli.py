@@ -632,6 +632,9 @@ def _run_out_of_memory():
     raise MemoryError
 
 
+_ALL_ROWS = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]  # of _SPLIT_GRID
+
+
 @pytest.mark.parametrize("action", [_kill_self, _run_out_of_memory], ids=["killed", "memory"])
 def test_a_failed_child_slice_is_evaluated_in_process(action, capsys):
     argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
@@ -642,8 +645,9 @@ def test_a_failed_child_slice_is_evaluated_in_process(action, capsys):
     with _split_into(2), _in_children(action, in_parent):
         assert run(argv) == 0
         assert cli.os.fork.call_count == 1
-    # this process evaluated its own four rows, then the child's four again
-    assert in_parent == [[0.0, 0.01, 0.05, 0.1], [0.2, 0.5, 1.0, 2.0]]
+    # this process evaluated its own four rows, then, as the child sent no
+    # byte, the whole grid as one process does
+    assert in_parent == [[0.0, 0.01, 0.05, 0.1], _ALL_ROWS]
     assert capsys.readouterr() == serial
     _assert_no_child_left()
 
@@ -666,42 +670,33 @@ def test_a_child_killed_partway_through_its_slice_is_evaluated_in_process(capsys
     with _blocks_of(7), _split_into(2), _in_children(kill_at_second_block, in_parent):
         assert run(argv) == 0
         assert cli.os.fork.call_count == 1
-    assert in_parent == [[0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]
+    assert in_parent == [[0.0, 0.01], [0.05, 0.1],  # this process's slice
+                         [0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]  # the whole grid
     assert capsys.readouterr() == serial
     _assert_no_child_left()
 
 
 def test_rows_no_child_can_take_are_evaluated_in_process(capsys):
-    # three slices; the second fork fails, so the third slice is this process's
+    # three slices; a pipe or a fork is refused before the first child or
+    # after it.  Either way no child is left, no descriptor stays open, and
+    # this process evaluates the whole grid once, as one process does
     argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
     with _split_into(1):
         assert run(argv) == 0
     serial = capsys.readouterr()
-    forks = [os.fork, mock.Mock(side_effect=BlockingIOError(11, "fork refused"))]
-    with _split_into(3):
-        cli.os.fork.side_effect = lambda: forks.pop(0)()
-        assert run(argv) == 0
-        assert cli.os.fork.call_count == 2
-    assert capsys.readouterr() == serial
-    _assert_no_child_left()
-
-
-def test_a_refused_fork_leaves_later_slices_to_children(capsys):
-    # three slices; the first fork fails and the second does not, so this
-    # process evaluates the first two slices and a child the third
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
-    with _split_into(1):
-        assert run(argv) == 0
-    serial = capsys.readouterr()
-    forks = [mock.Mock(side_effect=BlockingIOError(11, "fork refused")), os.fork]
-    in_parent = []
-    with _split_into(3), _in_children(lambda: None, in_parent):
-        cli.os.fork.side_effect = lambda: forks.pop(0)()
-        assert run(argv) == 0
-        assert cli.os.fork.call_count == 2
-    assert in_parent == [[0.0, 0.01], [0.05, 0.1, 0.2]]
-    assert capsys.readouterr() == serial
-    _assert_no_child_left()
+    fds = len(os.listdir("/proc/self/fd"))
+    for name, n in (("fork", 0), ("fork", 1), ("pipe", 0), ("pipe", 1)):
+        calls = [getattr(os, name)] * n + [mock.Mock(side_effect=OSError(11, f"{name} refused"))]
+        in_parent = []
+        with _split_into(3), _in_children(lambda: None, in_parent):
+            getattr(cli.os, name).side_effect = lambda: calls.pop(0)()
+            assert run(argv) == 0
+            assert cli.os.fork.call_count == n + (name == "fork")
+            assert cli.os.kill.call_count == n  # the child forked before, if any
+        assert in_parent == [_ALL_ROWS], (name, n)
+        assert capsys.readouterr() == serial
+        _assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds, (name, n)
 
 
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
@@ -808,8 +803,9 @@ def test_a_child_whose_parent_is_killed_exits_at_its_next_block(tmp_path):
 
 def test_a_child_killed_partway_through_its_text_is_completed_in_process(capsys):
     # blocks of 2 y rows: the child's values are good, it writes its first
-    # block of text and half of its second, and is killed.  This process
-    # evaluates the child's rows again and writes the text it did not deliver
+    # block of text and half of its second, and is killed.  This process kills
+    # and reaps its children, evaluates the whole grid as one process does and
+    # writes the text past what it has written
     argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
     with _blocks_of(7), _split_into(1):
         assert run(argv) == 0
@@ -829,7 +825,8 @@ def test_a_child_killed_partway_through_its_text_is_completed_in_process(capsys)
         cli.os.write.side_effect = write
         assert run(argv) == 0
         assert cli.os.fork.call_count == 1
-    assert in_parent == [[0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]
+    assert in_parent == [[0.0, 0.01], [0.05, 0.1],  # this process's slice
+                         [0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]  # the whole grid
     assert capsys.readouterr() == serial
     _assert_no_child_left()
 
@@ -1309,6 +1306,21 @@ def test_a_grid_value_that_is_not_finite_exits_2(ic, g, value, capsys):
     assert captured.err == (
         f"fracadm: numeric error: value at x = 10000000000.0, y = 0.0 is {value}\n"
     )
+
+
+def test_an_overflowing_power_exits_2_naming_itself(capsys):
+    assert run(["solve", "--ic", "x^2", "--terms", "1", "--grid", "x=1e300;y=0"]) == 2
+    assert capsys.readouterr() == (
+        "", "fracadm: numeric error: x = 1e+300 with exponent 2.0 overflows\n"
+    )
+
+
+def test_example_1_has_its_exact_column_where_cosh_overflows(capsys):
+    # sech(711) is about 3.3e-309: the exact solution is x*tanh(y) = 0.5
+    assert run(["solve", "--example", "1", "--terms", "6", "--grid", "x=0.5;y=711"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _rows(captured.out)[1][0][5] == "0.5"
 
 
 def test_exponent_next_to_0_is_not_0(capsys):

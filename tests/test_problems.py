@@ -75,6 +75,24 @@ def test_exact_solution_closed_forms():
     )
 
 
+def test_example_1_is_finite_where_cosh_overflows():
+    # sech is finite for every finite y, and past y = 710.4759 cosh overflows:
+    # there it equals mpmath's correctly rounded sech at these points, and
+    # below it is 1 / cosh(y) bit for bit
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        for y in (710.5, 720.0, 745.0, 800.0):
+            with pytest.raises(OverflowError):
+                math.cosh(y)
+            sech = float(mpmath.sech(mpmath.mpf(y)))
+            assert exact_solution(1, 0.0, y) == sech, y
+            assert exact_solution(1, 0.5, y) == 0.5 * math.tanh(y) + sech, y
+    assert exact_solution(1, 0.0, 745.0) == 5e-324  # 2.0 * math.exp(-745) is 1e-323
+    for y in (0.0, 0.3, 1.0, 20.0, 355.0, 700.0, 710.0, 710.4758):
+        assert exact_solution(1, 0.0, y) == 1.0 / math.cosh(y), y
+        assert exact_solution(1, 0.7, y) == 0.7 * math.tanh(y) + 1.0 / math.cosh(y), y
+
+
 def test_exact_solution_singular_points():
     with pytest.raises(SingularPointError):
         exact_solution(2, 0.5, 1.0)

@@ -362,6 +362,21 @@ def test_evaluate_domain_errors():
         S((1, 0, 0)).evaluate(0.5, -0.1)
 
 
+@pytest.mark.parametrize(
+    "term, x, y, message",
+    [((1, 2, 0), 1e300, 0.0, "x = 1e+300 with exponent 2.0 overflows"),
+     ((1, 3, 0), -1e200, 0.5, "x = -1e+200 with exponent 3.0 overflows"),
+     ((1, 0, 1.5), 0.5, 1e300, "y = 1e+300 with exponent 1.5 overflows")],
+)
+def test_an_overflowing_power_names_its_variable_value_and_exponent(term, x, y, message):
+    # math.pow's own message, "math range error", names no point
+    s = S(term)
+    for evaluate in (lambda: s.evaluate(x, y), lambda: s.evaluate_grid([x], [y])):
+        with pytest.raises(OverflowError) as raised:
+            evaluate()
+        assert str(raised.value) == message
+
+
 def test_evaluate_negative_x_integer_exponents():
     assert S((1, 2, 0)).evaluate(-0.5, 0.0) == pytest.approx(0.25)
     assert S((1, 3, 0)).evaluate(-0.5, 0.0) == pytest.approx(-0.125)
