@@ -55,23 +55,24 @@ __all__ = ["run", "main"]
 MAX_GRID_POINTS = 1_000_000
 # `solve --grid` evaluates and writes whole y rows, about this many points at
 # a time, or pieces of this many points of a wider row: enough for
-# evaluate_grid's x rows to amortize, few enough that the formatted text of a
-# block stays small.
+# evaluate_grid's factor rows to amortize, few enough that the formatted text
+# of a block stays small.
 _BLOCK_POINTS = 65_536
 # `solve --grid` splits its evaluation across CPUs only into slices of at
 # least this many point-terms (grid points times series terms).  On a 2-core
-# x86 VM, with each child streaming its text, a 35-point-wide grid of a
-# 130-term series split in two took 1.23-1.37 times as long as in one process
-# at 50,000 point-terms, 0.91-0.95 at 100,000, 0.75-0.78 at 200,000 and
-# 0.62-0.66 at 400,000 (medians of two sets of 16 alternating fresh-process
-# runs): the crossover lies between 50,000 and 100,000, about 10 ms of serial
-# evaluation and formatting.
-_SPLIT_POINT_TERMS = 100_000
+# x86 VM, with each child streaming its text and evaluation grouped by
+# exponent, a 35-point-wide grid of a 130-term series split in two took
+# 0.98-1.06 times as long as in one process at 300,000 point-terms, 0.96-1.03
+# at 400,000, 0.95-1.00 at 600,000 and 0.89-0.93 at 1,040,000 (medians of two
+# sets of 24 alternating fresh-process runs): the crossover lies between
+# 400,000 and 600,000, and a grid splits in two from 600,000, the first
+# measured size where the split pays.
+_SPLIT_POINT_TERMS = 300_000
 # `solve --grid` evaluates at most this many point-terms, checked after the
 # solve and before any evaluation: a round value above the largest grid the
 # tests evaluate, 1,000,000 points of a 130-term series (130,000,000 point-
-# terms, 7.6 s on a 2-core x86 VM).  There, 51,000 points of a 2,927-term
-# series (149,277,000) took 11.6-14.4 s.
+# terms, 2.0-2.4 s on a 2-core x86 VM, split in two).  There, 51,000 points of
+# a 2,927-term series (149,277,000) took 0.9-1.2 s.
 _GRID_WORK_BUDGET = 150_000_000
 # A forked child streams its slice's text into a pipe raised to this size (best
 # effort: Linux's default cap for an unprivileged process), and `solve --grid`

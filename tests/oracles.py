@@ -10,8 +10,10 @@ Each oracle takes another route than the code it checks:
   ``Fraction`` exponents, not through packed integer keys;
 * ``per_depth_scan_oracle`` solves afresh for every truncation depth, not
   once per order pair;
-* ``pointwise_evaluate_oracle`` evaluates one point term by term, not a
-  whole grid from powers shared per grid value;
+* ``grouped_evaluate_oracle`` evaluates one point by plain loops over the
+  groups of terms, not a whole grid from factor rows shared per grid value;
+* ``pointwise_evaluate_oracle`` evaluates one point term by term: the sum
+  that names the error of a failing point;
 * ``nested_partial_sums_oracle`` folds the partial sums by ``+``, one
   normalization per component, not one normalization per partial sum;
 * ``residual_oracle`` evaluates the equation's residual by differentiating
@@ -200,7 +202,7 @@ def per_depth_scan_oracle(example: int, n_max: int) -> list[ScanRow]:
                 if phi is None:
                     devs.append(math.inf)
                     continue
-                approx = pointwise_evaluate_oracle(phi, x, y)
+                approx = grouped_evaluate_oracle(phi, x, y)
                 devs.append(_rel_dev(approx, row[col]))
                 if pair == CLASSICAL_PAIR and _error_resolvable(row[4], exact):
                     err_dev = _rel_dev(abs(exact - approx), row[4])
@@ -210,12 +212,52 @@ def per_depth_scan_oracle(example: int, n_max: int) -> list[ScanRow]:
     return rows
 
 
-def pointwise_evaluate_oracle(s: FracSeries, x: float, y: float) -> float:
-    """One point of a series, a power per term: the loop ``evaluate_grid`` replaced.
+def grouped_evaluate_oracle(s: FracSeries, x: float, y: float) -> float:
+    """One point of a series as ``FracSeries.evaluate`` defines it, by plain loops.
 
-    ``FracSeries.evaluate_grid`` must return these values bit for bit and,
-    on a failing grid, raise what this raises at the first failing point.
-    A value that is not finite is a failure, as it is for ``evaluate``.
+    The terms are grouped by their exact exponent (a numerator over the
+    series' denominator) on the axis with fewer distinct ones (y on a tie),
+    groups in ascending order of it; a group's factor is the fsum of
+    coeff * w**p over its terms, in term order, with w the other variable,
+    and the value is the fsum of each factor times v**g.  Powers are taken
+    at the float exponents of ``terms``.  A point fails when y < 0, a power
+    or an fsum fails, or the value is not finite; it then raises what
+    ``pointwise_evaluate_oracle`` raises there, or its own failure if that
+    sum is finite.
+    """
+    exact = list(zip(s._xs, s._ys))
+    by_x = len({n for n, _ in exact}) < len({m for _, m in exact})
+    (v, v_var), (w, w_var) = ((x, "x"), (y, "y")) if by_x else ((y, "y"), (x, "x"))
+    groups: dict[int, tuple[float, list[tuple[float, float]]]] = {}
+    for t, (n, m) in zip(s.terms, exact):
+        key, g, p = (n, t.px, t.py) if by_x else (m, t.py, t.px)
+        groups.setdefault(key, (g, []))[1].append((t.coeff, p))
+    groups = [groups[key] for key in sorted(groups)]
+    try:
+        if y < 0.0:
+            raise EvaluationDomainError(f"y must be >= 0, got {y!r}")
+        factors = [math.fsum([c * _power_oracle(w, p, w_var) for c, p in terms])
+                   for _, terms in groups]
+        powers = [_power_oracle(v, g, v_var) for g, _ in groups]
+        value = math.fsum([f * q for f, q in zip(factors, powers)])
+        failure = None
+    except (ArithmeticError, ValueError) as exc:
+        value, failure = None, exc
+    if failure is None and math.isfinite(value):
+        return value
+    pointwise_evaluate_oracle(s, x, y)
+    if failure is not None:
+        raise failure
+    raise OverflowError(f"value at x = {x!r}, y = {y!r} is {value!r}")
+
+
+def pointwise_evaluate_oracle(s: FracSeries, x: float, y: float) -> float:
+    """One point of a series, a power per term: the term-order sum.
+
+    It was the definition of a value before evaluation grouped the terms.
+    A point that fails raises what this raises there, if it fails: the first
+    failing power in term order, or an fsum that fails before it.  A value
+    that is not finite is a failure, as it is for ``evaluate``.
     """
     if y < 0.0:
         raise EvaluationDomainError(f"y must be >= 0, got {y!r}")

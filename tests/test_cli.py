@@ -20,7 +20,7 @@ from fracadm.cli import MAX_GRID_POINTS, parse_grid, run, UsageError
 from fracadm.parser import parse_series
 from fracadm.problems import CLASSICAL_PAIR, builtin_problem, exact_solution, make_table
 from fracadm.series import FracSeries, FracTerm
-from oracles import pointwise_evaluate_oracle
+from oracles import grouped_evaluate_oracle
 
 
 def S(*terms):
@@ -325,7 +325,7 @@ def test_solve_failing_in_a_later_block_writes_nothing(tmp_path, capsys):
     with pytest.raises(ValueError) as first:  # EvaluationDomainError
         for y in ys:
             for x in xs:
-                pointwise_evaluate_oracle(phi, x, y)
+                grouped_evaluate_oracle(phi, x, y)
     target = tmp_path / "out.csv"
     block_sizes = []
     evaluate_grid = FracSeries.evaluate_grid
@@ -771,14 +771,15 @@ def test_a_child_whose_parent_is_killed_exits_at_its_next_block(tmp_path):
     # evaluating: 1,000 x 1,000 points of a 130-term series in blocks of 4,096
     # points, so the child's slice of 500 y rows is about 120 blocks.  On a
     # 2-core x86 VM a child that did not look for its parent ran on for 6.7 s
-    # after the kill.  Blocked: 1,000 x 40 points with the exact columns, so
-    # the child's 20 y rows are about 1.8 MB of text, past a pipe of 1 MB; its
-    # write fails once the calling process, the only reader, is gone
+    # after the kill.  Blocked: 1,000 x 60 points of a 12-term series with the
+    # exact columns (720,000 point-terms, so the grid splits), so the child's
+    # 30 y rows are about 2.9 MB of text, past a pipe of 1 MB; its write fails
+    # once the calling process, the only reader, is gone
     cases = [
         ("evaluating", _ANNOUNCE_FORK, ["--alpha", "0.5", "--beta", "0.5", "--terms", "20",
                                         "--grid", "x=0.001:1:0.001;y=0.0001:0.1:0.0001"]),
         ("blocked", _ANNOUNCE_FORK + _BLOCK_ON_A_FULL_PIPE,
-         ["--terms", "6", "--grid", "x=0.001:1:0.001;y=0.01:0.4:0.01"]),
+         ["--terms", "6", "--grid", "x=0.001:1:0.001;y=0.01:0.6:0.01"]),
     ]
     for case, script, options in cases:
         argv = [sys.executable, "-c", script + _RUN, "solve", "--example", "1", *options,

@@ -25,7 +25,7 @@ from fracadm.problems import (
 from fracadm.adm import solve
 from fracadm.series import FracSeries, FracTerm
 from helpers import assert_series_close, cells_by_key
-from oracles import per_depth_scan_oracle, pointwise_evaluate_oracle
+from oracles import grouped_evaluate_oracle, per_depth_scan_oracle
 
 G = math.gamma
 
@@ -220,7 +220,7 @@ def test_make_table_matches_pointwise_evaluation(example, n_terms):
     for y in Y_GRID:
         for x in X_GRID:
             for pair in ORDER_PAIRS:
-                approx = pointwise_evaluate_oracle(phis[pair], x, y)
+                approx = grouped_evaluate_oracle(phis[pair], x, y)
                 exact = error = None
                 if pair == CLASSICAL_PAIR:
                     exact = exact_solution(example, x, y)

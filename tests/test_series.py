@@ -1,10 +1,12 @@
 """Series algebra, fractional operators, and the quadrature cross-check."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from fracadm import series
 from fracadm.adm import ProblemSpec, solve
 from fracadm.gammafn import gamma_ratio
 from fracadm.parser import parse_series
+from fracadm.problems import builtin_problem
 from fracadm.series import (
     Axis,
     EvaluationDomainError,
@@ -29,7 +32,7 @@ from helpers import assert_series_close, random_series
 from oracles import (
     caputo_quadrature_oracle,
     exact_exponent,
-    pointwise_evaluate_oracle,
+    grouped_evaluate_oracle,
     sort_merge_normalize_oracle,
 )
 
@@ -382,7 +385,7 @@ def test_evaluate_negative_x_integer_exponents():
     assert S((1, 3, 0)).evaluate(-0.5, 0.0) == pytest.approx(-0.125)
 
 
-# -- grid evaluation against the pointwise oracle -----------------------------
+# -- grid evaluation against the grouped oracle ------------------------------
 
 
 def _outcome(compute):
@@ -398,7 +401,7 @@ def _grid_vs_oracle(s, xs, ys):
     and of the oracle at each point."""
     grid = _outcome(lambda: s.evaluate_grid(xs, ys))
     points = _outcome(lambda: [s.evaluate(x, y) for y in ys for x in xs])
-    want = _outcome(lambda: [pointwise_evaluate_oracle(s, x, y) for y in ys for x in xs])
+    want = _outcome(lambda: [grouped_evaluate_oracle(s, x, y) for y in ys for x in xs])
     return grid, points, want
 
 
@@ -440,7 +443,8 @@ _grid_ys = st.lists(
 @settings(max_examples=400, deadline=None)
 @given(_grid_series, _grid_xs, _grid_ys, st.sampled_from([1, 2, 3, 256]))
 def test_evaluate_grid_matches_pointwise_oracle(s, xs, ys, block_rows):
-    # small blocks make the grid wider than one block of x rows
+    # point by point: each value is the grouped oracle's, each failure the
+    # term-order oracle's; small blocks make the grid wider than one block
     with mock.patch.object(series, "_GRID_BLOCK_TERMS", block_rows * len(s)):
         got, points, want = _grid_vs_oracle(s, xs, ys)
     assert got == want
@@ -467,19 +471,20 @@ def test_evaluate_grid_builds_each_y_row_once(ys):
     rng = random.Random(11)
     s = S((1.5, 0, 0), (-2, 0.5, 0.25), (0.75, 1, 1), (3, 2, 0.5))
     xs = [rng.uniform(0.0, 2.0) for _ in range(9)]
-    rows = []
-    row = series._Powers.row
+    built = []
+    rows = series._Factors.rows
 
-    def counted(powers, value):
-        rows.append((powers.var, value))
-        return row(powers, value)
+    def counted(factors, values):
+        built.extend(values)
+        return rows(factors, values)
 
     with mock.patch.object(series, "_GRID_BLOCK_TERMS", max(8, 4 * len(ys))), \
-            mock.patch.object(series._Powers, "row", counted):
-        got, points, want = _grid_vs_oracle(s, xs, ys)
-    assert got == want
-    assert points == want
-    assert [value for var, value in rows if var == "y"] == ys
+            mock.patch.object(series._Factors, "rows", counted):
+        got = s.evaluate_grid(xs, ys)
+    assert got == [grouped_evaluate_oracle(s, x, y) for y in ys for x in xs]
+    assert got == [s.evaluate(x, y) for y in ys for x in xs]
+    # the y rows first, then the x rows block by block: each value once
+    assert built == ys + xs
 
 
 def test_evaluate_grid_memory_is_bounded_by_held_products():
@@ -495,13 +500,13 @@ def test_evaluate_grid_memory_is_bounded_by_held_products():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert got[::85] == [pointwise_evaluate_oracle(s, x, 0.1) for x in xs[::85]]
+    assert got[::85] == [grouped_evaluate_oracle(s, x, 0.1) for x in xs[::85]]
 
 
 def test_evaluate_grid_reads_the_lattice():
     # no evaluation builds the float view of the terms, not even a failing one
     s = S((1, 0.5, 0), (2, 1, 0.3), (-1, 0.5, 0.3))
-    want = [pointwise_evaluate_oracle(s, x, y) for y in (0.0, 0.1) for x in (0.3, 0.6)]
+    want = [grouped_evaluate_oracle(s, x, y) for y in (0.0, 0.1) for x in (0.3, 0.6)]
     float_view = property(lambda _: pytest.fail("the float view was built"))
     with mock.patch.object(FracSeries, "terms", float_view):
         got = s.evaluate_grid([0.3, 0.6], [0.0, 0.1])
@@ -570,6 +575,46 @@ def test_evaluate_grid_two_failure_grid_reports_first_point():
     got, points, want = _grid_vs_oracle(phi, (0.5, 0.0), (0.1, -0.2))
     assert got == want
     assert points == want
+
+
+# -- grid values against 40-digit arithmetic ----------------------------------
+
+
+_DEEP_PAIR = (0.897148293561466, 0.7433369009864794)
+
+
+@pytest.mark.parametrize(
+    "problem, axis",
+    [
+        pytest.param(builtin_problem(1, 0.5, 0.5, 20), "x", id="ex1-by-x"),
+        pytest.param(builtin_problem(1, *_DEEP_PAIR, 20), "y", id="ex1-deep-by-y"),
+        pytest.param(builtin_problem(3, 0.5, 0.5, 20), "y", id="ex3-by-y"),
+        pytest.param(builtin_problem(2, 0.5, 0.5, 4), "tie", id="ex2-tie"),
+        pytest.param(ProblemSpec(0.5, 0.5, parse_series("1+x"), parse_series("1"), 3), "tie",
+                     id="custom-tie"),
+    ],
+)
+def test_grid_values_are_within_the_rounding_bound(problem, axis):
+    # A term c * w**p * v**g passes through two math.pow calls (within one
+    # ulp each, a relative 2u with u = 2**-53), two multiplies (u each) and
+    # its group's fsum (u): a relative 7u at most.  The fsum over the groups
+    # adds u of the value, which is at most the sum of |terms|, M.  So a
+    # value is within 8u * M of the exact sum, and u * M is under one ulp of
+    # M.  Measured over six series x 300 points: 1.53 ulps at worst, against
+    # 1.49 for the term-order sum.
+    phi = solve(problem).partial_sum(problem.n_terms)
+    n_x, n_y = len({t.px for t in phi.terms}), len({t.py for t in phi.terms})
+    assert axis == ("x" if n_x < n_y else "y" if n_y < n_x else "tie")
+    xs = [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0]
+    ys = [0.0, 0.01, 0.1, 0.25, 0.4, 0.55, 0.75, 1.0]
+    got = phi.evaluate_grid(xs, ys)
+    with mpmath.workdps(40):
+        terms = [tuple(map(mpmath.mpf, t)) for t in phi.terms]
+        for value, (y, x) in zip(got, ((y, x) for y in ys for x in xs)):
+            parts = [c * mpmath.mpf(x) ** px * mpmath.mpf(y) ** py for c, px, py in terms]
+            magnitude = float(mpmath.fsum(map(abs, parts)))
+            ulp = math.ldexp(1.0, math.frexp(magnitude)[1] - 53)
+            assert abs(mpmath.mpf(value) - mpmath.fsum(parts)) <= 8 * ulp, (x, y)
 
 
 def test_merge_rejects_non_finite_coefficients():
