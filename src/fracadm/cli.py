@@ -13,8 +13,8 @@ after the input is read, such as a grid past the evaluation budget) or memory
 runs out.  Every value is computed before the first byte is written; if the
 writing itself fails, a partial --out file is removed.
 
-solve may split a large grid across the CPUs the process may run on, and
-always prints what one process prints (see ``_grid_blocks``).
+solve evaluates a grid in this one process, then forms and writes its text
+one block at a time (see ``_grid_blocks``).
 
 main() freezes the start-up heap before the call, so that no collection walks
 it again, and ends the process by os._exit once stdout and stderr are
@@ -31,7 +31,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, repeat
+from itertools import repeat
 from types import SimpleNamespace
 
 from .adm import ProblemSpec, solve
@@ -58,26 +58,12 @@ MAX_GRID_POINTS = 1_000_000
 # evaluate_grid's factor rows to amortize, few enough that the formatted text
 # of a block stays small.
 _BLOCK_POINTS = 65_536
-# `solve --grid` splits its evaluation across CPUs only into slices of at
-# least this many point-terms (grid points times series terms).  On a 2-core
-# x86 VM, with each child streaming its text and evaluation grouped by
-# exponent, a 35-point-wide grid of a 130-term series split in two took
-# 0.98-1.06 times as long as in one process at 300,000 point-terms, 0.96-1.03
-# at 400,000, 0.95-1.00 at 600,000 and 0.89-0.93 at 1,040,000 (medians of two
-# sets of 24 alternating fresh-process runs): the crossover lies between
-# 400,000 and 600,000, and a grid splits in two from 600,000, the first
-# measured size where the split pays.
-_SPLIT_POINT_TERMS = 300_000
 # `solve --grid` evaluates at most this many point-terms, checked after the
-# solve and before any evaluation: a round value above the largest grid the
-# tests evaluate, 1,000,000 points of a 130-term series (130,000,000 point-
-# terms, 2.0-2.4 s on a 2-core x86 VM, split in two).  There, 51,000 points of
-# a 2,927-term series (149,277,000) took 0.9-1.2 s.
+# solve and before any evaluation: a round value above 1,000,000 points of
+# example 1's 130-term series at (0.5, 0.5) (130,000,000 point-terms, 3.0-3.8 s
+# on a 2-core x86 VM).  There, 51,000 points of a 2,927-term series
+# (149,277,000) took 1.1-1.6 s.
 _GRID_WORK_BUDGET = 150_000_000
-# A forked child streams its slice's text into a pipe raised to this size (best
-# effort: Linux's default cap for an unprivileged process), and `solve --grid`
-# reads it up to this many bytes at a time.
-_PIPE_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -281,130 +267,36 @@ def _cmd_solve(args) -> Iterable[str]:
     return _grid_blocks(phi, xs, ys, args.example if classical else None, args)
 
 
-def _blocks(nx: int, first: int, end: int) -> Iterator[tuple[int, int, int, int]]:
-    """The blocks of y rows first..end-1 of a grid nx x values wide, in row
-    order, as (y0, y1, x0, x1): whole y rows of about ``_BLOCK_POINTS`` points,
-    or pieces of that many x values of a wider row; either is contiguous."""
+def _blocks(nx: int, ny: int) -> Iterator[tuple[int, int, int, int]]:
+    """The blocks of a grid of nx x values and ny y rows, in row order, as
+    (y0, y1, x0, x1): whole y rows of about ``_BLOCK_POINTS`` points, or pieces
+    of that many x values of a wider row; either is contiguous."""
     block_rows = max(1, _BLOCK_POINTS // nx)
     width = min(nx, _BLOCK_POINTS)  # block_rows is 1 if a row is cut
-    for y0 in range(first, end, block_rows):
+    for y0 in range(0, ny, block_rows):
         for x0 in range(0, nx, width):
-            yield y0, min(y0 + block_rows, end), x0, min(x0 + width, nx)
+            yield y0, min(y0 + block_rows, ny), x0, min(x0 + width, nx)
 
 
 def _grid_blocks(phi: FracSeries, xs, ys, example: int | None, args) -> Iterator[str]:
     """The header, then the text of each block of ``_blocks`` in row order;
     every row's cells after approx are its exact and abs_error, the solution
-    of ``example`` (None for none), or empty.  Nothing is yielded before every
-    value is computed.
+    of ``example`` (None for none), or empty.
 
-    One process's output is the definition: ``_slice`` of every y row.  A
-    split is an optimisation of it.  The y rows are cut into k contiguous
-    slices, k at most the CPUs this process may run on, the y rows, and the
-    work in ``_SPLIT_POINT_TERMS`` units, and a forked child takes each slice
-    after the first.  A child writes one byte on its own pipe once its values
-    are good, then streams its text there a block at a time; this process
-    evaluates its own slice meanwhile, reads each child's byte, writes its own
-    rows, then copies each child's text in row order.  So each process holds
-    the values of its slice and one block of text, this process also one read
-    of at most 1 MB, and each pipe buffers at most 1 MB.  On any failure of a
-    split (a refused pipe or fork, an ArithmeticError or ValueError in this
-    process's slice, a child that sends no byte or exits non-zero after its
-    text), every child is killed and reaped, and this process evaluates the
-    whole grid as one process does and yields the characters past those it
-    has yielded: so the output, the failure and the exit code are one
-    process's.  Any other exit kills and reaps every child too.  A child whose
-    calling process is gone exits before its next block, or at its next
-    write, as only that process holds its pipe's read end.  The library never
-    forks: its callers may have threads.
+    Nothing is yielded before every value is computed: all of phi's, bit for
+    bit one ``evaluate_grid`` call per block, then all of the exact solution,
+    so an approx failure anywhere outranks an exact one.  The values are held
+    as doubles, and the text is formed one block at a time as it is written.
     """
-    parent = os.getpid()
-    k = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        work = len(xs) * len(ys) * len(phi) // _SPLIT_POINT_TERMS
-        k = max(1, min(len(os.sched_getaffinity(0)), len(ys), work))
-    cuts = [len(ys) * i // k for i in range(k + 1)]
-    header = _GRID_HEADER.replace(",", _separator(args)) + "\n"
-    children = {}  # the read end of each child's pipe: its pid, in row order
-    done = 0  # characters yielded
-    try:
-        for first, end in zip(cuts[1:], cuts[2:]):
-            import fcntl
-
-            fd, w = os.pipe()
-            children[fd] = None  # until forked
-            try:
-                with contextlib.suppress(OSError):  # best effort: the child streams
-                    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)  # more before a read
-                if not (pid := os.fork()):  # the child: whatever happens, it exits here
-                    status = 1
-                    try:
-                        for other in children:  # only the caller holds a read end,
-                            os.close(other)  # so a write fails once it is gone
-                        text = _slice(phi, xs, ys, first, end, example, args, parent)
-                        os.write(w, b"+")  # every value is good
-                        for block in text:
-                            data = memoryview(block.encode())
-                            while data:
-                                data = data[os.write(w, data):]
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children[fd] = pid
-            finally:
-                os.close(w)
-        text = _slice(phi, xs, ys, 0, cuts[1], example, args, parent)
-        if not all(os.read(fd, 1) for fd in children):
-            raise ChildProcessError("a child's values are not good")
-        for block in chain((header,), text):
-            done += len(block)
-            yield block
-        for fd, pid in list(children.items()):
-            while chunk := os.read(fd, _PIPE_BYTES):
-                done += len(chunk)
-                yield chunk.decode()
-            status = os.waitpid(pid, 0)[1]
-            del children[fd]
-            os.close(fd)
-            if status:
-                raise ChildProcessError(f"a child exited with status {status}")
-        return
-    except (OSError, ArithmeticError, ValueError):
-        if k == 1:
-            raise
-    finally:
-        for fd, pid in children.items():
-            if pid is not None:
-                import signal
-
-                # an interrupt can land between waitpid and the del: the child is gone
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            os.close(fd)
-    yield from _skip(chain((header,), _slice(phi, xs, ys, 0, len(ys), example, args, parent)), done)
-
-
-def _slice(phi: FracSeries, xs, ys, first: int, end: int, example: int | None, args,
-           parent: int) -> Iterator[str]:
-    """The text of y rows first..end-1, one string per block of ``_blocks``,
-    once every value is computed: all of phi's, bit for bit one
-    ``evaluate_grid`` call per block, then all of the exact solution of
-    ``example`` (None for none).  So approx comes before exact in every
-    process, and a failure raises what one process raises.  A forked child
-    whose calling process, ``parent``, is gone exits before its next block."""
     from array import array  # an extension module: table and scan start without it
 
-    blocks = list(_blocks(len(xs), first, end))
-    approx = []
-    for y0, y1, x0, x1 in blocks:
-        if os.getpid() != parent and os.getppid() != parent:
-            os._exit(1)  # no one reads on
-        approx.append(array("d", phi.evaluate_grid(xs[x0:x1], ys[y0:y1])))
+    blocks = list(_blocks(len(xs), len(ys)))
+    approx = [array("d", phi.evaluate_grid(xs[x0:x1], ys[y0:y1])) for y0, y1, x0, x1 in blocks]
     exact = None if example is None else [
         array("d", (exact_solution(example, x, y) for y in ys[y0:y1] for x in xs[x0:x1]))
         for y0, y1, x0, x1 in blocks]
-    return _text(xs, ys, blocks, approx, exact, args)
+    yield _GRID_HEADER.replace(",", _separator(args)) + "\n"
+    yield from _text(xs, ys, blocks, approx, exact, args)
 
 
 def _text(xs, ys, blocks: list, approx: list, exact: list | None, args) -> Iterator[str]:
@@ -431,14 +323,6 @@ def _text(xs, ys, blocks: list, approx: list, exact: list | None, args) -> Itera
             lines = [y_cell + p + format(v, spec) + t for p, v, t in zip(prefixes, values[row], tails)]
             block.append("".join(lines))
         yield "".join(block)
-
-
-def _skip(blocks: Iterable[str], n: int) -> Iterator[str]:
-    """``blocks`` less their first n characters."""
-    for block in blocks:
-        if n < len(block):
-            yield block[n:]
-        n = max(0, n - len(block))
 
 
 def _cmd_table(args) -> list[str]:
@@ -538,7 +422,6 @@ def _help(command: str | None) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    blocks = iter(())
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         blocks = iter([args.help] if args.help else _COMMANDS[args.command][0](args))
@@ -577,16 +460,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"fracadm: numeric error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # solve --grid's generator kills and reaps any child still streaming
-        if hasattr(blocks, "close"):
-            blocks.close()
     return 0
 
 
 def main() -> None:
     # every object made so far lives until exit: frozen, it is walked by no
-    # collection, and a forked child's collections leave its pages shared
+    # collection
     gc.freeze()
     code = run()
     # os._exit skips the exit flush: run() flushed stdout, so bytes left there

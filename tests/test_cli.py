@@ -3,7 +3,6 @@
 import array
 import math
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -249,14 +248,12 @@ def _blocks_of(points):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 100), st.data())
-def test_blocks_cover_the_rows_once_in_row_order(nx, ny, block_points, data):
-    first = data.draw(st.integers(0, ny), label="first")
-    end = data.draw(st.integers(first, ny), label="end")
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 100))
+def test_blocks_cover_the_rows_once_in_row_order(nx, ny, block_points):
     with _blocks_of(block_points):
-        blocks = list(cli._blocks(nx, first, end))
+        blocks = list(cli._blocks(nx, ny))
     points = [(y, x) for y0, y1, x0, x1 in blocks for y in range(y0, y1) for x in range(x0, x1)]
-    assert points == [(y, x) for y in range(first, end) for x in range(nx)]
+    assert points == [(y, x) for y in range(ny) for x in range(nx)]
     for y0, y1, x0, x1 in blocks:
         assert 0 < (y1 - y0) * (x1 - x0) <= block_points
         assert y1 - y0 == 1 or (x0, x1) == (0, nx)
@@ -366,16 +363,47 @@ def test_solve_cuts_a_wide_row_into_pieces_in_row_order(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "ys, first",
+    [("0.1,0.2,0.3,0.4,-0.2,-0.1", "-0.2"), ("0.1,-0.3,0.3,0.4,0.5,0.6", "-0.3"),
+     ("0.1,-0.3,0.3,0.4,-0.2,0.6", "-0.3")],
+    ids=["late", "early", "both"],
+)
+def test_solve_grid_reports_the_first_failing_row(ys, first, tmp_path, capsys):
+    # the first failing point in row order is reported, wherever the other
+    # failures are, and no --out file is left
+    argv = ["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.6", "--beta", "0.7",
+            "--terms", "4", "--grid", f"x=0.5,0.25;y={ys}"]
+    target = tmp_path / "out.csv"
+    for out in ([], ["--out", str(target)]):
+        assert run([*argv, *out]) == 2
+        assert capsys.readouterr() == ("", f"fracadm: numeric error: y must be >= 0, got {first}\n")
+    assert not target.exists()
+
+
+def test_an_approx_failure_outranks_an_exact_one_in_an_earlier_row(capsys):
+    # one point a block: the rows y = 0.5 and 1 evaluate first, and example
+    # 2's exact solution is singular at y = 1, but the approx value fails at
+    # y = -0.1.  Every approx value is computed before any exact one
+    argv = ["solve", "--example", "2", "--terms", "3", "--grid", "x=0.5;y=0.5,1,0.2,-0.1"]
+    with _blocks_of(1):
+        assert run(argv) == 2
+    assert capsys.readouterr() == ("", "fracadm: numeric error: y must be >= 0, got -0.1\n")
+
+
 def test_memory_running_out_exits_2(capsys):
     with mock.patch.object(cli, "make_table", side_effect=MemoryError):
         assert run(["table", "--example", "4", "--terms", "2"]) == 2
     assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
 
 
+_EIGHT_ROWS = "x=0,0.3,0.9;y=0,0.01,0.05,0.1,0.2,0.5,1,2"
+
+
 def test_no_memory_for_the_grid_values_exits_2(capsys):
-    # each block's values are copied into an array of doubles, in every
-    # process; refusing that copy in this process is running out of memory,
-    # as refusing any other allocation is, and it leaves no child behind
+    # each block's values are copied into an array of doubles; refusing the
+    # first block's copy is running out of memory, as refusing any other
+    # allocation is, and no later block is evaluated
     real_array, evaluate_grid = array.array, FracSeries.evaluate_grid
     evaluated = []
 
@@ -388,13 +416,25 @@ def test_no_memory_for_the_grid_values_exits_2(capsys):
             raise MemoryError
         return real_array(typecode, values)
 
-    with _split_into(2), mock.patch.object(FracSeries, "evaluate_grid", evaluate), \
+    with _blocks_of(7), mock.patch.object(FracSeries, "evaluate_grid", evaluate), \
             mock.patch("array.array", allocate):
-        assert run(["solve", "--example", "4", "--terms", "2", "--grid", _SPLIT_GRID]) == 2
-        assert cli.os.fork.call_count == 1
+        assert run(["solve", "--example", "4", "--terms", "2", "--grid", _EIGHT_ROWS]) == 2
     assert len(evaluated) == 1
     assert capsys.readouterr() == ("", "fracadm: error: out of memory\n")
-    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_a_failing_evaluation_writes_nothing(error, capsys):
+    # running out of memory exits 2; an interrupt is not caught
+    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _EIGHT_ROWS]
+    with mock.patch.object(FracSeries, "evaluate_grid", side_effect=error):
+        if error is MemoryError:
+            assert run(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+    err = "fracadm: error: out of memory\n" if error is MemoryError else ""
+    assert capsys.readouterr() == ("", err)
 
 
 _GRID_BLOCKS = cli._grid_blocks  # the original, for _fail_after_header
@@ -538,382 +578,6 @@ def test_run_never_freezes(capsys):
     with mock.patch.object(cli.gc, "freeze", side_effect=AssertionError("frozen")) as freeze:
         assert run(["table", "--example", "4", "--terms", "2"]) == 0
     freeze.assert_not_called()
-
-
-# -- solve --grid split across CPUs ----------------------------------------------
-
-
-def _split_into(k, point_terms=1):
-    """Patch the CLI so that solve --grid cuts its y rows into k slices, given
-    at least k rows and ``point_terms`` point-terms a slice."""
-    return mock.patch.multiple(
-        cli,
-        _SPLIT_POINT_TERMS=point_terms,
-        os=mock.Mock(wraps=os, sched_getaffinity=mock.Mock(return_value=set(range(k)))),
-    )
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-_SPLIT_GRID = "x=0,0.3,0.9;y=0,0.01,0.05,0.1,0.2,0.5,1,2"
-
-
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("block_points", [cli._BLOCK_POINTS, 7])
-@pytest.mark.parametrize(
-    "fmt, orders", [("csv", "1"), ("tsv", "1"), ("csv", "0.5"), ("tsv", "0.5")],
-    ids=["csv-exact", "tsv-exact", "csv-approx", "tsv-approx"],
-)
-def test_split_evaluation_prints_the_serial_bytes(k, block_points, fmt, orders, capsys):
-    # at the classical orders the exact columns are filled; with blocks of 7
-    # points a slice holds blocks of 2 y rows and a short last block
-    argv = ["solve", "--example", "1", "--alpha", orders, "--beta", orders, "--terms", "6",
-            "--format", fmt, "--grid", _SPLIT_GRID]
-    with _blocks_of(block_points):
-        with _split_into(1):
-            assert run(argv) == 0
-        serial = capsys.readouterr()
-        with _split_into(k):
-            assert run(argv) == 0
-            assert cli.os.fork.call_count == k - 1
-    assert capsys.readouterr() == serial
-    assert serial.out.count("\n") == 25 and serial.err == ""
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize(
-    "ys",
-    ["0.1,0.2,0.3,0.4,-0.2,-0.1", "0.1,-0.3,0.3,0.4,0.5,0.6", "0.1,-0.3,0.3,0.4,-0.2,0.6"],
-    ids=["child", "parent", "both"],
-)
-def test_split_evaluation_fails_as_the_serial_one(ys, tmp_path, capsys):
-    # two slices of three y rows: the first failing point in row order is
-    # reported, wherever the other failures are
-    argv = ["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.6", "--beta", "0.7",
-            "--terms", "4", "--grid", f"x=0.5,0.25;y={ys}"]
-    with _split_into(1):
-        assert run(argv) == 2
-    serial = capsys.readouterr()
-    assert serial.out == "" and serial.err.startswith("fracadm: numeric error: y must be >= 0")
-    target = tmp_path / "out.csv"
-    for out in ([], ["--out", str(target)]):
-        with _split_into(2):
-            assert run([*argv, *out]) == 2
-            assert cli.os.fork.call_count == 1
-        assert capsys.readouterr() == serial
-        _assert_no_child_left()
-    assert not target.exists()
-
-
-def _in_children(action, in_parent):
-    """Patch evaluate_grid so that a forked child runs ``action`` first; the
-    y rows of each call in this process go to ``in_parent``."""
-    parent = os.getpid()
-    evaluate_grid = FracSeries.evaluate_grid
-
-    def patched(series, xs, ys):
-        if os.getpid() != parent:
-            action()
-        else:
-            in_parent.append(list(ys))
-        return evaluate_grid(series, xs, ys)
-
-    return mock.patch.object(FracSeries, "evaluate_grid", patched)
-
-
-def _kill_self():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _run_out_of_memory():
-    raise MemoryError
-
-
-_ALL_ROWS = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]  # of _SPLIT_GRID
-
-
-@pytest.mark.parametrize("action", [_kill_self, _run_out_of_memory], ids=["killed", "memory"])
-def test_a_failed_child_slice_is_evaluated_in_process(action, capsys):
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
-    with _split_into(1):
-        assert run(argv) == 0
-    serial = capsys.readouterr()
-    in_parent = []
-    with _split_into(2), _in_children(action, in_parent):
-        assert run(argv) == 0
-        assert cli.os.fork.call_count == 1
-    # this process evaluated its own four rows, then, as the child sent no
-    # byte, the whole grid as one process does
-    assert in_parent == [[0.0, 0.01, 0.05, 0.1], _ALL_ROWS]
-    assert capsys.readouterr() == serial
-    _assert_no_child_left()
-
-
-def test_a_child_killed_partway_through_its_slice_is_evaluated_in_process(capsys):
-    # blocks of 2 y rows: the child evaluates its first block, then is killed
-    # in its second, before it reports its values good
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
-    with _blocks_of(7), _split_into(1):
-        assert run(argv) == 0
-    serial = capsys.readouterr()
-    calls = []
-
-    def kill_at_second_block():
-        calls.append(None)
-        if len(calls) == 2:
-            _kill_self()
-
-    in_parent = []
-    with _blocks_of(7), _split_into(2), _in_children(kill_at_second_block, in_parent):
-        assert run(argv) == 0
-        assert cli.os.fork.call_count == 1
-    assert in_parent == [[0.0, 0.01], [0.05, 0.1],  # this process's slice
-                         [0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]  # the whole grid
-    assert capsys.readouterr() == serial
-    _assert_no_child_left()
-
-
-def test_rows_no_child_can_take_are_evaluated_in_process(capsys):
-    # three slices; a pipe or a fork is refused before the first child or
-    # after it.  Either way no child is left, no descriptor stays open, and
-    # this process evaluates the whole grid once, as one process does
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
-    with _split_into(1):
-        assert run(argv) == 0
-    serial = capsys.readouterr()
-    fds = len(os.listdir("/proc/self/fd"))
-    for name, n in (("fork", 0), ("fork", 1), ("pipe", 0), ("pipe", 1)):
-        calls = [getattr(os, name)] * n + [mock.Mock(side_effect=OSError(11, f"{name} refused"))]
-        in_parent = []
-        with _split_into(3), _in_children(lambda: None, in_parent):
-            getattr(cli.os, name).side_effect = lambda: calls.pop(0)()
-            assert run(argv) == 0
-            assert cli.os.fork.call_count == n + (name == "fork")
-            assert cli.os.kill.call_count == n  # the child forked before, if any
-        assert in_parent == [_ALL_ROWS], (name, n)
-        assert capsys.readouterr() == serial
-        _assert_no_child_left()
-        assert len(os.listdir("/proc/self/fd")) == fds, (name, n)
-
-
-@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
-def test_a_failing_parent_kills_and_reaps_its_children(error, capsys):
-    # the child would take a minute; the parent's own slice fails at once
-    parent = os.getpid()
-
-    def patched(series, xs, ys):
-        if os.getpid() != parent:
-            time.sleep(60)
-        raise error
-
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
-    started = time.perf_counter()
-    with _split_into(2), mock.patch.object(FracSeries, "evaluate_grid", patched):
-        if error is MemoryError:
-            assert run(argv) == 2
-        else:
-            with pytest.raises(KeyboardInterrupt):
-                run(argv)
-        assert cli.os.fork.call_count == 1
-        assert cli.os.kill.call_count == 1
-    assert time.perf_counter() - started < 30
-    assert capsys.readouterr().out == ""
-    _assert_no_child_left()
-
-
-# the calling process announces its fork on stdout, and its child holds that
-# pipe too: the pipe closes once both have exited
-_ANNOUNCE_FORK = """
-import os, sys
-from fracadm import adm, cli
-cli._BLOCK_POINTS = 4096
-fork = os.fork
-def announced():
-    pid = fork()
-    if pid:
-        print(pid, flush=True)
-    return pid
-os.fork = announced
-"""
-# the calling process never gets past its own slice, so it reads nothing from
-# its child's pipe; the child announces the write that finds that pipe full
-_BLOCK_ON_A_FULL_PIPE = """
-import fcntl, time
-from fracadm.series import FracSeries
-caller = os.getpid()
-evaluate_grid = FracSeries.evaluate_grid
-def evaluate(series, xs, ys):
-    if os.getpid() == caller:
-        time.sleep(60)
-    return evaluate_grid(series, xs, ys)
-FracSeries.evaluate_grid = evaluate
-write, written = os.write, [0]
-def announced_write(fd, data):
-    if 0 <= fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) - written[0] < len(data):
-        print("blocked", flush=True)  # once: the count goes far below 0
-        written[0] = -2**62
-    n = write(fd, data)
-    written[0] += n
-    return n
-os.write = announced_write
-"""
-_RUN = "sys.exit(cli.run(sys.argv[1:]))"
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="a grid is split only across two or more CPUs",
-)
-def test_a_child_whose_parent_is_killed_exits_at_its_next_block(tmp_path):
-    # evaluating: 1,000 x 1,000 points of a 130-term series in blocks of 4,096
-    # points, so the child's slice of 500 y rows is about 120 blocks.  On a
-    # 2-core x86 VM a child that did not look for its parent ran on for 6.7 s
-    # after the kill.  Blocked: 1,000 x 60 points of a 12-term series with the
-    # exact columns (720,000 point-terms, so the grid splits), so the child's
-    # 30 y rows are about 2.9 MB of text, past a pipe of 1 MB; its write fails
-    # once the calling process, the only reader, is gone
-    cases = [
-        ("evaluating", _ANNOUNCE_FORK, ["--alpha", "0.5", "--beta", "0.5", "--terms", "20",
-                                        "--grid", "x=0.001:1:0.001;y=0.0001:0.1:0.0001"]),
-        ("blocked", _ANNOUNCE_FORK + _BLOCK_ON_A_FULL_PIPE,
-         ["--terms", "6", "--grid", "x=0.001:1:0.001;y=0.01:0.6:0.01"]),
-    ]
-    for case, script, options in cases:
-        argv = [sys.executable, "-c", script + _RUN, "solve", "--example", "1", *options,
-                "--out", os.devnull]
-        with open(tmp_path / "err.txt", "wb") as err:
-            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err)
-        with proc:
-            child = int(proc.stdout.readline())  # the child is forked
-            if case == "blocked":
-                assert proc.stdout.readline() == b"blocked\n"
-            proc.kill()
-            killed = time.perf_counter()
-            try:
-                # returns once the calling process and the child have both exited
-                assert proc.communicate(timeout=60) == (b"", None)
-            except subprocess.TimeoutExpired:
-                os.kill(child, signal.SIGKILL)
-                raise
-        assert time.perf_counter() - killed < 1.5, case
-        assert (tmp_path / "err.txt").read_bytes() == b"", case
-
-
-def test_a_child_killed_partway_through_its_text_is_completed_in_process(capsys):
-    # blocks of 2 y rows: the child's values are good, it writes its first
-    # block of text and half of its second, and is killed.  This process kills
-    # and reaps its children, evaluates the whole grid as one process does and
-    # writes the text past what it has written
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", _SPLIT_GRID]
-    with _blocks_of(7), _split_into(1):
-        assert run(argv) == 0
-    serial = capsys.readouterr()
-    parent, texts = os.getpid(), []
-
-    def write(fd, data):
-        if os.getpid() != parent and len(data) > 1:  # not the byte of good values
-            texts.append(data)
-            if len(texts) == 2:
-                os.write(fd, data[: len(data) // 2])
-                _kill_self()
-        return os.write(fd, data)
-
-    in_parent = []
-    with _blocks_of(7), _split_into(2), _in_children(lambda: None, in_parent):
-        cli.os.write.side_effect = write
-        assert run(argv) == 0
-        assert cli.os.fork.call_count == 1
-    assert in_parent == [[0.0, 0.01], [0.05, 0.1],  # this process's slice
-                         [0.0, 0.01], [0.05, 0.1], [0.2, 0.5], [1.0, 2.0]]  # the whole grid
-    assert capsys.readouterr() == serial
-    _assert_no_child_left()
-
-
-def test_an_approx_failure_in_a_child_outranks_an_exact_one_here(capsys):
-    # this process's rows, y = 0.5 and 1, evaluate, but example 2's exact
-    # solution is singular at y = 1; the child's rows fail at y = -0.1.  As in
-    # one process, every approx value comes before any exact one
-    argv = ["solve", "--example", "2", "--terms", "3", "--grid", "x=0.5;y=0.5,1,0.2,-0.1"]
-    with _split_into(1):
-        assert run(argv) == 2
-    serial = capsys.readouterr()
-    assert serial == ("", "fracadm: numeric error: y must be >= 0, got -0.1\n")
-    with _split_into(2):
-        assert run(argv) == 2
-        assert cli.os.fork.call_count == 1
-    assert capsys.readouterr() == serial
-    _assert_no_child_left()
-
-
-# forced to split the grid in k slices, k the first argument
-_SPLIT_IN_K = """
-import os, sys
-from fracadm import cli
-cli._SPLIT_POINT_TERMS = 1
-cpus = set(range(int(sys.argv.pop(1))))
-os.sched_getaffinity = lambda pid: cpus
-sys.exit(cli.run(sys.argv[1:]))
-"""
-
-
-def test_a_child_with_more_text_than_its_pipe_holds_prints_the_serial_bytes():
-    # 201 x 201 points with the exact columns: the child's 100 y rows are about
-    # 1.8 MB of text, past a pipe of 1 MB, which it fills while this process
-    # evaluates and writes its own rows; this process reads the pipe before it
-    # reaps the child, so neither waits on the other
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", "x=0:1:0.005;y=0:1:0.005"]
-    outs = [subprocess.run([sys.executable, "-c", _SPLIT_IN_K, k, *argv], capture_output=True,
-                           timeout=60)
-            for k in ("1", "2")]
-    assert outs[0].returncode == 0 and outs[0].stderr == b""
-    assert (outs[1].returncode, outs[1].stdout, outs[1].stderr) == (0, outs[0].stdout, b"")
-    assert outs[0].stdout.count(b"\n") == 201 * 201 + 1
-    assert len(outs[0].stdout) > 3 * 2**20
-
-
-def test_a_failed_write_while_a_child_streams_exits_1_and_kills_it(capsys):
-    # the child's text, about 1.8 MB, fills its pipe; the first write of this
-    # process's rows fails
-    stdout = mock.Mock()
-
-    def fail(blocks):
-        next(blocks)
-        raise BrokenPipeError(32, "Broken pipe")
-
-    stdout.writelines.side_effect = fail
-    argv = ["solve", "--example", "1", "--terms", "6", "--grid", "x=0:1:0.005;y=0:1:0.005"]
-    with _split_into(2), mock.patch.object(cli.sys, "stdout", stdout):
-        assert run(argv) == 1
-        assert cli.os.fork.call_count == 1
-        assert cli.os.kill.call_count == 1
-    assert capsys.readouterr().err == "fracadm: error: [Errno 32] Broken pipe\n"
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize(
-    "case, grid",
-    [("9 points", "x=0.3,0.6,0.9;y=0.001,0.005,0.02"),
-     ("one CPU", _SPLIT_GRID),
-     ("one y row", "x=0:1:0.01;y=0.1"),
-     ("no sched_getaffinity", _SPLIT_GRID)],
-)
-def test_no_fork_where_a_split_cannot_pay(case, grid, capsys):
-    argv = ["solve", "--example", "1", "--alpha", "0.5", "--beta", "0.5", "--terms", "20",
-            "--grid", grid]
-    if case == "9 points":  # the real work threshold: 9 points x 130 terms
-        split = _split_into(2, cli._SPLIT_POINT_TERMS)
-    else:
-        split = _split_into(1 if case == "one CPU" else 2)
-    with split:
-        if case == "no sched_getaffinity":
-            del cli.os.sched_getaffinity
-        cli.os.fork.side_effect = AssertionError("forked")
-        assert run(argv) == 0
-        cli.os.fork.assert_not_called()
-    assert capsys.readouterr().err == ""
 
 
 def test_solve_grid_memory_does_not_grow_with_the_output(capsys):
