@@ -18,11 +18,15 @@ numerical check.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .series import (
     Axis,
     FracSeries,
+    _decimal,
+    _frame,
+    _width,
     caputo_deriv,
     rl_integral,
     sum_of_products,
@@ -35,9 +39,9 @@ __all__ = ["ProblemSpec", "SolutionSeries", "SolveError", "solve"]
 # and D_x^beta u_j, over all its A_n; a pair of series with no products counts
 # as one.  A step that would pass it fails before it forms any.  The largest
 # benchmark solve forms 137,256.  On a 2-core x86 VM with Python 3.11, example
-# 1 at generic orders stops at u_76 after 0.54 s and 18.6 MB RSS; one A_0 of
-# 1,224 x 1,224 products on nearly distinct exponents, the worst case for
-# memory, took 4.7-6.2 s and 315 MB.
+# 1 at generic orders stops at u_76 after 0.26 s of solve and 19.0 MB peak RSS
+# (in process); one A_0 of 1,224 x 1,224 products on nearly distinct
+# exponents, the worst case for memory, took 4.7-6.2 s and 315 MB.
 _WORK_BUDGET = 1_500_000
 
 
@@ -96,17 +100,37 @@ class SolutionSeries(namedtuple("SolutionSeries", "components")):
 
         One normalization over the raw terms of u_0..u_{n-1}, so each merged
         coefficient is one correctly rounded fsum.  Not cached: each call
-        normalizes again.  A coefficient that overflows raises SolveError
-        naming u_{n-1}, the last component it adds, and carrying u_0..u_{n-2}.
+        normalizes again, but in the packing frame of all the components,
+        so the calls of a scan pack each component once.  A coefficient
+        that overflows raises SolveError naming u_{n-1}, the last component
+        it adds, and carrying u_0..u_{n-2}.
         """
         if not 1 <= n <= len(self.components):
             raise IndexError(
                 f"partial sum index {n} outside 1..{len(self.components)}"
             )
         try:
-            return sum_series(self.components[:n])
+            return sum_series(self.components[:n], _frame(self.components))
         except OverflowError as exc:
             raise SolveError(str(exc), SolutionSeries(self.components[: n - 1])) from exc
+
+
+def _solve_frame(problem: ProblemSpec) -> tuple[int, int]:
+    """The one packing frame (den, width) of every sum and product of a solve.
+
+    den is the largest denominator of ic, forcing, alpha and beta, and so of
+    every component and derivative.  The width holds py(u_n) <= (2n+1)*alpha:
+    ic and g are y-free, so u_0 is at most alpha, a product adds its two
+    exponents (A_n at most (2n+2)*alpha) and J_y^alpha adds alpha.  It is
+    tight: example 1's u_20 at generic orders reaches 41*alpha.  n stops at
+    the deepest component the work budget lets a solve form: the step to
+    u_{n+1} forms at least n+1 more products, so u_m needs m(m+1)/2 in all.
+    """
+    (a, da), (_, db) = _decimal(problem.alpha), _decimal(problem.beta)
+    den = max(problem.ic._den, problem.forcing._den, da, db)
+    reach = (math.isqrt(8 * _WORK_BUDGET + 1) - 1) // 2
+    depth = min(problem.n_terms - 1, reach)
+    return den, _width((2 * depth + 1) * a * (den // da))
 
 
 def solve(problem: ProblemSpec) -> SolutionSeries:
@@ -123,8 +147,10 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
     components: list[FracSeries] = []
     derivs: list[FracSeries] = []
     work = 0
+    frame = _solve_frame(problem)
     try:
-        components.append(problem.ic + rl_integral(problem.forcing, alpha, Axis.Y))
+        u0 = (problem.ic, rl_integral(problem.forcing, alpha, Axis.Y))
+        components.append(sum_series(u0, frame))
         for n in range(problem.n_terms - 1):
             # differentiate lazily: u_{N-1} itself is never differentiated
             derivs.append(caputo_deriv(components[n], beta, Axis.X))
@@ -135,7 +161,7 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
                     f"would take the solve to {work} raw products, "
                     f"past its budget of {_WORK_BUDGET}"
                 )
-            components.append(-rl_integral(sum_of_products(pairs), alpha, Axis.Y))
+            components.append(-rl_integral(sum_of_products(pairs, frame), alpha, Axis.Y))
     except (ArithmeticError, ValueError) as exc:
         raise SolveError(str(exc), SolutionSeries(tuple(components))) from exc
     return SolutionSeries(tuple(components))

@@ -25,6 +25,16 @@ the gamma arguments of the operators are rounded once, from those exact
 values.  Evaluation and display use those floats as they are, so
 ``x^1e-13`` is not the constant ``1``.
 
+Sums and products are normalized once over all their raw terms: each raw
+term's exponents are packed into one integer key in a frame ``(den,
+width)``, the coefficients are gathered per key, and ``_merge`` takes one
+fsum per key in key order.  A series keeps its packed terms and its largest
+|coefficient| for the last frame it was packed in, so callers that fix one
+frame, as ``adm.solve`` does for a whole solve, pack each series once.  The
+merge screens each cell of several terms by one magnitude bound per call
+before the exact cancellation test; the screen never changes a decision.
+The operators compute one gamma ratio per distinct exponent on their axis.
+
 Evaluation groups the terms by their exponent on the axis with fewer
 distinct ones, and sums each group's terms before it multiplies by that
 variable's power (``FracSeries.evaluate``).  A grid then costs one factor
@@ -118,23 +128,31 @@ def _frame(series: Sequence["FracSeries"]) -> tuple[int, int]:
     packed key is ``(x << width) + y`` with x and y numerators over ``den``;
     the y field is signed and wide enough that a sum of two keys never
     carries into x, so adding keys adds exponents, and keys sort like
-    ``(x, y)`` pairs.
+    ``(x, y)`` pairs.  This is the default frame of one sum or product;
+    ``adm.solve`` fixes one frame for all of its own, so that each series is
+    packed once.
     """
     den = max([s._den for s in series], default=1)
     y_max = max([s._y_max * (den // s._den) for s in series], default=0)
-    return den, (2 * y_max).bit_length() + 1
+    return den, _width(y_max)
 
 
-def _packed(s: "FracSeries", den: int, width: int) -> tuple[tuple[int, float], ...]:
-    """s's (packed key, coefficient) pairs in this frame; s keeps the last ones."""
+def _width(y_max: int) -> int:
+    """The key width whose y field holds a sum of two |y| numerators <= y_max."""
+    return (2 * y_max).bit_length() + 1
+
+
+def _packed(s: "FracSeries", den: int, width: int) -> tuple[tuple[tuple[int, float], ...], float]:
+    """s's (packed key, coefficient) pairs in this frame, and its largest
+    |coefficient|; s keeps the last ones."""
     packed = s._packed
     if packed is not None and packed[0] == den and packed[1] == width:
         return packed[2]
     f = den // s._den
     keys = [(x * f << width) + y * f for x, y in zip(s._xs, s._ys)]
-    terms = tuple(zip(keys, s._coeffs))
-    object.__setattr__(s, "_packed", (den, width, terms))
-    return terms
+    packing = tuple(zip(keys, s._coeffs)), max(map(abs, s._coeffs), default=0.0)
+    object.__setattr__(s, "_packed", (den, width, packing))
+    return packing
 
 
 def _overflow(what: str, x: int, y: int, den: int) -> OverflowError:
@@ -142,7 +160,7 @@ def _overflow(what: str, x: int, y: int, den: int) -> OverflowError:
     return OverflowError(f"coefficient of x^{x / den!r}*y^{y / den!r} {what}")
 
 
-def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
+def _merge(cells: dict[int, list[float]], den: int, width: int, bound: float) -> "FracSeries":
     """The normalized series of packed-key cells: one fsum per key, in key order.
 
     A cell of several coefficients is dropped when its sum is within
@@ -151,7 +169,10 @@ def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
     it is zero.  The rule never looks at other keys, and it compares
     exponents, not math.ulp, whose fixed floor among subnormals would make
     it depend on scale there; so it depends neither on the scale of the
-    series nor on the order of its terms.
+    series nor on the order of its terms.  ``bound`` is at least the
+    magnitude of every coefficient in the cells, as a float: the caller's
+    one bound serves only to skip the exact test where it cannot drop,
+    and each keep-or-drop decision is still made per key, by that test.
     """
     half = 1 << (width - 1)
     full = half << 1
@@ -170,9 +191,14 @@ def _merge(cells: dict[int, list[float]], den: int, width: int) -> "FracSeries":
             raise _overflow(f"is {coeff!r}", x, y, den)
         if coeff == 0.0 or (
             len(cell) > 1
-            # a plain sum() of the magnitudes is within a factor 2 of their
-            # fsum, and cheaper: it screens out all but near-cancellations
-            and abs(coeff) <= 2 * DROP_ULPS * math.ulp(sum(map(abs, cell)))
+            # The screen never changes a decision.  With F = fsum(|cell|) =
+            # m * 2**e, 1/2 <= m < 1, a drop means |coeff| <= DROP_ULPS *
+            # 2**(e-53) <= 2 * DROP_ULPS * 2**-53 * F.  Each |c| <= bound, so
+            # F <= fl(len * bound) = t by monotone rounding, and ulp(t) >
+            # 2**-53 * t for every finite t >= 0, subnormal or 0: a drop
+            # passes the screen with a factor of 2 to spare (t = inf passes
+            # every cell on to the exact test).
+            and abs(coeff) <= 4 * DROP_ULPS * math.ulp(len(cell) * bound)
             and math.ldexp(abs(coeff), 53 - math.frexp(math.fsum(map(abs, cell)))[1])
             <= DROP_ULPS
         ):
@@ -188,38 +214,57 @@ def _normalize(terms: Iterable[FracTerm]) -> "FracSeries":
     return sum_series((FracSeries._from_normalized(terms),))
 
 
-def sum_series(series: Iterable["FracSeries"]) -> "FracSeries":
-    """The sum of the series, normalized once over all their terms."""
+def sum_series(
+    series: Iterable["FracSeries"], frame: tuple[int, int] | None = None
+) -> "FracSeries":
+    """The sum of the series, normalized once over all their terms.
+
+    ``frame`` is the (den, width) to pack them in, ``_frame(series)`` by
+    default; a wider one that holds them all gives the same sum.
+    """
     series = tuple(series)
-    den, width = _frame(series)
+    den, width = frame or _frame(series)
     cells: dict[int, list[float]] = {}
     get = cells.get
+    bound = 0.0
     for s in series:
-        for key, c in _packed(s, den, width):
+        terms, c_max = _packed(s, den, width)
+        if c_max > bound:  # not max(): a call per series shows on long scans
+            bound = c_max
+        for key, c in terms:
             cell = get(key)
             if cell is None:
                 cells[key] = [c]
             else:
                 cell.append(c)
-    return _merge(cells, den, width)
+    return _merge(cells, den, width, bound)
 
 
 def sum_of_products(
     pairs: Iterable[tuple["FracSeries", "FracSeries"]],
+    frame: tuple[int, int] | None = None,
 ) -> "FracSeries":
     """sum of a*b over the pairs, normalized once over all raw product terms.
 
     A raw product is one int add of packed exponent keys, one float multiply
-    and one dict lookup; no FracTerm is built.  Nothing here bounds the work:
-    ``adm.solve`` counts its products before it asks for them.
+    and one dict lookup; no FracTerm is built.  ``frame`` is as for
+    ``sum_series``, over every series of the pairs.  The merge's bound is the
+    largest product of a pair's two largest |coefficients|: rounded as each
+    raw product is, it is at least every raw product's magnitude.  Nothing
+    here bounds the work: ``adm.solve`` counts its products before it asks
+    for them.
     """
     pairs = tuple(pairs)
-    den, width = _frame([s for pair in pairs for s in pair])
+    den, width = frame or _frame([s for pair in pairs for s in pair])
     cells: dict[int, list[float]] = {}
     get = cells.get
+    bound = 0.0
     for a, b in pairs:
-        b_terms = _packed(b, den, width)
-        for key, c in _packed(a, den, width):
+        b_terms, b_max = _packed(b, den, width)
+        a_terms, a_max = _packed(a, den, width)
+        if a_max * b_max > bound:
+            bound = a_max * b_max
+        for key, c in a_terms:
             for k, d in b_terms:
                 k += key
                 cell = get(k)
@@ -227,7 +272,7 @@ def sum_of_products(
                     cells[k] = [c * d]
                 else:
                     cell.append(c * d)
-    return _merge(cells, den, width)
+    return _merge(cells, den, width, bound)
 
 
 class FracSeries:
@@ -581,35 +626,46 @@ def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
     Constants on the axis vanish; every other exponent p (negative ones
     included, formally) maps to Gamma(p+1)/Gamma(p+1-order) * x**(p-order).
     Both gamma arguments are rounded once from exact values, so a pole is
-    hit exactly when one is a non-positive integer.
+    hit exactly when one is a non-positive integer.  Terms that share an
+    exponent share its gamma ratio, and a failing one raises for the first
+    term in term order that holds it.
     """
     if not 0.0 < order <= 1.0:
         raise ValueError(f"Caputo order must be in (0, 1], got {order!r}")
     den, step, on, off = _on_axis(s, order, axis)
+    ratios = {}
+    for p in dict.fromkeys(on):  # in term order: the first failing term raises
+        if p != 0:
+            p1 = p + den
+            ratios[p] = gamma_ratio(p1 / den, (p1 - step) / den)
     coeffs, new_on, new_off = [], [], []
     for c, p, q in zip(s._coeffs, on, off):
         if p == 0:
             continue  # derivative of a constant on this axis
-        p1 = p + den
-        coeffs.append(c * gamma_ratio(p1 / den, (p1 - step) / den))
+        coeffs.append(c * ratios[p])
         new_on.append(p - step)
         new_off.append(q)
     return _ordered(coeffs, new_on, new_off, den, axis)
 
 
 def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
-    """Term-wise Riemann-Liouville fractional integral of positive order."""
+    """Term-wise Riemann-Liouville fractional integral of positive order.
+
+    One gamma ratio per distinct exponent, as in ``caputo_deriv``; the first
+    term in term order whose exponent is <= -1 raises NonIntegrableTermError.
+    """
     if order <= 0.0:
         raise ValueError(f"integral order must be > 0, got {order!r}")
     den, step, on, off = _on_axis(s, order, axis)
-    coeffs = []
-    for c, p in zip(s._coeffs, on):
+    ratios = {}
+    for p in dict.fromkeys(on):  # in term order: the first failing term raises
         p1 = p + den
         if p1 <= 0:
             raise NonIntegrableTermError(
                 f"exponent {p / den!r} on axis {axis} is not integrable"
             )
-        coeffs.append(c * gamma_ratio(p1 / den, (p1 + step) / den))
+        ratios[p] = gamma_ratio(p1 / den, (p1 + step) / den)
+    coeffs = list(map(operator.mul, s._coeffs, map(ratios.__getitem__, on)))
     return _ordered(coeffs, [p + step for p in on], off, den, axis)
 
 

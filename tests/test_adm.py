@@ -2,11 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from fracadm import adm
+from fracadm import adm, series
 from fracadm.adm import ProblemSpec, SolutionSeries, SolveError, solve
 from fracadm.parser import parse_series
 from fracadm.problems import ORDER_PAIRS, builtin_problem
@@ -309,6 +310,130 @@ def test_solve_opposite_infinities_carry_depth():
         solve(problem)
     assert err.value.depth == 1
     assert err.value.solution.components == (problem.ic,)
+
+
+# -- one packing frame per solve ---------------------------------------------------
+
+_DEEP_PAIR = (0.897148293561466, 0.7433369009864794)
+_FRAME_SOLVES = {
+    **{
+        f"ex{k}@{a}": builtin_problem(k, a, a, 20)
+        for k in (1, 2, 3, 4)
+        for a in (0.5, 0.75, 1.0)
+    },
+    "ex1@deep": builtin_problem(1, *_DEEP_PAIR, 40),
+    "custom@deep": ProblemSpec(*_DEEP_PAIR, parse_series("1 + x"), parse_series("1"), 20),
+}
+_frame_solves = pytest.mark.parametrize(
+    "problem", list(_FRAME_SOLVES.values()), ids=list(_FRAME_SOLVES)
+)
+
+
+def _components(problem):
+    try:
+        return solve(problem).components
+    except SolveError as err:  # the (0.75, 0.75) pole of examples 1-3 at u_5
+        return err.solution.components
+
+
+@_frame_solves
+def test_component_y_exponents_within_the_frame_bound(problem):
+    # py(u_n) <= (2n+1) * alpha, which sizes the frame's y field
+    alpha = Fraction(repr(problem.alpha))
+    for n, u in enumerate(_components(problem)):
+        assert Fraction(max(u._ys, default=0), u._den) <= (2 * n + 1) * alpha
+
+
+def test_the_frame_bound_is_reached():
+    u = _components(_FRAME_SOLVES["ex1@deep"])[20]
+    assert Fraction(max(u._ys), u._den) == 41 * Fraction(repr(_DEEP_PAIR[0]))
+
+
+def _spy_packing(monkeypatch):
+    """The series that each later sum or product packs, once per packing."""
+    packed = []
+    pack = series._packed
+
+    def spy(s, den, width):
+        if s._packed is None or s._packed[:2] != (den, width):
+            packed.append(s)  # held, so that no two entries share an id
+        return pack(s, den, width)
+
+    monkeypatch.setattr(series, "_packed", spy)
+    return packed
+
+
+@_frame_solves
+def test_a_solve_frames_once_and_packs_each_series_once(problem, monkeypatch):
+    frames = mock.Mock(wraps=series._frame)
+    monkeypatch.setattr(series, "_frame", frames)
+    solve_frames = mock.Mock(wraps=adm._solve_frame)
+    monkeypatch.setattr(adm, "_solve_frame", solve_frames)
+    derivs = []
+
+    def derive(*args):
+        derivs.append(caputo_deriv(*args))
+        return derivs[-1]
+
+    monkeypatch.setattr(adm, "caputo_deriv", derive)
+    packed = _spy_packing(monkeypatch)
+    components = _components(problem)
+    assert (frames.call_count, solve_frames.call_count) == (0, 1)
+    ids = list(map(id, packed))
+    assert len(set(ids)) == len(ids)
+    # u_{N-1}, and the derivative of a failing step, are never multiplied
+    assert set(map(id, components[:-1] + tuple(derivs[: len(components) - 1]))) <= set(ids)
+
+
+@_frame_solves
+def test_the_solve_frame_holds_every_component_and_derivative(problem):
+    den, width = adm._solve_frame(problem)
+    components = _components(problem)
+    derivs = [caputo_deriv(u, problem.beta, Axis.X) for u in components[:-1]]
+    assert all(den % s._den == 0 for s in components + tuple(derivs))
+    assert width >= series._frame(components + tuple(derivs))[1]
+
+
+@_frame_solves
+def test_one_frame_per_solve_matches_a_frame_per_call(problem):
+    with mock.patch.object(adm, "_solve_frame", lambda problem: None):
+        expect = _components(problem)
+    assert list(map(_bits, _components(problem))) == list(map(_bits, expect))
+
+
+def test_partial_sums_pack_each_component_once(monkeypatch):
+    sol = solve(_FRAME_SOLVES["ex1@deep"])
+    packed = _spy_packing(monkeypatch)
+    phis = [sol.partial_sum(n) for n in range(1, len(sol.components) + 1)]
+    # at most once each: a component the solve packed in an equal frame is not
+    # packed again
+    ids = list(map(id, packed))
+    assert len(set(ids)) == len(ids)
+    assert set(ids) <= set(map(id, sol.components))
+    assert phis[-1] == nested_partial_sums_oracle(sol.components)[-1]
+
+
+def _reach_problem(n_terms):
+    # u_0 = 1 + y^0.3 / Gamma(1.3) has no x, so every pair counts as one product
+    return ProblemSpec(0.3, 0.5, parse_series("1"), parse_series("1"), n_terms)
+
+
+@pytest.mark.parametrize("budget", [1, 6, 9, 5050])
+def test_the_frame_stops_at_the_deepest_component_the_budget_allows(budget):
+    with _budget(budget):
+        with pytest.raises(SolveError) as err:
+            solve(_reach_problem(10**9))
+        depth = err.value.depth
+        assert adm._solve_frame(_reach_problem(10**9)) == adm._solve_frame(_reach_problem(depth))
+    # at the real budget, 1 + 2 + ... + 1731 products reach u_1731
+    assert adm._solve_frame(_reach_problem(10**9)) == adm._solve_frame(_reach_problem(1732))
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_the_u5_pole_keeps_its_message(example):
+    with pytest.raises(SolveError) as err:
+        solve(builtin_problem(example, 0.75, 0.75, 8))
+    assert str(err.value) == "component u_5: gamma_ratio numerator has a pole at z = 0.0"
 
 
 # -- the work budget --------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fracadm import series
 from fracadm.adm import ProblemSpec, solve
-from fracadm.gammafn import gamma_ratio
+from fracadm.gammafn import GammaPoleError, gamma_ratio
 from fracadm.parser import parse_series
 from fracadm.problems import builtin_problem
 from fracadm.series import (
@@ -214,12 +214,40 @@ _raw_terms = st.lists(st.builds(FracTerm, _raw_coeffs, _exponents, _exponents), 
 # binary), and a pair that leaves more than rounding residue
 @example([FracTerm(0.1, 0.3, 0.0), FracTerm(-0.1, 0.3, 0.0), FracTerm(1e-12, 0.7, 0.0), FracTerm(-1e-12 + 1e-20, 0.7, 0.0)])
 @example([FracTerm(0.1, 0.9, 1.0), FracTerm(0.2, 0.9, 1.0), FracTerm(-0.3, 0.9, 1.0)])
+# The merge screens a cell by a bound on every coefficient of the call before
+# its exact test: rounding residue next to a term 2**50 larger, cells of
+# subnormals, and a bound whose multiple by a cell's length overflows to inf
+@example([FracTerm(0.1, 0.3), FracTerm(0.2, 0.3), FracTerm(-0.3, 0.3), FracTerm(2.0**50, 1.0)])
+@example([FracTerm(2.5e-323, 1.0), FracTerm(-2e-323, 1.0), FracTerm(1e-320, 2.0),
+          FracTerm(-1e-320, 2.0), FracTerm(5e-324, 2.0), FracTerm(1e-310, 3.0),
+          FracTerm(-1e-310 + 5e-324, 3.0)])
+@example([FracTerm(0.1 * 2.0**1020, 0.3), FracTerm(0.2 * 2.0**1020, 0.3),
+          FracTerm(-0.3 * 2.0**1020, 0.3), FracTerm(1.7e308, 1.0)])
+# eight terms at the bound and a ninth: their sum 1.5 * 2**-48 is 3 ulps of
+# the magnitudes' sum, just over 8, but more than 16 ulps of the bound 1 alone
+@example([FracTerm(1.0, 0.5)] * 4 + [FracTerm(-1.0, 0.5)] * 4 + [FracTerm(1.5 * 2.0**-48, 0.5)])
 def test_normalize_matches_sort_and_merge(terms):
     assert _bits(_normalize(terms)) == _bits(sort_merge_normalize_oracle(terms))
 
 
+# x^0.2 gets 0.1 + 0.2 - 0.3 of the three products on the diagonal, scaled
+_RESIDUE = ([FracTerm(1.0, 0.0), FracTerm(1.0, 0.1), FracTerm(1.0, 0.2)],
+            [FracTerm(0.1, 0.2), FracTerm(0.2, 0.1), FracTerm(-0.3, 0.0)])
+
+
+def _scaled(terms, c):
+    return [FracTerm(c * t.coeff, t.px, t.py) for t in terms]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_raw_terms.map(lambda ts: ts[:12]), _raw_terms), max_size=4))
+# the screen's edges, as in test_normalize_matches_sort_and_merge: residue
+# next to a product 2**50 larger, subnormal products, and a bound (1.7e308)
+# whose multiple by the residue cell's length overflows to inf
+@example([(_RESIDUE[0] + [FracTerm(2.0**50, 2.0)], _RESIDUE[1])])
+@example([(_scaled(_RESIDUE[0], 2.0**-1000), _scaled(_RESIDUE[1], 2.0**-40)),
+          ([FracTerm(5e-324, 0.2), FracTerm(1e-310, 0.3)], [FracTerm(0.5), FracTerm(-3.0, 0.1)])])
+@example([(_RESIDUE[0], _scaled(_RESIDUE[1], 2.0**1020) + [FracTerm(1.7e308, 3.0)])])
 def test_sum_of_products_normalizes_all_raw_products_once(pairs):
     series_pairs = [(FracSeries(a), FracSeries(b)) for a, b in pairs]
     raw = [
@@ -703,6 +731,57 @@ def test_rl_non_integrable_exponent():
         rl_integral(S((1, -1.5, 0)), 0.5, X)
     with pytest.raises(NonIntegrableTermError, match="exponent -1.5 on axis y is not"):
         rl_integral(S((1, 0, -1.5)), 0.5, Y)
+
+
+# -- one gamma ratio per exponent ---------------------------------------------
+
+# x^p * y^q for p in 0, 1, 2 and q in 0, 0.5, 1.5: each exponent on either
+# axis is shared by three terms, and every gamma argument is exact
+_SHARED = [(1.0 + p + 3.0 * q, p, q) for p in (0.0, 1.0, 2.0) for q in (0.0, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("axis", [X, Y])
+@pytest.mark.parametrize("op, sign, ratios", [(caputo_deriv, -1.0, 2), (rl_integral, 1.0, 3)])
+def test_one_gamma_ratio_per_distinct_exponent(op, sign, ratios, axis):
+    with mock.patch.object(series, "gamma_ratio", wraps=gamma_ratio) as spy:
+        got = op(S(*_SHARED), 0.5, axis)
+    # a derivative skips the constant on its axis
+    assert spy.call_count == ratios
+    on = 1 if axis == X else 2
+    expect = []
+    for t in _SHARED:
+        if t[on] == 0.0 and op is caputo_deriv:
+            continue
+        shifted = list(t)
+        shifted[0] *= gamma_ratio(t[on] + 1.0, t[on] + 1.0 + sign * 0.5)
+        shifted[on] += sign * 0.5
+        expect.append(shifted)
+    assert _bits(got) == _bits(S(*expect))
+
+
+# terms are ordered by x first, so on the y axis the first failing term in
+# term order need not hold the smallest failing exponent
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        (((1, 0, -2), (1, 1, -1)), "gamma_ratio numerator has a pole at z = -1.0"),
+        (((1, 0, -1), (1, 1, -2)), "gamma_ratio numerator has a pole at z = 0.0"),
+    ],
+)
+def test_caputo_pole_names_the_first_failing_term(terms, message):
+    with pytest.raises(GammaPoleError) as err:
+        caputo_deriv(S(*terms), 0.5, Y)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "terms, exponent",
+    [(((1, 0, -1.5), (1, 1, -1)), "-1.5"), (((1, 0, -1), (1, 1, -1.5)), "-1.0")],
+)
+def test_rl_integral_names_the_first_non_integrable_term(terms, exponent):
+    with pytest.raises(NonIntegrableTermError) as err:
+        rl_integral(S(*terms), 0.5, Y)
+    assert str(err.value) == f"exponent {exponent} on axis y is not integrable"
 
 
 # -- operator properties (randomized) ------------------------------------------
