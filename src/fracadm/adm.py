@@ -10,6 +10,21 @@ after which the recursion is
     u_0     = f(x) + J_y^alpha g(x)
     u_{n+1} = -J_y^alpha A_n.
 
+D_x^beta takes c * x^p * y^q to d * x^(p-beta) * y^q, so it shifts every
+x-exponent by the same -beta.  Term a of u_i times term b of D_x^beta u_j,
+and term b of u_j times term a of D_x^beta u_i, therefore land on one
+exponent,
+
+    (p_a + p_b - beta, q_a + q_b),
+
+and ``solve`` forms A_n over the unordered pairs i <= n - i: one key add and
+one cell lookup per pair of terms, with both raw products put in that cell
+(on the diagonal i = n - i, over the pairs of terms a <= b).  Each cell holds
+the same floats as the sum over the ordered pairs (u_i, D_x^beta u_{n-i}),
+and the merge does not depend on their order, so A_n is the same to the bit.
+(Adomian polynomials of a bilinear term are symmetric in this way: Abbaoui
+and Cherruault, Math. Comput. Modelling 20(9), 1994.)
+
 For a bilinear nonlinearity the convolution is identical to the classical
 lambda-derivative construction of the decomposition polynomials; the test
 suite keeps that construction (``tests/oracles.py``) as an independent
@@ -26,10 +41,12 @@ from .series import (
     FracSeries,
     _decimal,
     _frame,
+    _merge,
+    _packed,
     _width,
+    _x_key,
     caputo_deriv,
     rl_integral,
-    sum_of_products,
     sum_series,
 )
 
@@ -39,9 +56,9 @@ __all__ = ["ProblemSpec", "SolutionSeries", "SolveError", "solve"]
 # and D_x^beta u_j, over all its A_n; a pair of series with no products counts
 # as one.  A step that would pass it fails before it forms any.  The largest
 # benchmark solve forms 137,256.  On a 2-core x86 VM with Python 3.11, example
-# 1 at generic orders stops at u_76 after 0.26 s of solve and 19.0 MB peak RSS
+# 1 at generic orders stops at u_76 after 0.21 s of solve and 18.3 MB peak RSS
 # (in process); one A_0 of 1,224 x 1,224 products on nearly distinct
-# exponents, the worst case for memory, took 4.7-6.2 s and 315 MB.
+# exponents, the worst case for memory, took 2.8-3.6 s and 284 MB.
 _WORK_BUDGET = 1_500_000
 
 
@@ -133,6 +150,92 @@ def _solve_frame(problem: ProblemSpec) -> tuple[int, int]:
     return den, _width((2 * depth + 1) * a * (den // da))
 
 
+def _split(u: FracSeries, du: FracSeries, frame: tuple[int, int], shift: int) -> tuple:
+    """(paired, lone, |u|max, |du|max): u's terms packed in the frame, split
+    by whether du = D_x^beta u has their image, and the largest |coefficient|
+    of u and of du.
+
+    A term whose image d * x^(p-beta) * y^q is in du is paired as (key, c,
+    d); one that has none is lone, (key, c): an x-constant, or a term whose
+    image's coefficient the derivative dropped as 0 (at p = beta - 1, say).
+    shift is beta's x-step as a packed key, so an image's key is its term's
+    less shift.
+    """
+    u_terms, u_max = _packed(u, *frame)
+    d_terms, d_max = _packed(du, *frame)
+    images = dict(d_terms)
+    paired, lone = [], []
+    for k, c in u_terms:
+        d = images.get(k - shift)
+        if d is None:
+            lone.append((k, c))
+        else:
+            paired.append((k, c, d))
+    return paired, lone, u_max, d_max
+
+
+def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int) -> FracSeries:
+    """A_n = sum_{i+j=n} u_i * D_x^beta u_j from the splits of u_0..u_n, normalized once.
+
+    Over each unordered pair i <= j = n - i, a pair of paired terms a of u_i
+    and b of u_j puts u_i[a] * D u_j[b] and u_j[b] * D u_i[a] in the one cell
+    of key k_a + k_b - shift; on the diagonal i = j a term meets itself once
+    and each other paired term of u_i once.  A lone term of either has only
+    its products with the other's images.  Each raw product is the float
+    multiply of the ordered pairs' sum, and the merge's bound is that sum's:
+    the largest |u_i|max * |D u_j|max.
+    """
+    n = len(splits) - 1
+    cells: dict[int, list[float]] = {}
+    get = cells.get
+    bound = 0.0
+    for (_, _, u_max, _), (_, _, _, d_max) in zip(splits, reversed(splits)):
+        if u_max * d_max > bound:
+            bound = u_max * d_max
+    for i in range(n // 2 + 1):
+        paired, lone, _, _ = splits[i]
+        other, other_lone, _, _ = splits[n - i]
+        diagonal = 2 * i == n
+        for a, (ka, c, d) in enumerate(paired):
+            base = ka - shift
+            inner = other
+            if diagonal:  # the term meets itself once, and each later term
+                k = base + ka
+                cell = get(k)
+                if cell is None:
+                    cells[k] = [c * d]
+                else:
+                    cell.append(c * d)
+                inner = inner[a + 1 :]
+            for kb, e, f in inner:
+                k = base + kb
+                cell = get(k)
+                if cell is None:
+                    cells[k] = [c * f, e * d]
+                else:
+                    cell.append(c * f)
+                    cell.append(e * d)
+        if lone:
+            _one_sided(cells, lone, other, shift)
+        if other_lone and not diagonal:
+            _one_sided(cells, other_lone, paired, shift)
+    return _merge(cells, *frame, bound)
+
+
+def _one_sided(cells: dict[int, list[float]], lone: list, paired: list, shift: int) -> None:
+    """Put each lone term's products with the paired terms' images in the cells."""
+    get = cells.get
+    for ka, c in lone:
+        base = ka - shift
+        for kb, _, f in paired:
+            k = base + kb
+            cell = get(k)
+            if cell is None:
+                cells[k] = [c * f]
+            else:
+                cell.append(c * f)
+
+
 def solve(problem: ProblemSpec) -> SolutionSeries:
     """Run the recursion to problem.n_terms components.
 
@@ -145,23 +248,28 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
     """
     alpha, beta = problem.alpha, problem.beta
     components: list[FracSeries] = []
-    derivs: list[FracSeries] = []
+    splits: list[tuple] = []
     work = 0
     frame = _solve_frame(problem)
+    shift = _x_key(beta, *frame)
     try:
         u0 = (problem.ic, rl_integral(problem.forcing, alpha, Axis.Y))
         components.append(sum_series(u0, frame))
         for n in range(problem.n_terms - 1):
             # differentiate lazily: u_{N-1} itself is never differentiated
-            derivs.append(caputo_deriv(components[n], beta, Axis.X))
-            pairs = tuple(zip(components, reversed(derivs)))
-            work += sum(max(1, len(u) * len(d)) for u, d in pairs)
+            du = caputo_deriv(components[n], beta, Axis.X)
+            splits.append(_split(components[n], du, frame, shift))
+            # counted per ordered pair (u_i, D u_{n-i}) of terms; D u_j has a
+            # term for each paired term of u_j
+            work += sum(
+                max(1, len(u) * len(t[0])) for u, t in zip(components, reversed(splits))
+            )
             if work > _WORK_BUDGET:
                 raise ArithmeticError(
                     f"would take the solve to {work} raw products, "
                     f"past its budget of {_WORK_BUDGET}"
                 )
-            components.append(-rl_integral(sum_of_products(pairs, frame), alpha, Axis.Y))
+            components.append(-rl_integral(_convolve(splits, frame, shift), alpha, Axis.Y))
     except (ArithmeticError, ValueError) as exc:
         raise SolveError(str(exc), SolutionSeries(tuple(components))) from exc
     return SolutionSeries(tuple(components))

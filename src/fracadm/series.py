@@ -33,6 +33,12 @@ fsum per key in key order.  A series keeps its packed terms and its largest
 frame, as ``adm.solve`` does for a whole solve, pack each series once.  The
 merge screens each cell of several terms by one magnitude bound per call
 before the exact cancellation test; the screen never changes a decision.
+A cell's merged coefficient does not depend on the order of its floats:
+where an fsum overflows partway, the exact sum decides (``_exact_sum``).  So
+``adm.solve`` can put the two raw products u_i[a] * D_x^beta u_j[b] and
+u_j[b] * D_x^beta u_i[a], which share one key because D_x^beta shifts every
+x-exponent by the same -beta, into one cell by one lookup, and get the A_n
+that ``sum_of_products`` gets over the ordered pairs.
 The operators compute one gamma ratio per distinct exponent on their axis.
 
 Evaluation groups the terms by their exponent on the axis with fewer
@@ -68,6 +74,9 @@ __all__ = [
 # when it is at most this many ulps of the sum of their magnitudes (an ulp
 # of a magnitude in [2**(e-1), 2**e) taken as 2**(e-53), subnormal or not).
 DROP_ULPS = 4
+# Every finite double is a whole number of units of 2**-1074.
+_UNIT_BITS = 1074
+_UNIT_SCALE = 1 << _UNIT_BITS
 # evaluate_grid builds factor rows for at most this many values times terms
 # at a time, and for at least one value.
 _GRID_BLOCK_TERMS = 65_536
@@ -155,9 +164,49 @@ def _packed(s: "FracSeries", den: int, width: int) -> tuple[tuple[tuple[int, flo
     return packing
 
 
+def _x_key(order: float, den: int, width: int) -> int:
+    """The x-exponent ``order`` as a packed key in a frame whose den is a
+    multiple of order's: shifting every x-exponent by -order takes each key
+    k to k less this, as ``caputo_deriv`` on x does."""
+    n, d = _decimal(order)
+    return n * (den // d) << width
+
+
 def _overflow(what: str, x: int, y: int, den: int) -> OverflowError:
     # the drop rule would compare inf or nan and keep or drop it silently
     return OverflowError(f"coefficient of x^{x / den!r}*y^{y / den!r} {what}")
+
+
+def _exact_sum(cell: list[float]) -> float:
+    """The sum of a cell whose fsum overflowed partway, whatever its order.
+
+    Which partial sum of fsum overflows depends on the order: 1e308 + 1e308
+    - 1e308 fails, 1e308 - 1e308 + 1e308 does not.  Here the finite floats
+    are summed exactly and rounded once by int true division, which raises
+    OverflowError only past the double range; an inf or nan in the cell
+    decides the sum, as in fsum, and inf with -inf makes nan.
+    """
+    if not all(map(math.isfinite, cell)):
+        return sum(c for c in cell if not math.isfinite(c))
+    return _units(cell) / _UNIT_SCALE
+
+
+def _magnitude_exponent(cell: list[float]) -> int:
+    """e with fsum(|cell|) = m * 2**e, 1/2 <= m < 1; from the exact sum's
+    bit length where that fsum overflows (every float in it is finite)."""
+    try:
+        return math.frexp(math.fsum(map(abs, cell)))[1]
+    except OverflowError:
+        return _units(map(abs, cell)).bit_length() - _UNIT_BITS
+
+
+def _units(values: Iterable[float]) -> int:
+    """The exact sum of finite floats, in units of 2**-1074."""
+    total = 0
+    for c in values:
+        n, d = c.as_integer_ratio()
+        total += n * (_UNIT_SCALE // d)
+    return total
 
 
 def _merge(cells: dict[int, list[float]], den: int, width: int, bound: float) -> "FracSeries":
@@ -183,8 +232,11 @@ def _merge(cells: dict[int, list[float]], den: int, width: int, bound: float) ->
         y -= half
         try:
             coeff = math.fsum(cell)
-        except OverflowError:  # finite terms whose exact sum is past the range
-            raise _overflow("overflows", x, y, den) from None
+        except OverflowError:  # a partial sum overflowed, in this order
+            try:
+                coeff = _exact_sum(cell)
+            except OverflowError:  # finite terms whose exact sum is past the range
+                raise _overflow("overflows", x, y, den) from None
         except ValueError:  # fsum refuses a cell holding both inf and -inf
             coeff = math.nan
         if not math.isfinite(coeff):
@@ -197,10 +249,10 @@ def _merge(cells: dict[int, list[float]], den: int, width: int, bound: float) ->
             # F <= fl(len * bound) = t by monotone rounding, and ulp(t) >
             # 2**-53 * t for every finite t >= 0, subnormal or 0: a drop
             # passes the screen with a factor of 2 to spare (t = inf passes
-            # every cell on to the exact test).
+            # every cell on to the exact test; it is inf wherever F would
+            # overflow, and there e comes from the exact sum).
             and abs(coeff) <= 4 * DROP_ULPS * math.ulp(len(cell) * bound)
-            and math.ldexp(abs(coeff), 53 - math.frexp(math.fsum(map(abs, cell)))[1])
-            <= DROP_ULPS
+            and math.ldexp(abs(coeff), 53 - _magnitude_exponent(cell)) <= DROP_ULPS
         ):
             continue
         coeffs.append(coeff)

@@ -19,8 +19,11 @@ Each oracle takes another route than the code it checks:
 * ``residual_oracle`` evaluates the equation's residual by differentiating
   a truncated series itself, not from the products of its components.
 
-``adomian_polynomial`` is no oracle: it is the solver's own convolution,
-on its own, for the tests that check A_n.
+``adomian_polynomial`` is no oracle: it is the convolution summed over the
+ordered pairs (u_i, D_x^beta u_{n-i}) by ``sum_of_products``, for the tests
+that check A_n, and ``ordered_pairs_components`` steps the recursion by it.
+``adm.solve`` forms the same A_n over unordered pairs of terms, and the
+tests hold the two bit-identical.
 
 They live here, not in the package: quadrature needs scipy, which the
 runtime does without, and the runtime keeps one implementation of each step.
@@ -56,6 +59,7 @@ from fracadm.series import (
     FracSeries,
     FracTerm,
     caputo_deriv,
+    rl_integral,
     sum_of_products,
 )
 
@@ -100,10 +104,33 @@ def caputo_quadrature_oracle(p: float, order: float, x: float) -> float:
 def adomian_polynomial(
     components: Sequence[FracSeries], n: int, beta: float
 ) -> FracSeries:
-    """A_n for the bilinear nonlinearity, sum_{i+j=n} u_i * D_x^beta u_j, as
-    ``adm.solve`` forms it from its pair list."""
+    """A_n for the bilinear nonlinearity, sum_{i+j=n} u_i * D_x^beta u_j, over
+    the ordered pairs (u_i, D_x^beta u_{n-i}) in a frame of its own.
+
+    ``adm.solve`` forms the same cells from unordered pairs of terms, and so
+    the same A_n to the bit.
+    """
     derivs = [caputo_deriv(u, beta, Axis.X) for u in components[: n + 1]]
     return sum_of_products(zip(components, reversed(derivs)))
+
+
+def ordered_pairs_components(problem: ProblemSpec) -> tuple[FracSeries, ...]:
+    """The components of the recursion with each A_n from ``adomian_polynomial``.
+
+    Every sum and product takes a frame of its own.  The recursion stops at
+    the first component whose step fails, so it gives the components
+    ``adm.solve`` finishes, short of the work budget.
+    """
+    alpha, beta = problem.alpha, problem.beta
+    components = []
+    try:
+        components.append(problem.ic + rl_integral(problem.forcing, alpha, Axis.Y))
+        for n in range(problem.n_terms - 1):
+            a_n = adomian_polynomial(components, n, beta)
+            components.append(-rl_integral(a_n, alpha, Axis.Y))
+    except (ArithmeticError, ValueError):
+        pass
+    return tuple(components)
 
 
 def adomian_lambda_oracle(

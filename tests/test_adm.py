@@ -1,11 +1,15 @@
 """Recursion mechanics: polynomials, oracle agreement, solver invariants."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracadm import adm, series
 from fracadm.adm import ProblemSpec, SolutionSeries, SolveError, solve
@@ -18,6 +22,7 @@ from oracles import (
     adomian_lambda_oracle,
     adomian_polynomial,
     nested_partial_sums_oracle,
+    ordered_pairs_components,
     residual_oracle,
 )
 
@@ -94,6 +99,87 @@ def test_polynomial_depends_only_on_prefix():
     u = [random_series(rng, max_terms=3) for _ in range(5)]
     beta = 0.8
     assert adomian_polynomial(u[:3], 2, beta) == adomian_polynomial(u, 2, beta)
+
+
+# -- A_n from unordered pairs ------------------------------------------------------
+
+
+def _exact_bits(s):
+    return [(c.hex(), Fraction(x, s._den), Fraction(y, s._den))
+            for c, x, y in zip(s._coeffs, s._xs, s._ys)]
+
+
+def _outcome(compute):
+    """A series' coefficients as float.hex strings and its exact exponents, or
+    the error."""
+    try:
+        return _exact_bits(compute())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _paired_polynomial(components, n, beta):
+    """A_n as ``adm.solve`` forms it, from the splits of u_0..u_n."""
+    components = list(components[: n + 1])
+    derivs = [caputo_deriv(u, beta, Axis.X) for u in components]
+    frame = series._frame(components + derivs)
+    shift = series._x_key(beta, *frame)
+    splits = [adm._split(u, d, frame, shift) for u, d in zip(components, derivs)]
+    return adm._convolve(splits, frame, shift)
+
+
+@st.composite
+def _convolution_cases(draw):
+    """Components u_0..u_n, n and beta.  The x-exponents include 0, whose
+    terms have no derivative, negative ones, and beta - 1, whose derivative
+    coefficient 1/Gamma(0) is 0; tiny coefficients give products that
+    underflow, huge ones products and sums that overflow."""
+    beta, p_zero = draw(st.sampled_from(
+        [(0.5, -0.5), (0.75, -0.25), (0.3, -0.7), (0.9, -0.1), (1.0, 0.0)]
+    ))
+    px = st.one_of(st.sampled_from([0.0, p_zero, -0.5, 0.5, 1.0, 2.0, 1.25]),
+                   st.floats(min_value=-0.9, max_value=3.0))
+    py = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.7]), st.floats(min_value=0.0, max_value=3.0))
+    coeff = st.one_of(st.floats(min_value=-10.0, max_value=10.0),
+                      st.sampled_from([1e-170, -3e-165, 5e-324, 1e200, -2e154]))
+    n = draw(st.integers(min_value=0, max_value=5))
+    terms = st.lists(st.builds(FracTerm, coeff, px, py), max_size=6)
+    return [FracSeries(draw(terms)) for _ in range(n + 1)], n, beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convolution_cases())
+# n = 0: an x-constant, the beta - 1 term and two with derivatives
+@example(([S((1, 0, 0), (2, -0.25, 0), (3, 1.5, 0.5), (-0.5, 2, 1))], 0, 0.75))
+# n odd and even, with lone terms on both sides of a pair and on the diagonal
+@example(([S((1, 0, 0), (1, 1, 0)), S((-1, 0, 1), (2, 0.5, 1)), S((3, 0, 2), (1, -0.5, 2))], 1, 0.5))
+@example(([S((1, 0, 0), (1, 1, 0)), S((-1, 0, 1), (2, 0.5, 1)), S((3, 0, 2), (1, -0.5, 2))], 2, 0.5))
+# products that underflow to 0 and to subnormals, and cancel in one cell
+@example(([S((1e-170, 1, 0), (3e-160, 2, 0)), S((-1e-170, 1, 1), (1e-150, 0.5, 1))], 1, 1.0))
+# x^1 gets 0.30000000000000004 twice and -0.6: rounding residue, dropped
+@example(([S((1, 1, 0), (1, 2, 0)), S((-0.3, 0, 1), (0.1 + 0.2, 1, 1))], 1, 1.0))
+# a cell whose products overflow to inf, and one that holds inf and -inf
+@example(([S((1e200, 1, 0), (-1e200, 2, 0))], 0, 1.0))
+def test_paired_polynomial_matches_the_ordered_pairs(case):
+    components, n, beta = case
+    want = _outcome(lambda: adomian_polynomial(components, n, beta))
+    assert _outcome(lambda: _paired_polynomial(components, n, beta)) == want
+
+
+def test_paired_polynomial_drops_rounding_residue():
+    u = [S((1, 1, 0), (1, 2, 0)), S((-0.3, 0, 1), (0.1 + 0.2, 1, 1))]
+    assert [t.px for t in _paired_polynomial(u, 1, 1.0)] == [0.0, 2.0]
+
+
+def test_the_split_keeps_terms_without_a_derivative_lone():
+    # 1 has no derivative, and x^-0.25 at beta = 0.75 has 1/Gamma(0) = 0
+    u = S((1, 0, 0), (2, -0.25, 0), (3, 1.5, 0))
+    du = caputo_deriv(u, 0.75, Axis.X)
+    frame = series._frame([u, du])
+    paired, lone, u_max, d_max = adm._split(u, du, frame, series._x_key(0.75, *frame))
+    assert [c for _, c in lone] == [2.0, 1.0]  # in key order
+    assert [(c, d) for _, c, d in paired] == [(3.0, du._coeffs[0])]
+    assert (u_max, d_max) == (3.0, abs(du._coeffs[0]))
 
 
 # -- lambda oracle ---------------------------------------------------------------
@@ -350,7 +436,7 @@ def test_the_frame_bound_is_reached():
 
 
 def _spy_packing(monkeypatch):
-    """The series that each later sum or product packs, once per packing."""
+    """The series that each later sum, product or split packs, once per packing."""
     packed = []
     pack = series._packed
 
@@ -360,6 +446,7 @@ def _spy_packing(monkeypatch):
         return pack(s, den, width)
 
     monkeypatch.setattr(series, "_packed", spy)
+    monkeypatch.setattr(adm, "_packed", spy)  # the split of each component
     return packed
 
 
@@ -396,9 +483,29 @@ def test_the_solve_frame_holds_every_component_and_derivative(problem):
 
 @_frame_solves
 def test_one_frame_per_solve_matches_a_frame_per_call(problem):
-    with mock.patch.object(adm, "_solve_frame", lambda problem: None):
-        expect = _components(problem)
+    # the reference recursion forms each A_n over the ordered pairs, each sum
+    # and product in a frame of its own
+    expect = ordered_pairs_components(problem)
     assert list(map(_bits, _components(problem))) == list(map(_bits, expect))
+
+
+# the 16 deep_generic solves of the benchmark, built as its argvs build them
+_POOL_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+_POOL = {
+    f"{kind}@{alpha}": (
+        builtin_problem(1, alpha, beta, 40)
+        if kind == "example"
+        else ProblemSpec(alpha, beta, parse_series("1 + x"), parse_series("1"), 20)
+    )
+    for kind, alpha, beta in json.loads(_POOL_PATH.read_text())["generic_pool"]
+}
+
+
+# (examples 1-4 at the ORDER_PAIRS are _FRAME_SOLVES, checked the same way above)
+@pytest.mark.parametrize("problem", list(_POOL.values()), ids=list(_POOL))
+def test_components_match_the_ordered_pairs_recursion(problem):
+    expect = ordered_pairs_components(problem)
+    assert list(map(_exact_bits, _components(problem))) == list(map(_exact_bits, expect))
 
 
 def test_partial_sums_pack_each_component_once(monkeypatch):
@@ -448,9 +555,7 @@ def _budget(value):
 
 
 def test_solve_over_budget_raises_with_its_count():
-    with _budget(5), mock.patch.object(
-        adm, "sum_of_products", wraps=adm.sum_of_products
-    ) as products:
+    with _budget(5), mock.patch.object(adm, "_convolve", wraps=adm._convolve) as products:
         with pytest.raises(
             SolveError,
             match=r"^component u_2: would take the solve to 6 raw products, "

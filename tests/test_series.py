@@ -1,5 +1,6 @@
 """Series algebra, fractional operators, and the quadrature cross-check."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -657,6 +658,59 @@ def test_merge_rejects_non_finite_coefficients():
     # finite terms whose sum fsum cannot hold: the key is named all the same
     with pytest.raises(OverflowError, match=r"^coefficient of x\^1\.0\*y\^0\.0 overflows$"):
         S((1e308, 1, 0), (1e308, 1, 0))
+
+
+def _normalized_or_error(terms):
+    try:
+        return tuple(_bits(_normalize(terms).terms))
+    except OverflowError as exc:
+        return str(exc)
+
+
+_BIG = 1e308
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "cell, want",
+    [
+        # fsum overflows partway in one order and the drop test's fsum of
+        # magnitudes in another; the exact sum is 1e308
+        ((_BIG, _BIG, -_BIG), [(_BIG, 0.0, 0.0)]),
+        # the exact sum is 2e308, past the range in every order
+        ((_BIG, _BIG, _BIG, -_BIG), "coefficient of x^0.0*y^0.0 overflows"),
+        # an inf decides the cell, whichever finite sums overflow before it
+        ((_BIG, _BIG, -_BIG, _INF), "coefficient of x^0.0*y^0.0 is inf"),
+        ((_BIG, _BIG, _INF, -_INF), "coefficient of x^0.0*y^0.0 is nan"),
+        # cancellation residue under magnitudes past the range is dropped:
+        # 4e308 is in [2**1025, 2**1026), so 4 of its ulps are 2**975
+        ((_BIG, _BIG, -_BIG, -_BIG, 2.0**975), []),
+        ((_BIG, _BIG, -_BIG, -_BIG, 2.0**976), [(2.0**976, 0.0, 0.0)]),
+        # and more than residue is kept, correctly rounded
+        ((_BIG, _BIG, -_BIG, -_BIG, 1e300, 2.0**-60), [(1e300, 0.0, 0.0)]),
+    ],
+)
+def test_merge_does_not_depend_on_the_order_of_a_cell(cell, want):
+    outcomes = {_normalized_or_error([FracTerm(c) for c in order])
+                for order in itertools.permutations(cell)}
+    assert outcomes == {want if isinstance(want, str) else tuple(_bits(FracTerm(*t) for t in want))}
+
+
+# coefficients near the top of the range, whose partial sums overflow in
+# some orders and not in others, and small ones beside them
+_near_range = st.builds(
+    FracTerm,
+    st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 8.9e307, -8.9e307, 1.0, -2.0**-60, 5e-324]),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_near_range, max_size=8), st.randoms(use_true_random=False))
+def test_normalize_near_the_range_is_permutation_invariant(terms, rnd):
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    assert _normalized_or_error(shuffled) == _normalized_or_error(terms)
 
 
 # -- Caputo derivative --------------------------------------------------------
