@@ -18,10 +18,10 @@ from fracadm.problems import (
     CLASSICAL_PAIR,
     ORDER_PAIRS,
     REFERENCE_TABLES,
+    _best_depth,
     _error_resolvable,
     exact_solution,
     make_table,
-    recovered_depth,
     truncation_scan,
 )
 
@@ -35,7 +35,7 @@ def report_example(example: int, max_depth: int) -> None:
             f"  n={r.n_terms:<2d} max_dev={r.max_deviation:<12.4g} "
             f"err_dev={r.error_column_deviation:.4g}"
         )
-    depth = recovered_depth(example, max_depth)
+    depth = _best_depth(rows)
     print(f"recovered depth: {depth}")
 
     cells = {(c.y, c.x, (c.alpha, c.beta)): c for c in make_table(example, depth)}

@@ -19,9 +19,10 @@ exponent,
 
 and ``solve`` forms A_n over the unordered pairs i <= n - i: one key add and
 one cell lookup per pair of terms, with both raw products put in that cell
-(on the diagonal i = n - i, over the pairs of terms a <= b).  Each cell holds
-the same floats as the sum over the ordered pairs (u_i, D_x^beta u_{n-i}),
-and the merge does not depend on their order, so A_n is the same to the bit.
+(on the diagonal i = n - i, over the pairs of terms a <= b).  A term with no
+image in D_x^beta u pairs with 0.0.  Its products c * 0.0 aside, which the
+merge ignores, each cell holds the floats of the sum over the ordered pairs
+(u_i, D_x^beta u_{n-i}), in any order, so A_n is the same to the bit.
 (Adomian polynomials of a bilinear term are symmetric in this way: Abbaoui
 and Cherruault, Math. Comput. Modelling 20(9), 1994.)
 
@@ -52,13 +53,16 @@ from .series import (
 
 __all__ = ["ProblemSpec", "SolutionSeries", "SolveError", "solve"]
 
-# A solve forms at most this many raw products, one per pair of terms of u_i
-# and D_x^beta u_j, over all its A_n; a pair of series with no products counts
-# as one.  A step that would pass it fails before it forms any.  The largest
-# benchmark solve forms 137,256.  On a 2-core x86 VM with Python 3.11, example
-# 1 at generic orders stops at u_76 after 0.21 s of solve and 18.3 MB peak RSS
-# (in process); one A_0 of 1,224 x 1,224 products on nearly distinct
-# exponents, the worst case for memory, took 2.8-3.6 s and 284 MB.
+# A solve counts at most this many raw products, one per pair of terms of u_i
+# and D_x^beta u_j over all its A_n, and one for a pair of series with none; a
+# step that would pass it fails before it forms any.  A term of u_j with no
+# image also forms uncounted zeros: one with each term of u_i that has an
+# image (which forms a counted product with it) and on the diagonal its
+# square; a step whose products are all zero leaves the next component empty.
+# The largest benchmark solve counts 137,256.  On a 2-core x86 VM with Python
+# 3.11, example 1 at generic orders stops at u_76 after 0.21 s of solve and
+# 18.3 MB peak RSS (in process); one A_0 of 1,224 x 1,224 products on nearly
+# distinct exponents, the worst case for memory, took 2.8-3.6 s and 284 MB.
 _WORK_BUDGET = 1_500_000
 
 
@@ -151,39 +155,32 @@ def _solve_frame(problem: ProblemSpec) -> tuple[int, int]:
 
 
 def _split(u: FracSeries, du: FracSeries, frame: tuple[int, int], shift: int) -> tuple:
-    """(paired, lone, |u|max, |du|max): u's terms packed in the frame, split
-    by whether du = D_x^beta u has their image, and the largest |coefficient|
-    of u and of du.
-
-    A term whose image d * x^(p-beta) * y^q is in du is paired as (key, c,
-    d); one that has none is lone, (key, c): an x-constant, or a term whose
-    image's coefficient the derivative dropped as 0 (at p = beta - 1, say).
-    shift is beta's x-step as a packed key, so an image's key is its term's
-    less shift.
+    """(terms, imaged, |u|max, |du|max) of u and du = D_x^beta u in the frame:
+    u's terms as (key, c, d), d the coefficient of the image d * x^(p-beta) *
+    y^q in du, the prefix of those with an image, and the largest |c| of each.
+    d is 0.0 for a term with no image: an x-constant, or one whose image the
+    derivative dropped as 0 (at p = beta - 1, say).  shift is beta's x-step
+    as a packed key, so an image's key is its term's less shift.
     """
     u_terms, u_max = _packed(u, *frame)
     d_terms, d_max = _packed(du, *frame)
     images = dict(d_terms)
-    paired, lone = [], []
-    for k, c in u_terms:
-        d = images.get(k - shift)
-        if d is None:
-            lone.append((k, c))
-        else:
-            paired.append((k, c, d))
-    return paired, lone, u_max, d_max
+    terms = [(k, c, images.get(k - shift, 0.0)) for k, c in u_terms]
+    if len(d_terms) < len(terms):  # those with an image first
+        terms = [t for t in terms if t[2]] + [t for t in terms if not t[2]]
+    return terms, terms[: len(d_terms)], u_max, d_max
 
 
 def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int) -> FracSeries:
     """A_n = sum_{i+j=n} u_i * D_x^beta u_j from the splits of u_0..u_n, normalized once.
 
-    Over each unordered pair i <= j = n - i, a pair of paired terms a of u_i
-    and b of u_j puts u_i[a] * D u_j[b] and u_j[b] * D u_i[a] in the one cell
-    of key k_a + k_b - shift; on the diagonal i = j a term meets itself once
-    and each other paired term of u_i once.  A lone term of either has only
-    its products with the other's images.  Each raw product is the float
-    multiply of the ordered pairs' sum, and the merge's bound is that sum's:
-    the largest |u_i|max * |D u_j|max.
+    Over each unordered pair i <= j = n - i, term a of u_i and term b of u_j
+    put u_i[a] * D u_j[b] and u_j[b] * D u_i[a] in the one cell of key k_a +
+    k_b - shift; on the diagonal i = j a term meets itself once and each
+    later term once.  A term without an image meets only those with one,
+    so each of its zero products comes with a raw product, or is its square.
+    Each raw product is the float multiply of the ordered pairs' sum, and
+    the merge's bound is that sum's: the largest |u_i|max * |D u_j|max.
     """
     n = len(splits) - 1
     cells: dict[int, list[float]] = {}
@@ -193,12 +190,11 @@ def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int) -> FracSe
         if u_max * d_max > bound:
             bound = u_max * d_max
     for i in range(n // 2 + 1):
-        paired, lone, _, _ = splits[i]
-        other, other_lone, _, _ = splits[n - i]
+        terms, (other, imaged, _, _) = splits[i][0], splits[n - i]
         diagonal = 2 * i == n
-        for a, (ka, c, d) in enumerate(paired):
+        for a, (ka, c, d) in enumerate(terms):
             base = ka - shift
-            inner = other
+            inner = other if d else imaged
             if diagonal:  # the term meets itself once, and each later term
                 k = base + ka
                 cell = get(k)
@@ -215,25 +211,7 @@ def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int) -> FracSe
                 else:
                     cell.append(c * f)
                     cell.append(e * d)
-        if lone:
-            _one_sided(cells, lone, other, shift)
-        if other_lone and not diagonal:
-            _one_sided(cells, other_lone, paired, shift)
     return _merge(cells, *frame, bound)
-
-
-def _one_sided(cells: dict[int, list[float]], lone: list, paired: list, shift: int) -> None:
-    """Put each lone term's products with the paired terms' images in the cells."""
-    get = cells.get
-    for ka, c in lone:
-        base = ka - shift
-        for kb, _, f in paired:
-            k = base + kb
-            cell = get(k)
-            if cell is None:
-                cells[k] = [c * f]
-            else:
-                cell.append(c * f)
 
 
 def solve(problem: ProblemSpec) -> SolutionSeries:
@@ -259,11 +237,8 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
             # differentiate lazily: u_{N-1} itself is never differentiated
             du = caputo_deriv(components[n], beta, Axis.X)
             splits.append(_split(components[n], du, frame, shift))
-            # counted per ordered pair (u_i, D u_{n-i}) of terms; D u_j has a
-            # term for each paired term of u_j
-            work += sum(
-                max(1, len(u) * len(t[0])) for u, t in zip(components, reversed(splits))
-            )
+            # counted per ordered pair (u_i, D u_{n-i}) of terms
+            work += sum(max(1, len(u) * len(t[1])) for u, t in zip(components, reversed(splits)))
             if work > _WORK_BUDGET:
                 raise ArithmeticError(
                     f"would take the solve to {work} raw products, "

@@ -93,6 +93,14 @@ def _digits(text: str) -> int:
     return min(value, 767)
 
 
+def _path(text: str) -> str:
+    """--out: a path, checked while parsing; an empty one is refused, not
+    taken for stdout."""
+    if not text:
+        raise ValueError("expected a path, got ''")
+    return text
+
+
 def _choice(convert: Callable[[str], object], choices: Sequence) -> Callable[[str], object]:
     """A converter that refuses a converted value not among ``choices``."""
 
@@ -346,7 +354,7 @@ _OPTIONS = {
     "--dump-series": (None, False, "print the truncated series instead of grid values"),
     "--terms": (_positive_int, 6, "truncation depth (scan: max depth; default 6)"),
     "--format": (_choice(str, ("csv", "tsv")), None, "csv (the default) or tsv"),
-    "--out": (str, None, "write output here"),
+    "--out": (_path, None, "write output here"),
     "--digits": (_digits, 17, "significant digits in output (default 17; above 767 prints as 767)"),
 }
 # Each command: (its function, its summary, the options it takes, those it
@@ -428,7 +436,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         # every value is computed by the time the first block is formed, so a
         # failure writes nothing; solve's later blocks are formed as they are written
         first = next(blocks)
-        if not args.out:
+        if args.out is None:
             # looked up now: callers may have redirected sys.stdout, and it is
             # None when descriptor 1 was closed at start-up
             if sys.stdout is None:

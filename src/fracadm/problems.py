@@ -262,5 +262,10 @@ def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
 
 def recovered_depth(example: int, n_max: int = 8) -> int:
     """Depth whose classical error column best matches the reference table."""
-    rows = truncation_scan(example, n_max)
+    return _best_depth(truncation_scan(example, n_max))
+
+
+def _best_depth(rows: list[ScanRow]) -> int:
+    """The depth of a scan's rows with the least error-column deviation, the
+    shallowest on a tie."""
     return min(rows, key=lambda r: (r.error_column_deviation, r.n_terms)).n_terms

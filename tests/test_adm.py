@@ -118,14 +118,18 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
+def _splits(components, beta):
+    """The splits of the components as ``adm.solve`` forms them, their frame
+    and beta's packed x-step."""
+    derivs = [caputo_deriv(u, beta, Axis.X) for u in components]
+    frame = series._frame(list(components) + derivs)
+    shift = series._x_key(beta, *frame)
+    return [adm._split(u, d, frame, shift) for u, d in zip(components, derivs)], frame, shift
+
+
 def _paired_polynomial(components, n, beta):
     """A_n as ``adm.solve`` forms it, from the splits of u_0..u_n."""
-    components = list(components[: n + 1])
-    derivs = [caputo_deriv(u, beta, Axis.X) for u in components]
-    frame = series._frame(components + derivs)
-    shift = series._x_key(beta, *frame)
-    splits = [adm._split(u, d, frame, shift) for u, d in zip(components, derivs)]
-    return adm._convolve(splits, frame, shift)
+    return adm._convolve(*_splits(components[: n + 1], beta))
 
 
 @st.composite
@@ -171,15 +175,39 @@ def test_paired_polynomial_drops_rounding_residue():
     assert [t.px for t in _paired_polynomial(u, 1, 1.0)] == [0.0, 2.0]
 
 
-def test_the_split_keeps_terms_without_a_derivative_lone():
-    # 1 has no derivative, and x^-0.25 at beta = 0.75 has 1/Gamma(0) = 0
-    u = S((1, 0, 0), (2, -0.25, 0), (3, 1.5, 0))
+def test_a_term_without_an_image_gets_zero():
+    # 1 has no derivative, x^-0.25 at beta = 0.75 has 1/Gamma(0) = 0, and the
+    # image of 5e-324*x^0.01 underflows: Gamma(1.01)/Gamma(0.26) is about 0.29
+    u = S((1, 0, 0), (2, -0.25, 0), (5e-324, 0.01, 0), (3, 1.5, 0))
     du = caputo_deriv(u, 0.75, Axis.X)
     frame = series._frame([u, du])
-    paired, lone, u_max, d_max = adm._split(u, du, frame, series._x_key(0.75, *frame))
-    assert [c for _, c in lone] == [2.0, 1.0]  # in key order
-    assert [(c, d) for _, c, d in paired] == [(3.0, du._coeffs[0])]
+    terms, imaged, u_max, d_max = adm._split(u, du, frame, series._x_key(0.75, *frame))
+    assert [(c, d) for _, c, d in terms] == [(3.0, du._coeffs[0]), (2.0, 0.0), (1.0, 0.0), (5e-324, 0.0)]
+    assert imaged == terms[:1] and len(imaged) == len(du) == 1
     assert (u_max, d_max) == (3.0, abs(du._coeffs[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_convolution_cases())
+# every term of u_0 without an image (p * 5e-324 underflows at beta = 1): the
+# diagonal forms their squares and no product of two of them
+@example(([S((5e-324, 0.001, 0), (5e-324, 0.002, 0), (5e-324, 0.005, 0), (2, 0, 0))], 0, 1.0))
+@example(([S((1, 0, 0), (1, 1, 0)), S((-1, 0, 1), (2, 0.5, 1)), S((3, 0, 2), (1, -0.5, 2))], 2, 0.5))
+def test_a_term_without_an_image_meets_only_imaged_terms(case):
+    # the products _convolve forms: the counted ones, one zero with each
+    # imaged term for a term without an image, and on the diagonal its square
+    components, n, beta = case
+    splits, frame, shift = _splits(components, beta)
+    for (terms, imaged, _, _), u in zip(splits, components):
+        assert len(imaged) == len(caputo_deriv(u, beta, Axis.X)) and imaged == terms[: len(imaged)]
+        assert all(d for *_, d in imaged) and not any(d for *_, d in terms[len(imaged) :])
+    lengths = [(len(t), len(m)) for t, m, _, _ in splits]
+    want = sum(lu * mj + mi * (lj - mj) for (lu, mi), (lj, mj) in zip(lengths, reversed(lengths)))
+    if n % 2 == 0:
+        want += lengths[n // 2][0] - lengths[n // 2][1]
+    with mock.patch.object(adm, "_merge", side_effect=lambda cells, *_: cells) as merge:
+        adm._convolve(splits, frame, shift)
+    assert sum(map(len, merge.call_args.args[0].values())) == want
 
 
 # -- lambda oracle ---------------------------------------------------------------

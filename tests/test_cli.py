@@ -748,6 +748,16 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("out", [["--out", ""], ["--out="]], ids=" ".join)
+def test_empty_out_exits_1_before_any_work(out, capsys):
+    # an empty path is refused, not taken for stdout
+    with _no_work():
+        assert run(["table", "--example", "4", "--terms", "2", *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fracadm: error: argument --out: expected a path, got ''\n"
+
+
 def test_parse_error_exits_1(capsys):
     assert run(["solve", "--ic", "x^-1", "--grid", "x=0.5;y=0.1"]) == 1
     assert "non-negative" in capsys.readouterr().err
