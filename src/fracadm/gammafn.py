@@ -9,7 +9,9 @@ entire function it is: exactly zero at non-positive integers.
 Values are the standard library's ``math.gamma``, and no threshold picks
 another formula: only ``math.gamma``'s own OverflowError does.  Then a
 ratio of positive arguments is taken as ``exp(lgamma(num) - lgamma(den))``,
-so it survives where a factor overflows.  Every other ratio is the product
+so it survives where a factor overflows, and with an argument <= 0 each
+one in (-1, 1) is taken as Gamma(1+z)/z, so that one next to 0 does not
+overflow.  Every other ratio is the product
 ``Gamma(num) * (1/Gamma(den))``; on power-rule pairs with num in (20, 60]
 it was within 8.7e-16 of mpmath.
 The pole test has no tolerance: the series operators round each gamma
@@ -46,8 +48,9 @@ def gamma_ratio(num: float, den: float) -> float:
     A numerator pole has no finite value and raises, whatever the
     denominator; otherwise a denominator pole yields exactly 0.0.  The
     value is Gamma(num) * (1/Gamma(den)); where a factor overflows and both
-    arguments are positive it is taken in log space instead, and otherwise
-    the OverflowError propagates.
+    arguments are positive it is taken in log space instead; otherwise an
+    argument next to 0 is moved to 1 + z, and a factor that still overflows,
+    or a ratio past the double range, raises OverflowError.
     """
     if _is_pole(num):
         raise GammaPoleError(num, context="gamma_ratio numerator")
@@ -58,7 +61,15 @@ def gamma_ratio(num: float, den: float) -> float:
     except OverflowError:
         if num > 0.0 and den > 0.0:
             return math.exp(math.lgamma(num) - math.lgamma(den))
-        raise
+        # next to 0 Gamma overflows as 1/z does: take each z in (-1, 1) as
+        # Gamma(1+z)/z.  Gamma(d) is 0.0 only where the ratio overflows.
+        n, s = (1.0 + num, num) if -1.0 < num < 1.0 else (num, 1.0)
+        d, t = (1.0 + den, den) if -1.0 < den < 1.0 else (den, 1.0)
+        n_gamma, d_gamma = math.gamma(n), math.gamma(d)
+        value = n_gamma / d_gamma * t / s if d_gamma else math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"gamma_ratio({num!r}, {den!r}) is past the double range") from None
+        return value
     if den_gamma == 0.0:
         # Gamma underflows to a signed zero far down the negative axis, where
         # 1/Gamma is beyond double range anyway: saturate with its sign

@@ -292,22 +292,19 @@ def sum_series(
     return _merge(cells, den, width, bound)
 
 
-def sum_of_products(
-    pairs: Iterable[tuple["FracSeries", "FracSeries"]],
-    frame: tuple[int, int] | None = None,
-) -> "FracSeries":
+def sum_of_products(pairs: Iterable[tuple["FracSeries", "FracSeries"]]) -> "FracSeries":
     """sum of a*b over the pairs, normalized once over all raw product terms.
 
     A raw product is one int add of packed exponent keys, one float multiply
-    and one dict lookup; no FracTerm is built.  ``frame`` is as for
-    ``sum_series``, over every series of the pairs.  The merge's bound is the
+    and one dict lookup; no FracTerm is built.  The terms are packed in
+    ``_frame`` of every series of the pairs.  The merge's bound is the
     largest product of a pair's two largest |coefficients|: rounded as each
-    raw product is, it is at least every raw product's magnitude.  Nothing
-    here bounds the work: ``adm.solve`` counts its products before it asks
-    for them.
+    raw product is, it is at least every raw product's magnitude.  This
+    serves ``FracSeries.mul`` and the tests' ordered-pairs A_n; a solve
+    forms A_n by ``adm._convolve`` and bounds that work itself.
     """
     pairs = tuple(pairs)
-    den, width = frame or _frame([s for pair in pairs for s in pair])
+    den, width = _frame([s for pair in pairs for s in pair])
     cells: dict[int, list[float]] = {}
     get = cells.get
     bound = 0.0
@@ -468,13 +465,14 @@ class FracSeries:
     def evaluate_grid(self, xs: Iterable[float], ys: Iterable[float]) -> list[float]:
         """``[self.evaluate(x, y) for y in ys for x in xs]``, bit for bit.
 
-        Each x value gets one factor row, each y value one, and each point is
-        one ``fsum`` of their products (see ``_Factors``).  Rows are built
-        for at most ``_GRID_BLOCK_TERMS`` values times terms at a time, and
-        for at least one value: the x values a block at a time, and the y
-        values once per call if they fit in a block's room, else once per
-        block of x values.  A point that fails gets nan, and a failing grid
-        raises what its first non-finite point in row order raises.
+        Each x value gets one factor row, each y value one, each built by
+        ``_Factors.row`` one value at a time, and each point is one ``fsum``
+        of their products.  Rows are held for at most ``_GRID_BLOCK_TERMS``
+        values times terms at a time, and for at least one value: the x
+        values a block at a time, and the y values once per call if they fit
+        in a block's room, else once per block of x values.  A point that
+        fails gets nan, and a failing grid raises what its first non-finite
+        point in row order raises.
         """
         xs, ys = tuple(xs), tuple(ys)
         if not xs or not ys:
@@ -507,7 +505,7 @@ class FracSeries:
                 for c, n, m in zip(self._coeffs, self._xs, self._ys)
             )
             if math.isfinite(value):  # no power fails: a sum does
-                value = math.fsum(map(operator.mul, *x_factors.rows((x,)), *y_factors.rows((y,))))
+                value = math.fsum(map(operator.mul, x_factors.row(x), y_factors.row(y)))
         except (ArithmeticError, ValueError) as exc:
             return exc
         return OverflowError(f"value at x = {x!r}, y = {y!r} is {value!r}")
@@ -532,59 +530,35 @@ def _power(base: float, expo: float, var: str) -> float:
 
 
 class _Factors:
-    """The factor rows of one variable: term i is
-    ``coeffs[i] * value**exponents[slots[i]]``, and ``groups`` holds the
-    slice of terms in each group, in group order, or is None for a group per
-    term.
+    """The factor rows of one variable: its powers at ``exponents``, or,
+    with ``coeffs``, per term i ``coeffs[i] * value**exponents[slots[i]]``,
+    where ``groups`` holds the slice of terms in each group, in group order,
+    or is None for a group per term.
 
     A value's row holds, per group, the fsum of its terms; a group of one
-    term is that term.  Powers are math.pow's: where ``_power`` raises,
-    math.pow raises too or, at a base of -inf, gives a value that is not
-    finite, and the sign of a zero power or factor never reaches a point's
-    value, whose fsum drops zeros.  ``rows`` raises if a power or an fsum
-    does.
+    term is that term.  Without ``coeffs`` (the grouping variable) the row
+    is the powers themselves.  Powers are math.pow's: where ``_power``
+    raises, math.pow raises too or, at a base of -inf, gives a value that
+    is not finite, and the sign of a zero power or factor never reaches a
+    point's value, whose fsum drops zeros.  ``row`` raises if a power or an
+    fsum does.
     """
 
-    def __init__(self, coeffs: Sequence[float], slots: Sequence[int], exponents: list[float],
-                 groups: list[slice] | None = None):
+    def __init__(self, exponents: list[float], coeffs: Sequence[float] | None = None,
+                 slots: Sequence[int] = (), groups: list[slice] | None = None):
+        self.exponents = exponents
         self.coeffs = coeffs
         self.slots = slots
-        self.exponents = exponents
         self.groups = groups
 
     def row(self, value: float) -> list[float]:
         powers = list(map(math.pow, [value] * len(self.exponents), self.exponents))
+        if self.coeffs is None:
+            return powers
         products = list(map(operator.mul, self.coeffs, map(powers.__getitem__, self.slots)))
         if self.groups is None:
             return products
         return list(map(math.fsum, map(products.__getitem__, self.groups)))
-
-    def rows(self, values: Sequence[float]) -> list[Sequence[float]]:
-        """The row of each value: value by value for at most sqrt(terms)
-        values, else by columns, one list of the values' powers per exponent,
-        then one of their products per term.
-
-        A column costs a few objects per term whatever the number of values,
-        a row a few per value.  Measured in process on a 2-core x86 VM,
-        columns against rows took 3.4-7.1 times as long for one value and
-        broke even at about 6 values of 22 and of 80 terms and 14 of 130
-        (sqrt(terms) is 4.7, 8.9 and 11.4), and 0.42-0.75 times as long at
-        64; for 821 terms in 80 groups they stayed 1.06-1.18 times as long
-        from 24 to 64 values.  A 750,924-term series, built one value at a
-        time, took 60 s and 542 MB peak RSS by columns on 16 points, against
-        10-12 s and 405 MB by rows, and ran out of a 500,000 KB address
-        space.
-        """
-        n = len(values)
-        if n * n <= len(self.coeffs):
-            return list(map(self.row, values))
-        powers = [list(map(math.pow, values, [p] * n)) for p in self.exponents]
-        terms = [powers[k] if c == 1.0 else map(operator.mul, [c] * n, powers[k])
-                 for c, k in zip(self.coeffs, self.slots)]
-        if self.groups is not None:
-            terms = [terms[g][0] if g.stop - g.start == 1 else map(math.fsum, zip(*terms[g]))
-                     for g in self.groups]
-        return list(zip(*terms)) or [()] * n
 
 
 def _grouped(s: FracSeries) -> tuple[_Factors, _Factors]:
@@ -605,14 +579,15 @@ def _grouped(s: FracSeries) -> tuple[_Factors, _Factors]:
         slices = list(map(slice, starts, [*starts[1:], len(on)]))
     index = dict(zip(dict.fromkeys(off), range(len(off))))
     d = s._den
-    w = _Factors(coeffs, list(map(index.__getitem__, off)), [p / d for p in index], slices)
-    v = _Factors([1.0] * len(groups), range(len(groups)), [g / d for g in groups])
+    w = _Factors([p / d for p in index], coeffs, list(map(index.__getitem__, off)), slices)
+    v = _Factors([g / d for g in groups])
     return (v, w) if by_x else (w, v)
 
 
-def _factor_rows(factors: _Factors, values: Sequence[float]) -> list[Sequence[float]]:
-    """``factors.rows(values)``, with a row of nans for each value where that fails."""
-    return _each(factors.rows, values, [math.nan] * len(factors.groups or factors.coeffs))
+def _factor_rows(factors: _Factors, values: Sequence[float]) -> list[list[float]]:
+    """The row of each value, and a row of nans for each value where that fails."""
+    return _each(lambda some: list(map(factors.row, some)), values,
+                 [math.nan] * len(factors.groups or factors.coeffs or factors.exponents))
 
 
 def _dots(x_rows: list[Sequence[float]], y_row: Sequence[float], y: float) -> list[float]:

@@ -193,6 +193,9 @@ def test_a_term_without_an_image_gets_zero():
 # diagonal forms their squares and no product of two of them
 @example(([S((5e-324, 0.001, 0), (5e-324, 0.002, 0), (5e-324, 0.005, 0), (2, 0, 0))], 0, 1.0))
 @example(([S((1, 0, 0), (1, 1, 0)), S((-1, 0, 1), (2, 0.5, 1)), S((3, 0, 2), (1, -0.5, 2))], 2, 0.5))
+# x^-d for a subnormal d at beta = 1: Gamma(-d) overflows, but the image
+# coefficient Gamma(1)/Gamma(-d) = -d does not
+@example(([S((1, -2.2250738585072034e-309, 0))], 0, 1.0))
 def test_a_term_without_an_image_meets_only_imaged_terms(case):
     # the products _convolve forms: the counted ones, one zero with each
     # imaged term for a term without an image, and on the diagonal its square

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import sys
 
 import mpmath
 import pytest
@@ -148,10 +149,19 @@ def _reference_ratio(num, den):
         raise GammaPoleError(num, context="gamma_ratio numerator")
     if _is_pole(den):
         return 0.0
-    if num > 0.0 and den > 0.0 and (_overflows(num) or _overflows(den)):
+    if not (_overflows(num) or _overflows(den)):
+        return math.gamma(num) * _reciprocal(math.gamma(den))
+    if num > 0.0 and den > 0.0:
         return math.exp(math.lgamma(num) - math.lgamma(den))
-    # math.gamma's OverflowError propagates
-    return math.gamma(num) * _reciprocal(math.gamma(den))
+    # Gamma(z) = Gamma(1+z)/z for each z in (-1, 1); math.gamma's OverflowError
+    # far from 0 propagates, and so does a ratio past the double range
+    n, s = (1.0 + num, num) if abs(num) < 1.0 else (num, 1.0)
+    d, t = (1.0 + den, den) if abs(den) < 1.0 else (den, 1.0)
+    n_gamma, d_gamma = math.gamma(n), math.gamma(d)
+    value = n_gamma / d_gamma * t / s if d_gamma != 0.0 else math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"gamma_ratio({num!r}, {den!r}) is past the double range")
+    return value
 
 
 def test_gamma_ratio_is_its_factors_bit_for_bit():
@@ -179,6 +189,28 @@ def test_gamma_ratio_survives_overflowing_factors():
                 math.gamma(z)
         ref = mpmath.gamma(num) / mpmath.gamma(den)
         assert gamma_ratio(num, den) == pytest.approx(float(ref), rel=1e-11)
+
+
+def test_gamma_ratio_next_to_zero_against_mpmath():
+    # Gamma overflows next to 0 as 1/z does, but the ratio need not:
+    # Gamma(1)/Gamma(-d) = -d.  A ratio past the double range still raises.
+    assert gamma_ratio(1.0, -1e-310) == -1e-310
+    assert gamma_ratio(1e-310, -1e-310) == -1.0
+    with pytest.raises(OverflowError):
+        gamma_ratio(-1e-310, 2.5)
+    tiny = [1e-310, -1e-310, 5e-324, -5e-324, -2.2250738585072034e-309, 3e-309]
+    others = [1.0, 0.5, -0.5, 2.5, -3.25, -0.999, 20.5, 170.0, -170.5, 1e-200, -1e-200]
+    for z in tiny:
+        for w in tiny + others:
+            for num, den in ((z, w), (w, z)):
+                ref = mpmath.gamma(num) / mpmath.gamma(den)
+                if abs(ref) > sys.float_info.max:
+                    with pytest.raises(OverflowError):
+                        gamma_ratio(num, den)
+                    continue
+                # relative 1e-12 (lgamma near 745 in log space), and a few
+                # units of a subnormal
+                assert abs(gamma_ratio(num, den) - ref) <= 1e-12 * abs(ref) + 2e-323, (num, den)
 
 
 def test_gamma_ratio_power_rule_pairs_against_mpmath():

@@ -501,19 +501,37 @@ def test_evaluate_grid_builds_each_y_row_once(ys):
     s = S((1.5, 0, 0), (-2, 0.5, 0.25), (0.75, 1, 1), (3, 2, 0.5))
     xs = [rng.uniform(0.0, 2.0) for _ in range(9)]
     built = []
-    rows = series._Factors.rows
+    row = series._Factors.row
 
-    def counted(factors, values):
-        built.extend(values)
-        return rows(factors, values)
+    def counted(factors, value):
+        built.append(value)
+        return row(factors, value)
 
     with mock.patch.object(series, "_GRID_BLOCK_TERMS", max(8, 4 * len(ys))), \
-            mock.patch.object(series._Factors, "rows", counted):
+            mock.patch.object(series._Factors, "row", counted):
         got = s.evaluate_grid(xs, ys)
     assert got == [grouped_evaluate_oracle(s, x, y) for y in ys for x in xs]
     assert got == [s.evaluate(x, y) for y in ys for x in xs]
     # the y rows first, then the x rows block by block: each value once
     assert built == ys + xs
+
+
+@pytest.mark.parametrize("nx, ny", [(40, 200), (200, 40)])
+@pytest.mark.parametrize(
+    "problem",
+    [builtin_problem(1, 0.5, 0.5, 20),
+     ProblemSpec(0.5, 0.5, parse_series("1"), parse_series("x"), 20)],
+    ids=["example-1", "ic-1-g-x"],
+)
+def test_evaluate_grid_matches_the_oracle_on_dense_grids(problem, nx, ny):
+    # many values to a block of example 1's 130-term Phi, as on the CLI's
+    # dense grids: every factor row is built one value at a time
+    phi = solve(problem).partial_sum(problem.n_terms)
+    xs = [0.05 + 0.85 * k / nx for k in range(nx)]
+    ys = [0.001 + 0.099 * k / ny for k in range(ny)]
+    got = phi.evaluate_grid(xs, ys)
+    want = [grouped_evaluate_oracle(phi, x, y) for y in ys for x in xs]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def test_evaluate_grid_memory_is_bounded_by_held_products():
