@@ -31,7 +31,8 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import repeat
+from itertools import chain, repeat
+from operator import sub
 from types import SimpleNamespace
 
 from .adm import ProblemSpec, solve
@@ -184,30 +185,21 @@ def parse_grid(spec: str) -> tuple[Sequence[float], Sequence[float]]:
     return xs(), ys()
 
 
-def _formatter(digits: int) -> Callable[[object], str]:
-    """Cell formatter: None is empty, and an int (a scan's depth) prints whole
-    at any --digits."""
-    spec = f".{digits}g"
-
-    def fmt(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, int):
-            return str(value)
-        return format(value, spec)
-
-    return fmt
-
-
 def _separator(args) -> str:
     return "\t" if args.format == "tsv" else ","
 
 
 def _render(header: str, rows, args) -> list[str]:
     """CSV/TSV text as one block: the comma-separated header, then one line
-    per row of values."""
-    sep = _separator(args)
-    fmt = _formatter(args.digits)
+    per row of values, where None is empty and an int (a scan's depth) prints
+    whole at any --digits."""
+    sep, spec = _separator(args), f".{args.digits}g"
+
+    def fmt(value) -> str:
+        if value is None:
+            return ""
+        return str(value) if isinstance(value, int) else format(value, spec)
+
     lines = [header.replace(",", sep)]
     lines.extend(sep.join(map(fmt, row)) for row in rows)
     return ["\n".join(lines) + "\n"]
@@ -308,28 +300,25 @@ def _grid_blocks(phi: FracSeries, xs, ys, example: int | None, args) -> Iterator
 
 
 def _text(xs, ys, blocks: list, approx: list, exact: list | None, args) -> Iterator[str]:
-    """The text of ``blocks`` from their values, one string per block."""
+    """The text of ``blocks`` from their values, one string per block and one
+    %-template per y row: y, x, alpha and beta are formatted once, by position,
+    not by value (0.0 and -0.0 print differently), and '%.{d}g' fills in
+    approx, exact and abs_error as format(v, '.{d}g') would."""
     sep = _separator(args)
     spec = f".{args.digits}g"
-    # a line is y_cell + prefix + approx + tail: the x, alpha and beta cells are
-    # joined once per x, by position, not by value (0.0 and -0.0 are equal but
-    # print differently)
     orders = sep + format(args.alpha, spec) + sep + format(args.beta, spec) + sep
-    tails = repeat(sep + sep + "\n")
+    tail = (sep + "%" + spec) * 2 + "\n" if exact else sep + sep + "\n"
     for (y0, y1, x0, x1), values, exact_values in zip(blocks, approx, exact or repeat(None)):
-        prefixes = [sep + format(x, spec) + orders for x in xs[x0:x1]]
+        cells = [sep + format(x, spec) + orders + "%" + spec + tail for x in xs[x0:x1]]
         width = x1 - x0
         block = []  # one string per y row, so a block holds few pieces
         for at, y in zip(range(0, len(values), width), ys[y0:y1]):
-            row = slice(at, at + width)
+            row = values[at : at + width]
             if exact_values is not None:
-                tails = (
-                    sep + format(e, spec) + sep + format(abs(e - v), spec) + "\n"
-                    for v, e in zip(values[row], exact_values[row])
-                )
+                e_row = exact_values[at : at + width]
+                row = chain.from_iterable(zip(row, e_row, map(abs, map(sub, e_row, row))))
             y_cell = format(y, spec)
-            lines = [y_cell + p + format(v, spec) + t for p, v, t in zip(prefixes, values[row], tails)]
-            block.append("".join(lines))
+            block.append((y_cell + y_cell.join(cells)) % tuple(row))
         yield "".join(block)
 
 

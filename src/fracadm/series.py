@@ -53,6 +53,7 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 
 from .gammafn import gamma_ratio
 
@@ -591,10 +592,11 @@ def _factor_rows(factors: _Factors, values: Sequence[float]) -> list[list[float]
 
 
 def _dots(x_rows: list[Sequence[float]], y_row: Sequence[float], y: float) -> list[float]:
-    """The fsum of each x row times the y row: nan where that fails, or y < 0."""
+    """The fsum of each x row times the y row, as one ``map`` over the rows:
+    nan where that fails, or y < 0."""
     if y < 0.0:
         return [math.nan] * len(x_rows)
-    return _each(lambda rows: [math.fsum(map(operator.mul, row, y_row)) for row in rows],
+    return _each(lambda rows: list(map(math.fsum, map(map, repeat(operator.mul), rows, repeat(y_row)))),
                  x_rows, math.nan)
 
 

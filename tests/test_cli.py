@@ -10,7 +10,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracadm import adm, cli
@@ -260,23 +260,27 @@ def test_blocks_cover_the_rows_once_in_row_order(nx, ny, block_points):
 
 
 @pytest.mark.parametrize(
-    "block_points, problem",
+    "block_points, problem, fmt, digits",
     [
-        pytest.param(n, problem, id=f"{label}{n}")
+        pytest.param(n, problem, fmt, digits,
+                     id=f"{label}{n}" + ("" if (fmt, digits) == ("tsv", 5) else f"-{fmt}-{digits}"))
         for label, problem in (("", ("--example", "1")), ("no-exact-", ("--ic", "1", "--g", "x")))
         for n in (cli._BLOCK_POINTS, 7, 2, 1)
+        for fmt in ("tsv", "csv")
+        for digits in (5, 1, 17, 767)
     ],
 )
-def test_solve_grid_is_the_same_text_in_any_blocks(block_points, problem, tmp_path, capsys):
+def test_solve_grid_is_the_same_text_in_any_blocks(block_points, problem, fmt, digits, tmp_path, capsys):
     # 3 x values and 8 y values: with blocks of 7 points, that is 2 y rows a
     # block and a short last block; with 2, each row in pieces of 2 and 1 x
     # values; with 1, one point a block.  Example 1 spelled as expressions is
     # the same series, without the exact columns: its rows end in two empty
-    # cells
+    # cells.  Each cell is checked against format, at every --digits: the
+    # rows are written through '%.{d}g' templates
     xs, ys = (0.0, 0.3, 0.9), (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
     grid = "x=0,0.3,0.9;y=0,0.01,0.05,0.1,0.2,0.5,1,2"
     argv = ["solve", *problem, "--alpha", "1", "--beta", "1", "--terms", "6",
-            "--format", "tsv", "--digits", "5", "--grid", grid]
+            "--format", fmt, "--digits", str(digits), "--grid", grid]
     target = tmp_path / "out.tsv"
     with _blocks_of(block_points):
         assert run(argv) == 0
@@ -284,16 +288,38 @@ def test_solve_grid_is_the_same_text_in_any_blocks(block_points, problem, tmp_pa
         assert run([*argv, "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == stdout
     phi = solve(builtin_problem(1, 1.0, 1.0, 6)).partial_sum(6)
-    lines = ["y\tx\talpha\tbeta\tapprox\texact\tabs_error"]
+    sep, spec = {"tsv": "\t", "csv": ","}[fmt], f".{digits}g"
+    lines = [sep.join(["y", "x", "alpha", "beta", "approx", "exact", "abs_error"])]
     for y in ys:
         for x in xs:
             approx = phi.evaluate(x, y)
-            cells = [format(v, ".5g") for v in (y, x, 1.0, 1.0, approx)] + ["", ""]
+            cells = [format(v, spec) for v in (y, x, 1.0, 1.0, approx)] + ["", ""]
             if problem[0] == "--example":
                 exact = exact_solution(1, x, y)
-                cells[5:] = [format(exact, ".5g"), format(abs(exact - approx), ".5g")]
-            lines.append("\t".join(cells))
+                cells[5:] = [format(exact, spec), format(abs(exact - approx), spec)]
+            lines.append(sep.join(cells))
     assert stdout == "\n".join(lines) + "\n"
+
+
+def test_solve_grid_abs_error_is_unsigned_where_approx_is_above_exact(capsys):
+    # at depth 3, example 1's partial sum lies above the exact solution at
+    # (0.3, 0.5): exact - approx < 0, and abs_error is its magnitude
+    assert run(["solve", "--example", "1", "--terms", "3", "--grid", "x=0.3;y=0.5"]) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    approx, exact = float(cells[4]), float(cells[5])
+    assert exact < approx
+    assert cells[6] == format(abs(exact - approx), ".17g")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), st.integers(1, 767))
+@example(-0.0, 1)
+@example(5e-324, 767)
+@example(-math.inf, 17)
+@example(1.7976931348623157e308, 767)
+def test_percent_template_prints_a_double_as_format(value, digits):
+    # a grid row is one '%.{d}g' template: each value prints as format does
+    assert ("%." + str(digits) + "g") % value == format(value, f".{digits}g")
 
 
 def test_solve_failing_at_the_exact_column_writes_nothing(tmp_path, capsys):

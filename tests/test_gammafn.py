@@ -151,14 +151,16 @@ def _reference_ratio(num, den):
         return 0.0
     if not (_overflows(num) or _overflows(den)):
         return math.gamma(num) * _reciprocal(math.gamma(den))
-    if num > 0.0 and den > 0.0:
-        return math.exp(math.lgamma(num) - math.lgamma(den))
-    # Gamma(z) = Gamma(1+z)/z for each z in (-1, 1); math.gamma's OverflowError
-    # far from 0 propagates, and so does a ratio past the double range
+    # Gamma(z) = Gamma(1+z)/z for each z in (-1, 1); where a factor still
+    # overflows, |Gamma| in log space with mpmath's signs
     n, s = (1.0 + num, num) if abs(num) < 1.0 else (num, 1.0)
     d, t = (1.0 + den, den) if abs(den) < 1.0 else (den, 1.0)
-    n_gamma, d_gamma = math.gamma(n), math.gamma(d)
-    value = n_gamma / d_gamma * t / s if d_gamma != 0.0 else math.inf
+    if _overflows(n) or _overflows(d):
+        sign = float(mpmath.sign(mpmath.gamma(num)) * mpmath.sign(mpmath.gamma(den)))
+        value = sign * math.exp(math.lgamma(num) - math.lgamma(den))
+    else:
+        n_gamma, d_gamma = math.gamma(n), math.gamma(d)
+        value = n_gamma / d_gamma * t / s if d_gamma != 0.0 else math.inf
     if not math.isfinite(value):
         raise OverflowError(f"gamma_ratio({num!r}, {den!r}) is past the double range")
     return value
@@ -211,6 +213,31 @@ def test_gamma_ratio_next_to_zero_against_mpmath():
                 # relative 1e-12 (lgamma near 745 in log space), and a few
                 # units of a subnormal
                 assert abs(gamma_ratio(num, den) - ref) <= 1e-12 * abs(ref) + 2e-323, (num, den)
+
+
+@pytest.mark.parametrize("num, den", [(1e-310, 2e-310), (1.0, 3e-309), (2e-310, 1e-310),
+                                      (3e-309, 3.0), (5e-324, 1e-320), (1e-310, 170.5)])
+def test_gamma_ratio_of_positive_arguments_next_to_zero_against_mpmath(num, den):
+    # Gamma(z) overflows for positive z below 5.6e-309; taken as Gamma(1+z)/z
+    # the ratio is within 2 ulps of mpmath (log space was 5.5e-14 off:
+    # gamma_ratio(1e-310, 2e-310) gave 1.99999999999989)
+    ref = mpmath.gamma(num) / mpmath.gamma(den)
+    assert abs(gamma_ratio(num, den) - ref) <= 2 * math.ulp(float(ref))
+
+
+@pytest.mark.parametrize("num, den", [(-1e-310, 200.0), (200.0, -1e-310), (175.0, -1e-10),
+                                      (-1e-10, 175.0), (172.5, -3.0000000000000004),
+                                      (-2.5, 172.0), (-0.5, 250.0)])
+def test_gamma_ratio_far_from_zero_over_an_argument_below_zero_against_mpmath(num, den):
+    # one factor overflows past 171.6 and the other argument is <= 0: signed
+    # log space, within 1e-12 relative of mpmath (lgamma near 860 has an ulp
+    # of 1.1e-13) and a few units of a subnormal; before, these raised
+    # OverflowError, though gamma_ratio(-1e-310, 200.0) is -2.5e-63 and
+    # gamma_ratio(200.0, -1e-310) is -3.9e62
+    ref = mpmath.gamma(num) / mpmath.gamma(den)
+    got = gamma_ratio(num, den)
+    assert abs(got - ref) <= 1e-12 * abs(ref) + 2e-323
+    assert math.copysign(1.0, got) == mpmath.sign(ref)
 
 
 def test_gamma_ratio_power_rule_pairs_against_mpmath():

@@ -624,6 +624,32 @@ def test_evaluate_grid_two_failure_grid_reports_first_point():
     assert points == want
 
 
+@pytest.mark.parametrize(
+    "ys, first",
+    [((0.1, 1.0, 0.5), (0.0, 0.1)), ((1.0, 0.1, 0.5), (1.0, 1.0))],
+    ids=["x = 0 first", "fsum overflow first"],
+)
+def test_evaluate_grid_with_rows_failing_partway(ys, first):
+    # grouped by y: x's row is (1e308*x + x^-0.5, 1e308) and y's (1, y).  At
+    # x = 0 the x row fails (x^-0.5); at (1, 1) the dot's fsum overflows,
+    # which ``_dots`` meets partway through the mapped row and retries per x
+    s = S((1e308, 1, 0), (1e308, 0, 1), (1, -0.5, 0))
+    xs = (0.5, 1.0, 0.0, 0.25)
+    x_factors, y_factors = series._grouped(s)
+    x_rows = series._factor_rows(x_factors, xs)
+    for y in ys:
+        got = series._dots(x_rows, y_factors.row(y), y)
+        for x, value in zip(xs, got):
+            want = _outcome(lambda: [s.evaluate(x, y)])
+            assert [value.hex()] == want if isinstance(want, list) else math.isnan(value)
+    assert math.isnan(series._dots(x_rows, y_factors.row(1.0), 1.0)[1])
+    for block_rows in (1, 256):
+        with mock.patch.object(series, "_GRID_BLOCK_TERMS", block_rows * len(s)):
+            got, points, want = _grid_vs_oracle(s, xs, ys)
+        assert got == points == want == _outcome(lambda: [s.evaluate(*first)])
+        assert isinstance(got, tuple)
+
+
 # -- grid values against 40-digit arithmetic ----------------------------------
 
 
