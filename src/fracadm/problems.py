@@ -80,7 +80,8 @@ def builtin_problem(
 
 
 def exact_solution(example: int, x: float, y: float) -> float:
-    """Closed-form classical solution of the chosen benchmark problem."""
+    """Closed-form classical solution of the chosen benchmark problem; a value
+    past the double range raises OverflowError naming the point."""
     if example == 1:
         try:
             sech = 1.0 / math.cosh(y)
@@ -93,7 +94,13 @@ def exact_solution(example: int, x: float, y: float) -> float:
     if example == 2:
         if y == 1.0:
             raise SingularPointError("example 2 is singular at y = 1")
-        return (2.0 * x - 2.0 * y + y * y) / (2.0 * (y - 1.0))
+        value = (2.0 * x - 2.0 * y + y * y) / (2.0 * (y - 1.0))
+        if not math.isfinite(value):
+            # 2x or y*y overflowed: the same quotient, split so that neither is formed
+            value = (y - 1.0) / 2.0 + (x - 0.5) / (y - 1.0)
+            if not math.isfinite(value):
+                raise OverflowError(f"exact value at x = {x!r}, y = {y!r} is {value!r}")
+        return value
     if example == 3:
         if y == -1.0:
             raise SingularPointError("example 3 is singular at y = -1")

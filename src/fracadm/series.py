@@ -25,20 +25,22 @@ the gamma arguments of the operators are rounded once, from those exact
 values.  Evaluation and display use those floats as they are, so
 ``x^1e-13`` is not the constant ``1``.
 
-Sums and products are normalized once over all their raw terms: each raw
-term's exponents are packed into one integer key in a frame ``(den,
-width)``, the coefficients are gathered per key, and ``_merge`` takes one
-fsum per key in key order.  A series keeps its packed terms and its largest
-|coefficient| for the last frame it was packed in, so callers that fix one
-frame, as ``adm.solve`` does for a whole solve, pack each series once.  The
-merge screens each cell of several terms by one magnitude bound per call
-before the exact cancellation test; the screen never changes a decision.
-A cell's merged coefficient does not depend on the order of its floats:
-where an fsum overflows partway, the exact sum decides (``_exact_sum``).  So
+Sums and products are normalized once over all their raw terms by
+``sum_series``; a product is the sum of one factor scaled and shifted by
+each term of the other (``_products``).  Each raw term's exponents are
+packed into one integer key in a frame ``(den, width)``, the coefficients
+are gathered per key, and ``_merge`` takes one fsum per key in key order.
+A series keeps its packed terms and its largest |coefficient| for the last
+frame it was packed in, so callers that fix one frame, as ``adm.solve``
+does for a whole solve, pack each series once.  The merge screens each
+cell of several terms by one magnitude bound per call before the exact
+cancellation test; the screen never changes a decision.  A cell's merged
+coefficient does not depend on the order of its floats: where an fsum
+overflows partway, the exact sum decides (``_exact_sum``).  So
 ``adm.solve`` can put the two raw products u_i[a] * D_x^beta u_j[b] and
 u_j[b] * D_x^beta u_i[a], which share one key because D_x^beta shifts every
 x-exponent by the same -beta, into one cell by one lookup, and get the A_n
-that ``sum_of_products`` gets over the ordered pairs.
+that one ``sum_series`` of ``_products`` over the ordered pairs gets.
 The operators compute one gamma ratio per distinct exponent on their axis.
 
 Evaluation groups the terms by their exponent on the axis with fewer
@@ -65,7 +67,6 @@ __all__ = [
     "NonIntegrableTermError",
     "caputo_deriv",
     "rl_integral",
-    "sum_of_products",
     "sum_series",
     "format_series",
     "DROP_ULPS",
@@ -293,36 +294,19 @@ def sum_series(
     return _merge(cells, den, width, bound)
 
 
-def sum_of_products(pairs: Iterable[tuple["FracSeries", "FracSeries"]]) -> "FracSeries":
-    """sum of a*b over the pairs, normalized once over all raw product terms.
-
-    A raw product is one int add of packed exponent keys, one float multiply
-    and one dict lookup; no FracTerm is built.  The terms are packed in
-    ``_frame`` of every series of the pairs.  The merge's bound is the
-    largest product of a pair's two largest |coefficients|: rounded as each
-    raw product is, it is at least every raw product's magnitude.  This
-    serves ``FracSeries.mul`` and the tests' ordered-pairs A_n; a solve
-    forms A_n by ``adm._convolve`` and bounds that work itself.
-    """
-    pairs = tuple(pairs)
-    den, width = _frame([s for pair in pairs for s in pair])
-    cells: dict[int, list[float]] = {}
-    get = cells.get
-    bound = 0.0
-    for a, b in pairs:
-        b_terms, b_max = _packed(b, den, width)
-        a_terms, a_max = _packed(a, den, width)
-        if a_max * b_max > bound:
-            bound = a_max * b_max
-        for key, c in a_terms:
-            for k, d in b_terms:
-                k += key
-                cell = get(k)
-                if cell is None:
-                    cells[k] = [c * d]
-                else:
-                    cell.append(c * d)
-    return _merge(cells, den, width, bound)
+def _products(a: "FracSeries", b: "FracSeries") -> Iterator["FracSeries"]:
+    """The raw products of a and b as one series per term c * x^p * y^q of a,
+    in term order: b's terms, each coefficient d as ``c * d``, shifted by
+    (p, q), over ``max(a._den, b._den)``; unmerged, as ``sum_series`` takes
+    them."""
+    den = max(a._den, b._den)
+    fa, fb = den // a._den, den // b._den
+    xs, ys = [x * fb for x in b._xs], [y * fb for y in b._ys]
+    for c, p, q in zip(a._coeffs, a._xs, a._ys):
+        p, q = p * fa, q * fa
+        yield FracSeries._lattice(
+            tuple(c * d for d in b._coeffs), tuple(x + p for x in xs), tuple(y + q for y in ys), den
+        )
 
 
 class FracSeries:
@@ -436,8 +420,9 @@ class FracSeries:
         return self.mul(other)
 
     def mul(self, other: "FracSeries") -> "FracSeries":
-        """Full Cauchy product, normalized once over its raw terms."""
-        return sum_of_products(((self, other),))
+        """Full Cauchy product: the sum of other scaled and shifted by each
+        term of self, normalized once over all of its raw terms."""
+        return sum_series(_products(self, other))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -701,17 +686,13 @@ def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
 # -- display ---------------------------------------------------------------
 
 
-def _format_number(v: float, digits: int) -> str:
-    return format(v, f".{digits}g")
-
-
 def _term_body(t: FracTerm, digits: int) -> str:
-    parts = [_format_number(abs(t.coeff), digits)]
+    parts = [f"{abs(t.coeff):.{digits}g}"]
     for var, expo in (("x", t.px), ("y", t.py)):
         if expo == 1.0:
             parts.append(var)
         elif expo != 0.0:
-            parts.append(f"{var}^{_format_number(expo, digits)}")
+            parts.append(f"{var}^{expo:.{digits}g}")
     return "*".join(parts)
 
 

@@ -19,9 +19,12 @@ Each oracle takes another route than the code it checks:
 * ``residual_oracle`` evaluates the equation's residual by differentiating
   a truncated series itself, not from the products of its components.
 
-``adomian_polynomial`` is no oracle: it is the convolution summed over the
-ordered pairs (u_i, D_x^beta u_{n-i}) by ``sum_of_products``, for the tests
-that check A_n, and ``ordered_pairs_components`` steps the recursion by it.
+``sum_of_products`` and ``adomian_polynomial`` are no oracles.
+``sum_of_products`` sums the raw products of several pairs in one
+``sum_series``, as ``FracSeries.mul`` sums those of one pair (through
+``series._products``).  ``adomian_polynomial`` is the convolution it sums
+over the ordered pairs (u_i, D_x^beta u_{n-i}), for the tests that check
+A_n, and ``ordered_pairs_components`` steps the recursion by it.
 ``adm.solve`` forms the same A_n over unordered pairs of terms, and the
 tests hold the two bit-identical.
 
@@ -58,9 +61,10 @@ from fracadm.series import (
     EvaluationDomainError,
     FracSeries,
     FracTerm,
+    _products,
     caputo_deriv,
     rl_integral,
-    sum_of_products,
+    sum_series,
 )
 
 
@@ -99,6 +103,11 @@ def caputo_quadrature_oracle(p: float, order: float, x: float) -> float:
         )
     # 1 - order lies in (0, 1), never a pole of Gamma
     return p * (1.0 / math.gamma(1.0 - order)) * value
+
+
+def sum_of_products(pairs: Iterable[tuple[FracSeries, FracSeries]]) -> FracSeries:
+    """sum of a*b over the pairs, normalized once over all raw products."""
+    return sum_series(p for a, b in pairs for p in _products(a, b))
 
 
 def adomian_polynomial(

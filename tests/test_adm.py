@@ -567,6 +567,79 @@ def test_the_frame_stops_at_the_deepest_component_the_budget_allows(budget):
     assert adm._solve_frame(_reach_problem(10**9)) == adm._solve_frame(_reach_problem(1732))
 
 
+# -- the scaling symmetry ---------------------------------------------------------
+# If u solves the problem with data (f, g), then 2^k u(x, 2^(k/alpha) y) solves
+# it with data (2^k f, 2^(2k) g), and the recursion keeps this term by term:
+# the coefficient of x^p y^q in u_n scales by 2^k * 2^(kq/alpha), q/alpha an
+# integer.  Each float multiply and fsum commutes with a power-of-two scale
+# away from the ends of the double range, and the drop rule with it.
+
+
+def _scaled_problem(problem, k):
+    """The problem with ic scaled by 2^k and the forcing by 2^(2k), exactly."""
+    alpha, beta, ic, forcing, n_terms = problem
+
+    def scaled(s, e):
+        return FracSeries._lattice(tuple(math.ldexp(c, e) for c in s._coeffs), s._xs, s._ys, s._den)
+
+    return ProblemSpec(alpha, beta, scaled(ic, k), scaled(forcing, 2 * k), n_terms)
+
+
+def _solve_outcome(problem):
+    """The components a solve finishes, and the message of its SolveError or None."""
+    try:
+        return solve(problem).components, None
+    except SolveError as err:
+        return err.solution.components, str(err)
+
+
+def _assert_scales(problem, k):
+    components, failure = _solve_outcome(problem)
+    scaled, scaled_failure = _solve_outcome(_scaled_problem(problem, k))
+    assert scaled_failure == failure  # names the same component
+    assert len(scaled) == len(components)
+    alpha = Fraction(repr(problem.alpha))
+    for u, w in zip(components, scaled):
+        assert [Fraction(n, w._den) for n in w._xs + w._ys] == [Fraction(n, u._den) for n in u._xs + u._ys]
+        for c, q, c_w in zip(u._coeffs, u._ys, w._coeffs):
+            m = Fraction(q, u._den) / alpha
+            assert m.denominator == 1
+            assert c_w.hex() == math.ldexp(c, k + k * m.numerator).hex()
+
+
+_symmetry_orders = st.one_of(
+    st.sampled_from([0.3, 0.45, 0.5, 0.6, 0.75, 0.743, 0.897, 0.9, 1.0]),
+    st.floats(min_value=0.1, max_value=1.0),
+)
+_symmetry_terms = st.lists(st.builds(
+    FracTerm,
+    st.one_of(st.floats(min_value=0.1, max_value=4.0), st.floats(min_value=-4.0, max_value=-0.1)),
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]), st.floats(min_value=0.0, max_value=3.0)),
+), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _symmetry_orders,
+    _symmetry_orders,
+    _symmetry_terms.filter(bool),
+    _symmetry_terms.map(lambda ts: ts[:3]),
+    st.integers(min_value=2, max_value=10),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+def test_solve_keeps_the_scaling_symmetry(alpha, beta, ic, forcing, n_terms, k):
+    _assert_scales(ProblemSpec(alpha, beta, FracSeries(ic), FracSeries(forcing), n_terms), k)
+
+
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (0.75, 0.75), (1.0, 1.0), (0.897, 0.743),
+                                  (0.6, 0.9), (0.3, 0.45)], ids=str)
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+def test_the_examples_keep_the_scaling_symmetry(example, pair):
+    # at (0.75, 0.75) examples 1-3 fail at u_5 in both solves
+    for k in (1, -2, 3):
+        _assert_scales(builtin_problem(example, *pair, 16), k)
+
+
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_the_u5_pole_keeps_its_message(example):
     with pytest.raises(SolveError) as err:

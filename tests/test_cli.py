@@ -1024,6 +1024,23 @@ def test_example_1_has_its_exact_column_where_cosh_overflows(capsys):
     assert _rows(captured.out)[1][0][5] == "0.5"
 
 
+@pytest.mark.parametrize("grid, exact", [("x=1e308;y=3", 5e307), ("x=1;y=1e200", 5e199)])
+def test_example_2_has_its_exact_column_where_its_closed_form_overflows(grid, exact, capsys):
+    # 2x overflows at x = 1e308 and y^2 at y = 1e200; the exact values do not
+    assert run(["solve", "--example", "2", "--terms", "1", "--grid", grid]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert float(_rows(captured.out)[1][0][5]) == exact
+
+
+def test_an_exact_value_past_the_double_range_exits_2(capsys):
+    # example 2's solution at (1e308, 0.5) is -2e308; approx, -1e308, is finite
+    assert run(["solve", "--example", "2", "--terms", "1", "--grid", "x=1e308;y=0.5"]) == 2
+    assert capsys.readouterr() == (
+        "", "fracadm: numeric error: exact value at x = 1e+308, y = 0.5 is -inf\n"
+    )
+
+
 def test_exponent_next_to_0_is_not_0(capsys):
     # x^1e-13 is 0 at x = 0, not x^0 = 1, and the dump keeps the term
     assert run(["solve", "--ic", "x^1e-13", "--terms", "1", "--grid", "x=0;y=0"]) == 0

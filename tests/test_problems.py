@@ -93,6 +93,30 @@ def test_example_1_is_finite_where_cosh_overflows():
         assert exact_solution(1, 0.7, y) == 0.7 * math.tanh(y) + 1.0 / math.cosh(y), y
 
 
+@pytest.mark.parametrize("x, y", [(1e308, 3.0), (1.0, 1e200), (-1e308, 3.0), (-1e308, 1e200),
+                                  (1e308, -5.0), (1.5e308, 1e154)])
+def test_example_2_is_finite_where_its_closed_form_overflows(x, y):
+    # 2x overflows at |x| = 1e308 and y^2 at y = 1e154; the solution is
+    # finite there, and (y - 1)/2 + (x - 0.5)/(y - 1) gives it to 2**-52 relative
+    mpmath = pytest.importorskip("mpmath")
+    assert not math.isfinite((2.0 * x - 2.0 * y + y * y) / (2.0 * (y - 1.0)))
+    with mpmath.workprec(200):
+        x_, y_ = mpmath.mpf(x), mpmath.mpf(y)
+        want = (2 * x_ - 2 * y_ + y_ * y_) / (2 * (y_ - 1))
+        got = exact_solution(2, x, y)
+        assert abs(got - want) <= 2 * 2.0**-53 * abs(want), (got, want)
+
+
+def test_example_2_past_the_double_range_names_its_point():
+    # the solution at (1e308, 0.5) is -2e308 + 0.75
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        x_, y_ = mpmath.mpf(1e308), mpmath.mpf(0.5)
+        assert (2 * x_ - 2 * y_ + y_ * y_) / (2 * (y_ - 1)) < -1.7976931348623157e308
+    with pytest.raises(OverflowError, match=r"^exact value at x = 1e\+308, y = 0\.5 is -inf$"):
+        exact_solution(2, 1e308, 0.5)
+
+
 def test_exact_solution_singular_points():
     with pytest.raises(SingularPointError):
         exact_solution(2, 0.5, 1.0)

@@ -27,7 +27,6 @@ from fracadm.series import (
     _normalize,
     format_series,
     rl_integral,
-    sum_of_products,
 )
 from helpers import assert_series_close, random_series
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     exact_exponent,
     grouped_evaluate_oracle,
     sort_merge_normalize_oracle,
+    sum_of_products,
 )
 
 X, Y = Axis.X, Axis.Y
@@ -250,19 +250,24 @@ def _scaled(terms, c):
           ([FracTerm(5e-324, 0.2), FracTerm(1e-310, 0.3)], [FracTerm(0.5), FracTerm(-3.0, 0.1)])])
 @example([(_RESIDUE[0], _scaled(_RESIDUE[1], 2.0**1020) + [FracTerm(1.7e308, 3.0)])])
 def test_sum_of_products_normalizes_all_raw_products_once(pairs):
+    # the runtime's a.mul(b) pair by pair, and the oracle's sum over all pairs
     series_pairs = [(FracSeries(a), FracSeries(b)) for a, b in pairs]
-    raw = [
-        FracTerm(
-            s.coeff * t.coeff,
-            exact_exponent(s.px) + exact_exponent(t.px),
-            exact_exponent(s.py) + exact_exponent(t.py),
-        )
+    raws = [
+        [
+            FracTerm(
+                s.coeff * t.coeff,
+                exact_exponent(s.px) + exact_exponent(t.px),
+                exact_exponent(s.py) + exact_exponent(t.py),
+            )
+            for s in a
+            for t in b
+        ]
         for a, b in series_pairs
-        for s in a
-        for t in b
     ]
-    got = sum_of_products(series_pairs).terms
-    assert _bits(got) == _bits(sort_merge_normalize_oracle(raw))
+    for (a, b), raw in zip(series_pairs, raws):
+        assert _bits(a.mul(b)) == _bits(sort_merge_normalize_oracle(raw))
+    all_raw = [t for raw in raws for t in raw]
+    assert _bits(sum_of_products(series_pairs)) == _bits(sort_merge_normalize_oracle(all_raw))
 
 
 @settings(max_examples=200, deadline=None)
