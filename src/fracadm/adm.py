@@ -43,10 +43,11 @@ from .series import (
     _decimal,
     _frame,
     _merge,
+    _ordered,
     _packed,
+    _power_rule,
     _width,
     _x_key,
-    caputo_deriv,
     rl_integral,
     sum_series,
 )
@@ -140,12 +141,14 @@ def _solve_frame(problem: ProblemSpec) -> tuple[int, int]:
     """The one packing frame (den, width) of every sum and product of a solve.
 
     den is the largest denominator of ic, forcing, alpha and beta, and so of
-    every component and derivative.  The width holds py(u_n) <= (2n+1)*alpha:
-    ic and g are y-free, so u_0 is at most alpha, a product adds its two
-    exponents (A_n at most (2n+2)*alpha) and J_y^alpha adds alpha.  It is
-    tight: example 1's u_20 at generic orders reaches 41*alpha.  n stops at
-    the deepest component the work budget lets a solve form: the step to
-    u_{n+1} forms at least n+1 more products, so u_m needs m(m+1)/2 in all.
+    every component and of each term's D_x^beta image, which ``_split``
+    takes as a coefficient: no derivative is formed as a series.  The width
+    holds py(u_n) <= (2n+1)*alpha: ic and g are y-free, so u_0 is at most
+    alpha, a product adds its two exponents (A_n at most (2n+2)*alpha) and
+    J_y^alpha adds alpha.  It is tight: example 1's u_20 at generic orders
+    reaches 41*alpha.  n stops at the deepest component the work budget lets
+    a solve form: the step to u_{n+1} forms at least n+1 more products, so
+    u_m needs m(m+1)/2 in all.
     """
     (a, da), (_, db) = _decimal(problem.alpha), _decimal(problem.beta)
     den = max(problem.ic._den, problem.forcing._den, da, db)
@@ -154,21 +157,24 @@ def _solve_frame(problem: ProblemSpec) -> tuple[int, int]:
     return den, _width((2 * depth + 1) * a * (den // da))
 
 
-def _split(u: FracSeries, du: FracSeries, frame: tuple[int, int], shift: int) -> tuple:
-    """(terms, imaged, |u|max, |du|max) of u and du = D_x^beta u in the frame:
+def _split(u: FracSeries, beta: float, frame: tuple[int, int]) -> tuple:
+    """(terms, imaged, |u|max, |du|max) of u in the frame, du = D_x^beta u:
     u's terms as (key, c, d), d the coefficient of the image d * x^(p-beta) *
-    y^q in du, the prefix of those with an image, and the largest |c| of each.
-    d is 0.0 for a term with no image: an x-constant, or one whose image the
-    derivative dropped as 0 (at p = beta - 1, say).  shift is beta's x-step
-    as a packed key, so an image's key is its term's less shift.
+    y^q that the power rule gives the term, the prefix of those with an
+    image, and the largest |c| and |d|.  d is 0.0 for a term with no image:
+    an x-constant, or one whose image is 0 (at p = beta - 1, say).  No
+    series du is formed; a non-finite d raises as ``caputo_deriv`` would.
     """
     u_terms, u_max = _packed(u, *frame)
-    d_terms, d_max = _packed(du, *frame)
-    images = dict(d_terms)
-    terms = [(k, c, images.get(k - shift, 0.0)) for k, c in u_terms]
-    if len(d_terms) < len(terms):  # those with an image first
-        terms = [t for t in terms if t[2]] + [t for t in terms if not t[2]]
-    return terms, terms[: len(d_terms)], u_max, d_max
+    rule = _power_rule(u, beta, Axis.X, -1)
+    images = rule[0]
+    if not all(map(math.isfinite, images)):
+        _ordered(*rule)  # raises for the first, in term order
+    terms = [(k, c, d or 0.0) for (k, c), d in zip(u_terms, images)]
+    imaged = [t for t in terms if t[2]]
+    if len(imaged) < len(terms):  # those with an image first
+        terms = imaged + [t for t in terms if not t[2]]
+    return terms, imaged, u_max, max(map(abs, images), default=0.0)
 
 
 def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int) -> FracSeries:
@@ -234,9 +240,8 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
         u0 = (problem.ic, rl_integral(problem.forcing, alpha, Axis.Y))
         components.append(sum_series(u0, frame))
         for n in range(problem.n_terms - 1):
-            # differentiate lazily: u_{N-1} itself is never differentiated
-            du = caputo_deriv(components[n], beta, Axis.X)
-            splits.append(_split(components[n], du, frame, shift))
+            # split lazily: u_{N-1} itself is never split
+            splits.append(_split(components[n], beta, frame))
             # counted per ordered pair (u_i, D u_{n-i}) of terms
             work += sum(max(1, len(u) * len(t[1])) for u, t in zip(components, reversed(splits)))
             if work > _WORK_BUDGET:

@@ -622,16 +622,29 @@ def _ordered(
     return FracSeries._lattice(coeffs, xs, ys, den)
 
 
-def _on_axis(s: FracSeries, order: float, axis: Axis):
-    """(den, step, on-axis numerators, off-axis numerators) of s and the order."""
+def _power_rule(s: FracSeries, order: float, axis: Axis, sign: int):
+    """``_ordered``'s arguments for the power rule of order on one axis, sign
+    -1 for a derivative and +1 for an integral: each term c * x^p becomes
+    c * Gamma(p+1)/Gamma(p+1+sign*order) * x^(p+sign*order), in term order,
+    and a derivative maps an axis constant to 0.0."""
     n, d = _decimal(order)
     den = max(s._den, d)
     f = den // s._den
     xs, ys = s._xs, s._ys
     if f != 1:
         xs, ys = [x * f for x in xs], [y * f for y in ys]
-    step = n * (den // d)
-    return (den, step, xs, ys) if axis == Axis.X else (den, step, ys, xs)
+    on, off = (xs, ys) if axis == Axis.X else (ys, xs)
+    step = sign * n * (den // d)
+    ratios = {}
+    for p in dict.fromkeys(on):  # in term order: the first failing term raises
+        p1 = p + den
+        if sign > 0 and p1 <= 0:
+            raise NonIntegrableTermError(
+                f"exponent {p / den!r} on axis {axis} is not integrable"
+            )
+        ratios[p] = gamma_ratio(p1 / den, (p1 + step) / den) if p or sign > 0 else 0.0
+    coeffs = list(map(operator.mul, s._coeffs, map(ratios.__getitem__, on)))
+    return coeffs, [p + step for p in on], off, den, axis
 
 
 def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
@@ -646,20 +659,7 @@ def caputo_deriv(s: FracSeries, order: float, axis: Axis) -> FracSeries:
     """
     if not 0.0 < order <= 1.0:
         raise ValueError(f"Caputo order must be in (0, 1], got {order!r}")
-    den, step, on, off = _on_axis(s, order, axis)
-    ratios = {}
-    for p in dict.fromkeys(on):  # in term order: the first failing term raises
-        if p != 0:
-            p1 = p + den
-            ratios[p] = gamma_ratio(p1 / den, (p1 - step) / den)
-    coeffs, new_on, new_off = [], [], []
-    for c, p, q in zip(s._coeffs, on, off):
-        if p == 0:
-            continue  # derivative of a constant on this axis
-        coeffs.append(c * ratios[p])
-        new_on.append(p - step)
-        new_off.append(q)
-    return _ordered(coeffs, new_on, new_off, den, axis)
+    return _ordered(*_power_rule(s, order, axis, -1))
 
 
 def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
@@ -670,17 +670,7 @@ def rl_integral(s: FracSeries, order: float, axis: Axis) -> FracSeries:
     """
     if order <= 0.0:
         raise ValueError(f"integral order must be > 0, got {order!r}")
-    den, step, on, off = _on_axis(s, order, axis)
-    ratios = {}
-    for p in dict.fromkeys(on):  # in term order: the first failing term raises
-        p1 = p + den
-        if p1 <= 0:
-            raise NonIntegrableTermError(
-                f"exponent {p / den!r} on axis {axis} is not integrable"
-            )
-        ratios[p] = gamma_ratio(p1 / den, (p1 + step) / den)
-    coeffs = list(map(operator.mul, s._coeffs, map(ratios.__getitem__, on)))
-    return _ordered(coeffs, [p + step for p in on], off, den, axis)
+    return _ordered(*_power_rule(s, order, axis, 1))
 
 
 # -- display ---------------------------------------------------------------

@@ -112,19 +112,28 @@ def _exact_bits(s):
 def _outcome(compute):
     """A series' coefficients as float.hex strings and its exact exponents, or
     the error."""
+    return _value_or_error(lambda: _exact_bits(compute()))
+
+
+def _value_or_error(compute):
+    """compute(), or the type and message of the error it raises."""
     try:
-        return _exact_bits(compute())
+        return compute()
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def _split_frame(components, beta):
+    """A frame that holds the components, their derivatives and beta."""
+    return series._frame([*components, M(1.0, beta)])
 
 
 def _splits(components, beta):
     """The splits of the components as ``adm.solve`` forms them, their frame
     and beta's packed x-step."""
-    derivs = [caputo_deriv(u, beta, Axis.X) for u in components]
-    frame = series._frame(list(components) + derivs)
+    frame = _split_frame(components, beta)
     shift = series._x_key(beta, *frame)
-    return [adm._split(u, d, frame, shift) for u, d in zip(components, derivs)], frame, shift
+    return [adm._split(u, beta, frame) for u in components], frame, shift
 
 
 def _paired_polynomial(components, n, beta):
@@ -180,11 +189,48 @@ def test_a_term_without_an_image_gets_zero():
     # image of 5e-324*x^0.01 underflows: Gamma(1.01)/Gamma(0.26) is about 0.29
     u = S((1, 0, 0), (2, -0.25, 0), (5e-324, 0.01, 0), (3, 1.5, 0))
     du = caputo_deriv(u, 0.75, Axis.X)
-    frame = series._frame([u, du])
-    terms, imaged, u_max, d_max = adm._split(u, du, frame, series._x_key(0.75, *frame))
+    terms, imaged, u_max, d_max = adm._split(u, 0.75, series._frame([u, du]))
     assert [(c, d) for _, c, d in terms] == [(3.0, du._coeffs[0]), (2.0, 0.0), (1.0, 0.0), (5e-324, 0.0)]
     assert imaged == terms[:1] and len(imaged) == len(du) == 1
     assert (u_max, d_max) == (3.0, abs(du._coeffs[0]))
+
+
+def _split_by_derivative(u, beta, frame):
+    """The split as a solve formed it from the series D_x^beta u: each term's
+    image looked up by its key less beta's x-step, or 0.0."""
+    du = caputo_deriv(u, beta, Axis.X)
+    shift = series._x_key(beta, *frame)
+    u_terms, u_max = series._packed(u, *frame)
+    d_terms, d_max = series._packed(du, *frame)
+    images = dict(d_terms)
+    terms = [(k, c, images.get(k - shift, 0.0)) for k, c in u_terms]
+    if len(d_terms) < len(terms):  # those with an image first
+        terms = [t for t in terms if t[2]] + [t for t in terms if not t[2]]
+    return terms, terms[: len(d_terms)], u_max, d_max
+
+
+def _split_bits(split):
+    """A split with each float as float.hex, so that -0.0 is not 0.0."""
+    terms, imaged, u_max, d_max = split
+    return ([(k, c.hex(), d.hex()) for k, c, d in terms], [(k, c.hex(), d.hex()) for k, c, d in imaged],
+            u_max.hex(), d_max.hex())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convolution_cases())
+# a pole at x^-1 (Gamma(0)/Gamma(-0.5)), after terms that differentiate
+@example(([S((1, 0, 0), (2, 0.5, 0), (3, -1, 1))], 0, 0.5))
+# an image past the double range: 1e308 * Gamma(3)/Gamma(2) on x^1 at beta = 1
+@example(([S((1, 0, 0), (1e308, 2, 0), (-1e308, 3, 1))], 0, 1.0))
+# an image that underflows to 0 and one that is subnormal
+@example(([S((5e-324, 0.01, 0), (-1e-320, 1.5, 0))], 0, 1.0))
+def test_the_split_takes_each_image_from_the_power_rule(case):
+    # bit for bit the split of the derivative series, or the same error
+    components, _, beta = case
+    frame = _split_frame(components, beta)
+    for u in components:
+        want = _value_or_error(lambda: _split_bits(_split_by_derivative(u, beta, frame)))
+        assert _value_or_error(lambda: _split_bits(adm._split(u, beta, frame))) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -487,20 +533,18 @@ def test_a_solve_frames_once_and_packs_each_series_once(problem, monkeypatch):
     monkeypatch.setattr(series, "_frame", frames)
     solve_frames = mock.Mock(wraps=adm._solve_frame)
     monkeypatch.setattr(adm, "_solve_frame", solve_frames)
-    derivs = []
-
-    def derive(*args):
-        derivs.append(caputo_deriv(*args))
-        return derivs[-1]
-
-    monkeypatch.setattr(adm, "caputo_deriv", derive)
+    # the split takes each term's image from the power rule: no D_x^beta u_n
+    # series is formed, through adm or through series
+    assert not hasattr(adm, "caputo_deriv")
+    derive = mock.Mock(wraps=series.caputo_deriv)
+    monkeypatch.setattr(series, "caputo_deriv", derive)
     packed = _spy_packing(monkeypatch)
     components = _components(problem)
-    assert (frames.call_count, solve_frames.call_count) == (0, 1)
+    assert (frames.call_count, solve_frames.call_count, derive.call_count) == (0, 1, 0)
     ids = list(map(id, packed))
     assert len(set(ids)) == len(ids)
-    # u_{N-1}, and the derivative of a failing step, are never multiplied
-    assert set(map(id, components[:-1] + tuple(derivs[: len(components) - 1]))) <= set(ids)
+    # u_0..u_{N-2}, each exactly once; u_{N-1} is never split
+    assert set(map(id, components[:-1])) <= set(ids)
 
 
 @_frame_solves
@@ -611,10 +655,16 @@ _symmetry_orders = st.one_of(
     st.sampled_from([0.3, 0.45, 0.5, 0.6, 0.75, 0.743, 0.897, 0.9, 1.0]),
     st.floats(min_value=0.1, max_value=1.0),
 )
+# x-exponents are 0 or at least 0.01.  One next to 0 makes an image
+# coefficient about that small (p * x^(p-1) at beta = 1, 1/Gamma(p) next to
+# the pole), and at 5e-324 products underflow and ldexp rounds: past the end
+# of the double range, where the symmetry need not hold bit for bit (two such
+# inputs are pinned below).  Over 1,500 draws of this domain every
+# coefficient of both solves lay in 1.3e-33 .. 6.4e31.
 _symmetry_terms = st.lists(st.builds(
     FracTerm,
     st.one_of(st.floats(min_value=0.1, max_value=4.0), st.floats(min_value=-4.0, max_value=-0.1)),
-    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]), st.floats(min_value=0.0, max_value=3.0)),
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]), st.floats(min_value=0.01, max_value=3.0)),
 ), max_size=4)
 
 
@@ -629,6 +679,44 @@ _symmetry_terms = st.lists(st.builds(
 )
 def test_solve_keeps_the_scaling_symmetry(alpha, beta, ic, forcing, n_terms, k):
     _assert_scales(ProblemSpec(alpha, beta, FracSeries(ic), FracSeries(forcing), n_terms), k)
+
+
+def _exact_terms(s):
+    """{(px, py) as exact fractions: coefficient} of a series."""
+    return {(Fraction(x, s._den), Fraction(y, s._den)): c for c, x, y in zip(s._coeffs, s._xs, s._ys)}
+
+
+# An exponent of 5e-324 makes an image coefficient about 5e-324 times a
+# normal one, and the symmetry breaks where coefficients turn subnormal.
+@pytest.mark.parametrize("problem, ks", [
+    # p * x^(p-1) at beta = 1: u_1 is subnormal
+    (ProblemSpec(0.3, 1.0, S((1, 0, 0)), S((1, 5e-324, 0)), 2), (1, -3)),
+    # 1/Gamma(5e-324) at beta = 0.5: u_2 holds a subnormal term, and at depth
+    # 4 both solves fail at u_3, naming gamma_ratio(5e-324, -0.5) or, where
+    # that term underflowed to 0, gamma_ratio(1e-323, -0.5)
+    (ProblemSpec(0.3, 0.5, S((1, 0, 0), (1, 5e-324, 0)), FracSeries(), 3), (1, -3, 3)),
+    (ProblemSpec(0.3, 0.5, S((1, 0, 0), (1, 5e-324, 0)), FracSeries(), 4), (1, -3, 3)),
+], ids=["beta=1", "beta=0.5,depth=3", "beta=0.5,depth=4"])
+def test_subnormal_coefficients_break_only_their_own_scaling(problem, ks):
+    # what holds there: the same components finish and fail, each component
+    # before the first subnormal coefficient scales bit for bit, and so does
+    # every coefficient normal in both solves; a subnormal one does not
+    alpha = Fraction(repr(problem.alpha))
+    components, failure = _solve_outcome(problem)
+    for k in ks:
+        scaled, scaled_failure = _solve_outcome(_scaled_problem(problem, k))
+        assert len(scaled) == len(components)
+        assert (scaled_failure or "").split(":")[0] == (failure or "").split(":")[0]
+        pairs = list(zip(components, scaled))
+        first = min(n for n, (u, w) in enumerate(pairs) if min(map(abs, u._coeffs + w._coeffs), default=1.0) < 2.0**-1022)
+        same = []
+        for u, w in pairs:
+            got = _exact_terms(w)
+            want = {(p, q): math.ldexp(c, k + k * int(q / alpha)) for (p, q), c in _exact_terms(u).items()}
+            normal = [key for key in want.keys() & got.keys() if min(abs(want[key]), abs(got[key])) >= 2.0**-1022]
+            assert [got[key] for key in normal] == [want[key] for key in normal]
+            same.append(got == want)
+        assert all(same[:first]) and not all(same)
 
 
 @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.75, 0.75), (1.0, 1.0), (0.897, 0.743),

@@ -869,6 +869,16 @@ def test_overflow_at_u0_exits_2(capsys):
     )
 
 
+def test_gamma_ratio_overflow_exits_2_naming_its_arguments(capsys):
+    # D_x x^1e306 needs Gamma(1e306 + 1)/Gamma(1e306), whose lgamma overflows
+    argv = ["solve", "--ic", "x^1e306", "--terms", "2", "--grid", "x=1;y=1"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "fracadm: numeric error: component u_1: gamma_ratio(1e+306, 1e+306) cannot be "
+        "formed in doubles: log Gamma of an argument is past the double range\n"
+    ))
+
+
 @pytest.mark.parametrize(
     "ic, terms, grid",
     [

@@ -132,9 +132,9 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _overflows(z):
+def _overflows(z, f=math.gamma):
     try:
-        math.gamma(z)
+        f(z)
     except OverflowError:
         return True
     return False
@@ -142,6 +142,10 @@ def _overflows(z):
 
 def _reciprocal(g):
     return 1.0 / g if g else math.copysign(math.inf, g)
+
+
+# exp overflows past the log of the largest double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _reference_ratio(num, den):
@@ -156,8 +160,14 @@ def _reference_ratio(num, den):
     n, s = (1.0 + num, num) if abs(num) < 1.0 else (num, 1.0)
     d, t = (1.0 + den, den) if abs(den) < 1.0 else (den, 1.0)
     if _overflows(n) or _overflows(d):
+        if _overflows(num, math.lgamma) or _overflows(den, math.lgamma):
+            raise OverflowError(
+                f"gamma_ratio({num!r}, {den!r}) cannot be formed in doubles: "
+                "log Gamma of an argument is past the double range"
+            )
         sign = float(mpmath.sign(mpmath.gamma(num)) * mpmath.sign(mpmath.gamma(den)))
-        value = sign * math.exp(math.lgamma(num) - math.lgamma(den))
+        log_ratio = math.lgamma(num) - math.lgamma(den)
+        value = sign * math.exp(log_ratio) if log_ratio <= _LOG_MAX else math.inf
     else:
         n_gamma, d_gamma = math.gamma(n), math.gamma(d)
         value = n_gamma / d_gamma * t / s if d_gamma != 0.0 else math.inf
@@ -169,11 +179,11 @@ def _reference_ratio(num, den):
 def test_gamma_ratio_is_its_factors_bit_for_bit():
     # poles (-0.0 too), on both sides of where Gamma overflows, far down the
     # negative axis where Gamma underflows to a signed zero, next to poles,
-    # subnormals of both signs whose Gamma overflows, and the old log-space
-    # cutoff at 20
+    # subnormals of both signs whose Gamma overflows, the old log-space
+    # cutoff at 20, and both sides of where lgamma overflows
     args = [0.0, -0.0, -1.0, -7.0, -170.0, 171.61, 171.7, 200.0, -3.25, -180.5,
             -250.5, 5e-13, -3.0 - 9e-13, -12.0 + 4e-13, 1e-310, -1e-310, 20.0,
-            20.5, 0.5, 1.0]
+            20.5, 0.5, 1.0, 2.5e305, 1e306]
     rng = random.Random(6)
     args += [rng.uniform(-40.0, 200.0) for _ in range(60)]
     args += [float(rng.randint(-40, 3)) for _ in range(10)]
@@ -181,6 +191,23 @@ def test_gamma_ratio_is_its_factors_bit_for_bit():
         for w in args:
             got = _outcome(gamma_ratio, z, w)
             assert got == _outcome(_reference_ratio, z, w), (z, w)
+
+
+@pytest.mark.parametrize("num, den, why", [
+    (300.0, 1.5, "is past the double range"),
+    (200.0, 0.5, "is past the double range"),
+    (-1e-310, 2.5, "is past the double range"),
+    # lgamma overflows, though Gamma(1e306)/Gamma(1e306) is 1
+    (1e306, 1e306, "cannot be formed in doubles: log Gamma of an argument is past the double range"),
+    (1.0, 1e306, "cannot be formed in doubles: log Gamma of an argument is past the double range"),
+])
+def test_every_overflow_names_both_arguments(num, den, why):
+    # math.lgamma and math.exp raised a bare 'math range error' for the last
+    # four before the named check could run
+    with pytest.raises(OverflowError) as err:
+        gamma_ratio(num, den)
+    assert str(err.value) == f"gamma_ratio({num!r}, {den!r}) {why}"
+    assert gamma_ratio(2.5e305, 2.5e305) == 1.0  # just below, log space holds
 
 
 def test_gamma_ratio_survives_overflowing_factors():

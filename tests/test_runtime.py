@@ -1,6 +1,8 @@
 """The installed package must run on the standard library alone."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +95,20 @@ def test_import_leaves_the_collector_unfrozen(tmp_path):
     )
     proc = _python([], "-c", code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_readme_names_every_standard_module_the_runtime_imports():
+    # the README's "The runtime imports only ..." sentence, against the
+    # top-level modules that src/fracadm/*.py import, at any depth
+    imported = set()
+    for path in (SRC / "fracadm").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported.discard("__future__")
+    readme = " ".join((SRC.parent / "README.md").read_text().split())
+    sentence = re.search(r"The runtime imports only (.*?) from the standard library\.", readme)
+    assert sentence, "the README no longer lists the runtime's imports"
+    assert set(re.findall(r"`(\w+)`", sentence.group(1))) == imported
