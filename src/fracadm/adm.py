@@ -32,8 +32,6 @@ suite keeps that construction (``tests/oracles.py``) as an independent
 numerical check.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -75,7 +73,7 @@ class SolveError(ArithmeticError):
     no components when u_0 itself failed.  ``depth`` is its length.
     """
 
-    def __init__(self, message: str, solution: SolutionSeries):
+    def __init__(self, message: str, solution: "SolutionSeries"):
         self.depth = len(solution.components)
         self.solution = solution
         super().__init__(f"component u_{self.depth}: {message}")

@@ -22,13 +22,10 @@ flushed: nothing runs at interpreter exit, so a wrapper such as ``python -m
 cProfile -m fracadm.cli`` prints no profile (profile ``cli.run`` instead).
 """
 
-from __future__ import annotations
-
 import contextlib
 import gc
 import math
 import os
-import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, repeat
@@ -387,9 +384,11 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
             continue
         if not given:
             value = next(rest, None)
-            if value is None or value[:1] == "-" and not re.fullmatch(
-                    r"-|-\d+|-\d*\.\d+|-(?!h)[^=]* [^=]*", value):
-                raise UsageError(f"argument {name}: expected one argument")
+            if value is None or value[:1] == "-":
+                import re  # a dash-led value alone needs it: most calls start without re
+
+                if value is None or not re.fullmatch(r"-|-\d+|-\d*\.\d+|-(?!h)[^=]* [^=]*", value):
+                    raise UsageError(f"argument {name}: expected one argument")
         try:
             values[name] = convert(value)
         except ValueError as exc:

@@ -23,8 +23,6 @@ value is a non-positive integer arrives as that integer (as does one within
 half an ulp of it).
 """
 
-from __future__ import annotations
-
 import math
 
 __all__ = [

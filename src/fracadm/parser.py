@@ -1,6 +1,6 @@
 """Parser for textual series expressions like ``1 + 2*x^1.5 - x*y``.
 
-Grammar (whitespace-insensitive):
+Grammar (spaces and tabs between tokens are skipped; other whitespace is refused):
 
     expr   := sign? term (("+" | "-") term)*
     term   := number? ("*"? var)*        -- at least a number or a variable
@@ -16,17 +16,14 @@ overflows a double, a term whose exponents add up past one, and terms whose
 merged coefficient overflows are rejected rather than read as ``inf``.
 """
 
-from __future__ import annotations
-
 import math
-import re
 
 from .series import FracSeries, FracTerm, _decimal_sum
 
 __all__ = ["SeriesParseError", "parse_series"]
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_WS_RE = re.compile(r"[ \t]+")
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_WS = r"[ \t]+"
 
 
 class SeriesParseError(ValueError):
@@ -39,12 +36,16 @@ class SeriesParseError(ValueError):
 
 class _Tokens:
     def __init__(self, text: str):
+        import re  # a parse alone needs it: table and scan start without re
+
+        # re's own cache makes each compile after the first one lookup
+        self._number, self._ws = re.compile(_NUMBER).match, re.compile(_WS).match
         self.text = text
         self.pos = 0
         self._skip_ws()
 
     def _skip_ws(self):
-        m = _WS_RE.match(self.text, self.pos)
+        m = self._ws(self.text, self.pos)
         if m:
             self.pos = m.end()
 
@@ -62,7 +63,7 @@ class _Tokens:
         return False
 
     def number(self) -> float | None:
-        m = _NUMBER_RE.match(self.text, self.pos)
+        m = self._number(self.text, self.pos)
         if not m:
             return None
         value = float(m.group())

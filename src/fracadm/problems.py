@@ -15,8 +15,6 @@ a given truncation depth reproduces that stored table, which is how the
 depth behind the reference data is recovered.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -49,8 +49,6 @@ variable's power (``FracSeries.evaluate``).  A grid then costs one factor
 row per x value, one per y value, and an fsum over the groups per point.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple

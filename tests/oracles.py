@@ -18,6 +18,9 @@ Each oracle takes another route than the code it checks:
   normalization per component, not one normalization per partial sum;
 * ``residual_oracle`` evaluates the equation's residual by differentiating
   a truncated series itself, not from the products of its components.
+* ``similarity_series_oracle`` gives the components of a monomial initial
+  condition with no forcing one scalar at a time, from the scaling symmetry
+  and 60-digit gamma functions, not by series algebra in doubles.
 
 ``sum_of_products`` and ``adomian_polynomial`` are no oracles.
 ``sum_of_products`` sums the raw products of several pairs in one
@@ -38,10 +41,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
+import mpmath
 from scipy.integrate import quad
 
 from fracadm.adm import ProblemSpec, SolveError, solve
@@ -350,3 +355,40 @@ def residual_oracle(
         - problem.forcing
     )
     return max(abs(lhs.evaluate(x, y)) for x, y in points)
+
+
+SimilarityRow = namedtuple("SimilarityRow", "px py coeff cell")
+
+
+def similarity_series_oracle(
+    c: float, p: float, alpha: float, beta: float, n_terms: int
+) -> list[SimilarityRow]:
+    """u_0..u_{n_terms-1} for ic = c*x^p and no forcing, one monomial each.
+
+    The scaling symmetry makes u_k = c_k x^(p_k) y^(k alpha), with
+    p_k = p + k (p - beta), and the recursion a scalar one:
+
+        A_k = sum_{i+j=k} c_i c_j Gamma(p_j + 1) / Gamma(p_j + 1 - beta),
+        c_{k+1} = -Gamma(k alpha + 1) / Gamma((k + 1) alpha + 1) * A_k.
+
+    Row k holds p_k and k alpha exactly, as Fractions of the decimals the
+    arguments print as, and c_k and A_k (the one cell of A_k, from which
+    u_{k+1} is read) as 60-digit mpf, computed from those decimals with one
+    gamma ratio per j and one gamma function per k.  Needs p >= beta, so
+    that every p_j is positive.
+    """
+    c, p, alpha, beta = map(exact_exponent, (c, p, alpha, beta))
+    if not 0 < beta <= p:
+        raise ValueError(f"needs 0 < beta <= p, got beta={beta}, p={p}")
+    with mpmath.workdps(60):
+        def mp(value: Fraction) -> mpmath.mpf:
+            return mpmath.mpf(value.numerator) / value.denominator
+
+        pxs = [p + k * (p - beta) for k in range(n_terms)]
+        ratios = [mpmath.gamma(mp(q) + 1) * mpmath.rgamma(mp(q - beta) + 1) for q in pxs]
+        gammas = [mpmath.gamma(mp(k * alpha) + 1) for k in range(n_terms + 1)]
+        coeffs, cells = [mp(c)], []
+        for k in range(n_terms):
+            cells.append(mpmath.fsum(coeffs[k - j] * coeffs[j] * ratios[j] for j in range(k + 1)))
+            coeffs.append(-gammas[k] / gammas[k + 1] * cells[k])
+        return [SimilarityRow(pxs[k], k * alpha, coeffs[k], cells[k]) for k in range(n_terms)]

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from oracles import (
     nested_partial_sums_oracle,
     ordered_pairs_components,
     residual_oracle,
+    similarity_series_oracle,
 )
 
 G = math.gamma
@@ -733,6 +735,54 @@ def test_the_u5_pole_keeps_its_message(example):
     with pytest.raises(SolveError) as err:
         solve(builtin_problem(example, 0.75, 0.75, 8))
     assert str(err.value) == "component u_5: gamma_ratio numerator has a pole at z = 0.0"
+
+
+# -- the similarity series -------------------------------------------------------
+
+
+def _assert_similarity(components, rows, bound):
+    """Each component is its oracle row's one monomial: the same exact
+    exponents, and a coefficient within ``bound`` of c_k, relative."""
+    for k, (u, row) in enumerate(zip(components, rows)):
+        (term,) = u.terms
+        assert (term.px, term.py) == (float(row.px), float(row.py)), k
+        err = abs(term.coeff - row.coeff) / abs(row.coeff)
+        assert err <= bound, (k, float(err))
+
+
+# measured worst relative error of a coefficient to depth 60: 2.43e-15 at x,
+# (0.5, 0.5) up to 3.56e-14 at 3*x at the deep_generic pair; the bound is
+# about three times the worst
+@pytest.mark.parametrize("ic,c,p,alpha,beta", [
+    ("x", 1, 1, 0.5, 0.5),
+    ("x", 1, 1, 0.75, 0.75),
+    ("x", 1, 1, 0.9, 0.6),
+    ("x^1.5", 1, 1.5, 0.6, 0.8),
+    ("x^2", 1, 2, 0.5, 0.5),
+    ("x^0.5", 1, 0.5, 0.9, 0.3),
+    ("3*x", 3, 1, 0.897148293561466, 0.7433369009864794),
+], ids=str)
+def test_a_monomial_ic_solves_to_the_similarity_series(ic, c, p, alpha, beta):
+    sol = solve(ProblemSpec(alpha, beta, parse_series(ic), FracSeries(), 60))
+    _assert_similarity(sol.components, similarity_series_oracle(c, p, alpha, beta, 60), 1e-13)
+
+
+def test_example_4_follows_the_similarity_series_until_a_cell_overflows():
+    # every one of the 547 components example 4 finishes at (0.5, 0.5) is
+    # within 3.91e-13 of the oracle, bound 1e-12 (about 1 s of 60-digit
+    # arithmetic).  The
+    # solve stops at u_547 because the cell of A_546 it is read from, about
+    # 5.54e308, is past the double range, though |c_547|, about 3.35e307,
+    # is not
+    with pytest.raises(SolveError, match=r"^component u_547: coefficient of x\^274\.5\*y\^273\.0 overflows$") as err:
+        solve(builtin_problem(4, 0.5, 0.5, 1000))
+    rows = similarity_series_oracle(1, 1, 0.5, 0.5, 548)
+    assert len(err.value.solution.components) == 547
+    _assert_similarity(err.value.solution.components, rows, 1e-12)
+    cell, coeff = rows[546].cell, abs(rows[547].coeff)
+    assert cell > sys.float_info.max > coeff
+    assert float(cell / 1e300) == pytest.approx(5.54e8, rel=1e-3)
+    assert float(coeff) == pytest.approx(3.35e307, rel=1e-3)
 
 
 # -- the work budget --------------------------------------------------------------

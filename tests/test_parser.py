@@ -21,6 +21,7 @@ def test_basic_expressions():
 
 def test_whitespace_insensitive():
     assert parse_series(" 1+2*x ^ 0.5 ") == parse_series("1 + 2 * x^0.5")
+    assert parse_series("\t1\t+ \tx") == parse_series("1 + x")
 
 
 def test_star_is_optional():
@@ -74,6 +75,12 @@ def test_bare_number_and_variable():
         ("x z", 2),
         ("x 2", 2),
         ("1 + + x", 4),
+        # only spaces and tabs are skipped: the term ends at any other
+        # whitespace, where '+' or '-' is expected
+        ("1\n+x", 1),
+        ("1\r+x", 1),
+        ("1\x0c+x", 1),
+        ("1\u00a0+x", 1),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset_hint):

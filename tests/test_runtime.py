@@ -41,11 +41,13 @@ def test_import_loads_no_fractions_decimal_or_numbers(tmp_path):
     # exact exponents come from repr strings and integer arithmetic: importing
     # fractions would add decimal and numbers to every CLI start.  Records are
     # named tuples: dataclasses (which imports inspect) or typing would add
-    # several ms more.  A site .pth file may import typing itself, so that
-    # check runs under -S.
+    # several ms more.  Annotations are evaluated as written, with no PEP 563
+    # import, and re (with enum, copyreg and _sre) is imported only by a parse
+    # or a dash-led option value.  A site .pth file may import typing or re
+    # itself, so that check runs under -S.
     for flags, modules in (
         ([], ("fractions", "decimal", "numbers")),
-        (["-S"], ("dataclasses", "inspect", "typing")),
+        (["-S"], ("dataclasses", "inspect", "typing", "re", "__future__")),
     ):
         code = (
             "import sys, fracadm, fracadm.cli\n"
@@ -58,12 +60,13 @@ def test_import_loads_no_fractions_decimal_or_numbers(tmp_path):
 
 def test_a_call_loads_no_argparse_gettext_or_locale(tmp_path):
     # argv is read by cli's own table: importing and setting up argparse took
-    # about 7 ms a call, gettext and locale included
+    # about 7 ms a call, gettext and locale included; a table call parses no
+    # expression and no dash-led value, so it imports no re either
     code = (
         "import sys\n"
         "from fracadm import cli\n"
         "assert cli.run(['table', '--example', '4', '--terms', '2']) == 0\n"
-        "bad = sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules)\n"
+        "bad = sorted(m for m in ('argparse', 'gettext', 'locale', 're') if m in sys.modules)\n"
         "assert not bad, bad\n"
     )
     proc = _python(["-S"], "-c", code, cwd=tmp_path)
@@ -107,7 +110,6 @@ def test_the_readme_names_every_standard_module_the_runtime_imports():
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    imported.discard("__future__")
     readme = " ".join((SRC.parent / "README.md").read_text().split())
     sentence = re.search(r"The runtime imports only (.*?) from the standard library\.", readme)
     assert sentence, "the README no longer lists the runtime's imports"
