@@ -60,7 +60,9 @@ def report_example(example: int, max_depth: int) -> None:
     print(f"worst classical-column deviation: {worst_approx:.3g}")
     print(f"worst resolvable error ratio:     {worst_ratio:.3g}")
 
-    print("fractional columns (reported only; no independent ground truth):")
+    # at their labels, not at the orders that reproduce them to rounding
+    # level (tests/test_problems.py, "the paper's fractional columns")
+    print("fractional columns (reported only; at their labels):")
     for pair in ORDER_PAIRS[:2]:
         col = ORDER_PAIRS.index(pair)
         devs = [

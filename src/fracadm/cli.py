@@ -58,9 +58,11 @@ MAX_GRID_POINTS = 1_000_000
 _BLOCK_POINTS = 65_536
 # `solve --grid` evaluates at most this many point-terms, checked after the
 # solve and before any evaluation: a round value above 1,000,000 points of
-# example 1's 130-term series at (0.5, 0.5) (130,000,000 point-terms, 3.0-3.8 s
-# on a 2-core x86 VM).  There, 51,000 points of a 2,927-term series
-# (149,277,000) took 1.1-1.6 s.
+# example 1's 130-term series at (0.5, 0.5) (130,000,000 point-terms).  With
+# --out /dev/null on a 2-core x86 VM, Python 3.11, that call took 1.57-1.62 s
+# end to end at 37 MB peak RSS, and 51,000 points of example 1's 2,927-term
+# series at the generic orders of the CI workflow's deep solve (149,277,000)
+# took 1.17-1.20 s at 33 MB.
 _GRID_WORK_BUDGET = 150_000_000
 
 

@@ -32,11 +32,11 @@ __all__ = [
 
 
 class GammaPoleError(ArithmeticError):
-    """Gamma evaluated at a non-positive integer."""
+    """The numerator of ``gamma_ratio`` at a non-positive integer, a pole of Gamma."""
 
-    def __init__(self, z: float, context: str = "gamma"):
+    def __init__(self, z: float):
         self.z = z
-        super().__init__(f"{context} has a pole at z = {z!r}")
+        super().__init__(f"gamma_ratio numerator has a pole at z = {z!r}")
 
 
 def _is_pole(z: float) -> bool:
@@ -60,7 +60,7 @@ def gamma_ratio(num: float, den: float) -> float:
     about 2.56e305).
     """
     if _is_pole(num):
-        raise GammaPoleError(num, context="gamma_ratio numerator")
+        raise GammaPoleError(num)
     if _is_pole(den):
         return 0.0
     try:

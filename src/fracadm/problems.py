@@ -232,9 +232,11 @@ def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
     Every depth's table is compared cell by cell against REFERENCE_TABLES.
     ``max_deviation`` covers all columns; ``error_column_deviation`` covers
     only the classical-pair absolute errors, which is the column that
-    actually pins down the depth (the fractional columns have no
-    independent ground truth).  A pair whose solve fails at u_k still
-    supplies depths 1..k; at deeper depths its columns contribute ``inf``.
+    actually pins down the depth (the fractional columns are reproduced only
+    at orders other than their labels: see the tests of
+    ``tests/test_problems.py`` under "the paper's fractional columns").  A
+    pair whose solve fails at u_k still supplies depths 1..k; at deeper
+    depths its columns contribute ``inf``.
     The scan ends at n_max or at the first depth no pair reached, whose row
     reads ``inf`` twice, as every deeper row would.
     """

@@ -46,13 +46,14 @@ The operators compute one gamma ratio per distinct exponent on their axis.
 Evaluation groups the terms by their exponent on the axis with fewer
 distinct ones, and sums each group's terms before it multiplies by that
 variable's power (``FracSeries.evaluate``).  A grid then costs one factor
-row per x value, one per y value, and an fsum over the groups per point.
+row per x value and one per y value, from the two row functions of
+``_grouped``, and an fsum over the groups per point.
 """
 
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import repeat
 
 from .gammafn import gamma_ratio
@@ -80,6 +81,8 @@ _UNIT_SCALE = 1 << _UNIT_BITS
 # evaluate_grid builds factor rows for at most this many values times terms
 # at a time, and for at least one value.
 _GRID_BLOCK_TERMS = 65_536
+# A variable's factor row at one value, one factor per group (``_grouped``).
+_Row = Callable[[float], list[float]]
 
 
 class Axis:
@@ -449,36 +452,36 @@ class FracSeries:
     def evaluate_grid(self, xs: Iterable[float], ys: Iterable[float]) -> list[float]:
         """``[self.evaluate(x, y) for y in ys for x in xs]``, bit for bit.
 
-        Each x value gets one factor row, each y value one, each built by
-        ``_Factors.row`` one value at a time, and each point is one ``fsum``
-        of their products.  Rows are held for at most ``_GRID_BLOCK_TERMS``
-        values times terms at a time, and for at least one value: the x
-        values a block at a time, and the y values once per call if they fit
-        in a block's room, else once per block of x values.  A point that
-        fails gets nan, and a failing grid raises what its first non-finite
-        point in row order raises.
+        Each x value gets one factor row, each y value one, each built by a
+        row function of ``_grouped`` one value at a time, and each point is
+        one ``fsum`` of their products.  Rows are held for at most
+        ``_GRID_BLOCK_TERMS`` values times terms at a time, and for at least
+        one value: the x values a block at a time, and the y values once per
+        call if they fit in a block's room, else once per block of x values.
+        A point that fails gets nan, and a failing grid raises what its
+        first non-finite point in row order raises.
         """
         xs, ys = tuple(xs), tuple(ys)
         if not xs or not ys:
             return []
-        x_factors, y_factors = _grouped(self)
+        x_row, y_row = _grouped(self)
         nx, ny = len(xs), len(ys)
         out = [0.0] * (nx * ny)
         block = max(1, _GRID_BLOCK_TERMS // max(1, len(self._coeffs)))
-        y_rows = _factor_rows(y_factors, ys) if ny <= block else None
+        y_rows = _factor_rows(y_row, ys) if ny <= block else None
         for x0 in range(0, nx, block):
-            x_rows = _factor_rows(x_factors, xs[x0 : x0 + block])
+            x_rows = _factor_rows(x_row, xs[x0 : x0 + block])
             for y0 in range(0, ny, block):
-                rows = y_rows or _factor_rows(y_factors, ys[y0 : y0 + block])
-                for iy, y_row in enumerate(rows, y0):
+                rows = y_rows or _factor_rows(y_row, ys[y0 : y0 + block])
+                for iy, row in enumerate(rows, y0):
                     at = iy * nx + x0
-                    out[at : at + len(x_rows)] = _dots(x_rows, y_row, ys[iy])
+                    out[at : at + len(x_rows)] = _dots(x_rows, row, ys[iy])
         if not all(map(math.isfinite, out)):
             i = list(map(math.isfinite, out)).index(False)
-            raise self._failure(xs[i % nx], ys[i // nx], x_factors, y_factors)
+            raise self._failure(xs[i % nx], ys[i // nx], x_row, y_row)
         return out
 
-    def _failure(self, x: float, y: float, x_factors: "_Factors", y_factors: "_Factors") -> Exception:
+    def _failure(self, x: float, y: float, x_row: _Row, y_row: _Row) -> Exception:
         """The error of (x, y), a point whose value fails."""
         if y < 0.0:
             return EvaluationDomainError(f"y must be >= 0, got {y!r}")
@@ -489,7 +492,7 @@ class FracSeries:
                 for c, n, m in zip(self._coeffs, self._xs, self._ys)
             )
             if math.isfinite(value):  # no power fails: a sum does
-                value = math.fsum(map(operator.mul, x_factors.row(x), y_factors.row(y)))
+                value = math.fsum(map(operator.mul, x_row(x), y_row(y)))
         except (ArithmeticError, ValueError) as exc:
             return exc
         return OverflowError(f"value at x = {x!r}, y = {y!r} is {value!r}")
@@ -513,41 +516,18 @@ def _power(base: float, expo: float, var: str) -> float:
         raise OverflowError(f"{var} = {base!r} with exponent {expo!r} overflows") from None
 
 
-class _Factors:
-    """The factor rows of one variable: its powers at ``exponents``, or,
-    with ``coeffs``, per term i ``coeffs[i] * value**exponents[slots[i]]``,
-    where ``groups`` holds the slice of terms in each group, in group order,
-    or is None for a group per term.
+def _grouped(s: FracSeries) -> tuple[_Row, _Row]:
+    """The x and y row functions of s, grouped as ``FracSeries.evaluate``
+    says.
 
-    A value's row holds, per group, the fsum of its terms; a group of one
-    term is that term.  Without ``coeffs`` (the grouping variable) the row
-    is the powers themselves.  Powers are math.pow's: where ``_power``
-    raises, math.pow raises too or, at a base of -inf, gives a value that
-    is not finite, and the sign of a zero power or factor never reaches a
-    point's value, whose fsum drops zeros.  ``row`` raises if a power or an
-    fsum does.
+    The grouping variable's row at a value is its powers at the group
+    exponents.  The other variable's row holds, per group, the fsum of
+    ``coeff * value**p`` over the group's terms; a group of one term is that
+    term.  Powers are math.pow's: where ``_power`` raises, math.pow raises
+    too or, at a base of -inf, gives a value that is not finite, and the
+    sign of a zero power or factor never reaches a point's value, whose fsum
+    drops zeros.  A row function raises if a power or an fsum does.
     """
-
-    def __init__(self, exponents: list[float], coeffs: Sequence[float] | None = None,
-                 slots: Sequence[int] = (), groups: list[slice] | None = None):
-        self.exponents = exponents
-        self.coeffs = coeffs
-        self.slots = slots
-        self.groups = groups
-
-    def row(self, value: float) -> list[float]:
-        powers = list(map(math.pow, [value] * len(self.exponents), self.exponents))
-        if self.coeffs is None:
-            return powers
-        products = list(map(operator.mul, self.coeffs, map(powers.__getitem__, self.slots)))
-        if self.groups is None:
-            return products
-        return list(map(math.fsum, map(products.__getitem__, self.groups)))
-
-
-def _grouped(s: FracSeries) -> tuple[_Factors, _Factors]:
-    """The x and y factors of s, grouped as ``FracSeries.evaluate`` says: the
-    grouping variable's factors are its powers at the group exponents."""
     by_x = len(set(s._xs)) < len(set(s._ys))
     on, off, coeffs = (s._xs, s._ys, s._coeffs) if by_x else (s._ys, s._xs, s._coeffs)
     if any(map(operator.gt, on, on[1:])):  # sort the terms by on, stably
@@ -562,16 +542,27 @@ def _grouped(s: FracSeries) -> tuple[_Factors, _Factors]:
             starts.append(i)
         slices = list(map(slice, starts, [*starts[1:], len(on)]))
     index = dict(zip(dict.fromkeys(off), range(len(off))))
+    slots = list(map(index.__getitem__, off))
     d = s._den
-    w = _Factors([p / d for p in index], coeffs, list(map(index.__getitem__, off)), slices)
-    v = _Factors([g / d for g in groups])
-    return (v, w) if by_x else (w, v)
+    v_exponents, w_exponents = [g / d for g in groups], [p / d for p in index]
+
+    def v_row(value: float) -> list[float]:
+        return list(map(math.pow, [value] * len(v_exponents), v_exponents))
+
+    def w_row(value: float) -> list[float]:
+        powers = list(map(math.pow, [value] * len(w_exponents), w_exponents))
+        products = list(map(operator.mul, coeffs, map(powers.__getitem__, slots)))
+        if slices is None:
+            return products
+        return list(map(math.fsum, map(products.__getitem__, slices)))
+
+    return (v_row, w_row) if by_x else (w_row, v_row)
 
 
-def _factor_rows(factors: _Factors, values: Sequence[float]) -> list[list[float]]:
-    """The row of each value, and a row of nans for each value where that fails."""
-    return _each(lambda some: list(map(factors.row, some)), values,
-                 [math.nan] * len(factors.groups or factors.coeffs or factors.exponents))
+def _factor_rows(row: _Row, values: Sequence[float]) -> list[list[float]]:
+    """The row of each value, and ``[nan]`` for each value where that fails:
+    ``_dots`` maps a pair of rows to the shorter, so its fsum is nan."""
+    return _each(lambda some: list(map(row, some)), values, [math.nan])
 
 
 def _dots(x_rows: list[Sequence[float]], y_row: Sequence[float], y: float) -> list[float]:

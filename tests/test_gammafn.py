@@ -150,7 +150,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 def _reference_ratio(num, den):
     if _is_pole(num):
-        raise GammaPoleError(num, context="gamma_ratio numerator")
+        raise GammaPoleError(num)
     if _is_pole(den):
         return 0.0
     if not (_overflows(num) or _overflows(den)):

@@ -22,7 +22,8 @@ from fracadm.problems import (
     recovered_depth,
     truncation_scan,
 )
-from fracadm.adm import solve
+from fracadm.adm import ProblemSpec, solve
+from fracadm.parser import parse_series
 from fracadm.series import FracSeries, FracTerm
 from helpers import assert_series_close, cells_by_key
 from oracles import grouped_evaluate_oracle, per_depth_scan_oracle
@@ -269,6 +270,80 @@ def test_reference_error_columns_match_geometric_tails():
         assert row[4] == pytest.approx(x * y**6 / (1 + y), rel=1e-4)
     for (y, x), row in REFERENCE_TABLES[3].items():
         assert row[4] == pytest.approx((1 + x) * y**4 / (1 + y), rel=1e-4)
+
+
+# -- the paper's fractional columns ----------------------------------------------------
+
+# Each fractional column of REFERENCE_TABLES is Phi_N at the depth N of its
+# example's classical column, but at orders that differ from its label.  Per
+# example: N, then the recovered (alpha, beta) of the column labelled
+# (0.5, 0.5) and of the one labelled (0.75, 0.75).  Example 1's first column
+# is the beta -> 1/2 limit of the formal power rule: at beta = 1/2 exactly,
+# u_2 holds the x-constant x^(1 - 2 beta), whose Caputo derivative is 0,
+# while the derivative's beta-formula tends to x^-0.5 / Gamma(0.5).
+RECOVERED_ORDERS = {
+    1: (4, (0.5, 0.5 + 1e-7), (0.75, 0.75)),
+    2: (4, (0.5, 0.75), (0.75, 0.9)),
+    3: (4, (0.5, 0.75), (0.75, 0.9)),
+    4: (6, (0.5, 0.75), (0.75, 0.9)),
+}
+# A deviation this small is what rounding to the table's six digits leaves.
+ROUNDING_LEVEL = 5e-6
+
+
+def _column_deviation(example, column, alpha, beta, problem=None):
+    """The largest relative deviation of Phi_N from a fractional column of
+    the reference table over its nine cells."""
+    depth = RECOVERED_ORDERS[example][0]
+    phi = solve(problem or builtin_problem(example, alpha, beta, depth)).partial_sum(depth)
+    return max(abs(phi.evaluate(x, y) - row[column]) / abs(row[column])
+               for (y, x), row in REFERENCE_TABLES[example].items())
+
+
+@pytest.mark.parametrize("beta", [0.5 - 1e-7, 0.5 + 1e-7])
+def test_example_1_first_column_is_the_beta_half_limit(beta):
+    """Within 4.3e-6 at (0.5, 0.5 - 1e-7) and at (0.5, 0.5 + 1e-7) alike."""
+    assert _column_deviation(1, 0, 0.5, beta) < ROUNDING_LEVEL
+
+
+def test_example_1_first_column_is_off_at_beta_half_exactly():
+    """5.3e-3 off at beta = 0.5 itself, where the x-constant in u_2 has a
+    zero derivative."""
+    assert _column_deviation(1, 0, 0.5, 0.5) > 5e-3
+
+
+def test_example_1_first_column_is_not_a_near_constant_initial_condition():
+    """The limit is not taken on the initial condition: with ``--ic
+    x^0.000001 --g x`` in place of 1 at (0.5, 0.5), Phi_4 is 4.5e3 off."""
+    problem = ProblemSpec(0.5, 0.5, parse_series("x^0.000001"), parse_series("x"), 4)
+    assert _column_deviation(1, 0, 0.5, 0.5, problem) > 1e3
+
+
+@pytest.mark.parametrize("example, column, measured", [
+    (1, 1, 4.5e-6), (2, 0, 4.8e-6), (2, 1, 1.7e-6), (3, 0, 4.3e-6), (3, 1, 3.1e-6),
+    (4, 0, 1.5e-6), (4, 1, 1.4e-6),
+])
+def test_a_fractional_column_at_its_recovered_orders(example, column, measured):
+    """Measured: example 1's second column 4.5e-6 at (0.75, 0.75); examples
+    2, 3 and 4 at (0.5, 0.75) 4.8e-6, 4.3e-6 and 1.5e-6, and at (0.75, 0.9)
+    1.7e-6, 3.1e-6 and 1.4e-6 (the ``measured`` parameter)."""
+    deviation = _column_deviation(example, column, *RECOVERED_ORDERS[example][1 + column])
+    assert deviation < ROUNDING_LEVEL
+    assert deviation == pytest.approx(measured, rel=0.05)
+
+
+@pytest.mark.parametrize("example", [2, 3, 4])
+def test_examples_2_to_4_are_not_reproduced_at_their_labels_or_near_the_recovered_orders(example):
+    """At their labels the columns of examples 2-4 are 0.019 (example 4 at
+    (0.75, 0.75)) to 0.13 (example 2 at (0.5, 0.5)) off, and with alpha or
+    beta moved by 0.01 either way from the recovered orders at least 1.2e-3
+    (1.17e-3, example 4's second column)."""
+    for column, label in enumerate(ORDER_PAIRS[:2]):
+        assert _column_deviation(example, column, *label) > 1e-3
+        alpha, beta = RECOVERED_ORDERS[example][1 + column]
+        for moved in ((alpha + 0.01, beta), (alpha - 0.01, beta),
+                      (alpha, beta + 0.01), (alpha, beta - 0.01)):
+            assert _column_deviation(example, column, *moved) > 1e-3, moved
 
 
 # -- truncation scan -----------------------------------------------------------------

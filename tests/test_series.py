@@ -506,14 +506,16 @@ def test_evaluate_grid_builds_each_y_row_once(ys):
     s = S((1.5, 0, 0), (-2, 0.5, 0.25), (0.75, 1, 1), (3, 2, 0.5))
     xs = [rng.uniform(0.0, 2.0) for _ in range(9)]
     built = []
-    row = series._Factors.row
+    grouped = series._grouped
 
-    def counted(factors, value):
-        built.append(value)
-        return row(factors, value)
+    def counted(series_):
+        # the row functions of _grouped, each noting the value it builds for
+        x_row, y_row = grouped(series_)
+        return (lambda x: built.append(x) or x_row(x),
+                lambda y: built.append(y) or y_row(y))
 
     with mock.patch.object(series, "_GRID_BLOCK_TERMS", max(8, 4 * len(ys))), \
-            mock.patch.object(series._Factors, "row", counted):
+            mock.patch.object(series, "_grouped", counted):
         got = s.evaluate_grid(xs, ys)
     assert got == [grouped_evaluate_oracle(s, x, y) for y in ys for x in xs]
     assert got == [s.evaluate(x, y) for y in ys for x in xs]
@@ -640,14 +642,14 @@ def test_evaluate_grid_with_rows_failing_partway(ys, first):
     # which ``_dots`` meets partway through the mapped row and retries per x
     s = S((1e308, 1, 0), (1e308, 0, 1), (1, -0.5, 0))
     xs = (0.5, 1.0, 0.0, 0.25)
-    x_factors, y_factors = series._grouped(s)
-    x_rows = series._factor_rows(x_factors, xs)
+    x_row, y_row = series._grouped(s)
+    x_rows = series._factor_rows(x_row, xs)
     for y in ys:
-        got = series._dots(x_rows, y_factors.row(y), y)
+        got = series._dots(x_rows, y_row(y), y)
         for x, value in zip(xs, got):
             want = _outcome(lambda: [s.evaluate(x, y)])
             assert [value.hex()] == want if isinstance(want, list) else math.isnan(value)
-    assert math.isnan(series._dots(x_rows, y_factors.row(1.0), 1.0)[1])
+    assert math.isnan(series._dots(x_rows, y_row(1.0), 1.0)[1])
     for block_rows in (1, 256):
         with mock.patch.object(series, "_GRID_BLOCK_TERMS", block_rows * len(s)):
             got, points, want = _grid_vs_oracle(s, xs, ys)
