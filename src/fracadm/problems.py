@@ -12,10 +12,10 @@ Each problem ships with a reference accuracy table (approximate values at
 three order pairs on a fixed 3x3 grid, plus exact values and absolute
 errors for the classical pair).  ``truncation_scan`` measures how closely
 a given truncation depth reproduces that stored table, which is how the
-depth behind the reference data is recovered.
+depth behind the reference data is recovered; ``REFERENCE_ORDERS`` records
+the orders at which each fractional column is reproduced.
 """
 
-import itertools
 import math
 from collections import namedtuple
 
@@ -34,6 +34,7 @@ __all__ = [
     "TableCell",
     "make_table",
     "REFERENCE_TABLES",
+    "REFERENCE_ORDERS",
     "ScanRow",
     "truncation_scan",
     "recovered_depth",
@@ -117,41 +118,26 @@ def exact_solution(example: int, x: float, y: float) -> float:
 TableCell = namedtuple("TableCell", "y x alpha beta approx exact abs_error")
 
 
-def _tabulate(example: int, sols, n: int) -> list[TableCell]:
-    """The cells of Phi_n, one solution per pair of ORDER_PAIRS, on the grid.
-
-    Cells come out by y, then x, then pair; each pair's Phi_n is evaluated on
-    the whole grid by one ``FracSeries.evaluate_grid`` call, pairs in order.
-    ``approx`` is None for a pair whose solution is shallower than n.
-    """
-    approxs = [
-        iter(sol.partial_sum(n).evaluate_grid(X_GRID, Y_GRID))
-        if n <= len(sol.components)
-        else itertools.repeat(None)
-        for sol in sols
-    ]
-    cells = []
-    for y in Y_GRID:
-        for x in X_GRID:
-            for pair, values in zip(ORDER_PAIRS, approxs):
-                approx = next(values)
-                exact = error = None
-                if pair == CLASSICAL_PAIR:
-                    exact = exact_solution(example, x, y)
-                    if approx is not None:
-                        error = abs(exact - approx)
-                cells.append(TableCell(y, x, *pair, approx, exact, error))
-    return cells
-
-
 def make_table(example: int, n_terms: int) -> tuple[TableCell, ...]:
     """Solve once per order pair and tabulate Phi_{n_terms} on the grid.
 
     The cells cover ORDER_PAIRS on Y_GRID x X_GRID, the layout of the
-    reference tables, by y, then x, then pair.
+    reference tables, by y, then x, then pair.  Each pair's Phi_n is
+    evaluated on the whole grid by one ``FracSeries.evaluate_grid`` call,
+    pairs in order, after all three solves.
     """
     sols = [solve(builtin_problem(example, *pair, n_terms)) for pair in ORDER_PAIRS]
-    return tuple(_tabulate(example, sols, n_terms))
+    values = [sol.partial_sum(n_terms).evaluate_grid(X_GRID, Y_GRID) for sol in sols]
+    points = [(y, x) for y in Y_GRID for x in X_GRID]
+    cells = []
+    for (y, x), approxs in zip(points, zip(*values)):
+        for pair, approx in zip(ORDER_PAIRS, approxs):
+            exact = error = None
+            if pair == CLASSICAL_PAIR:
+                exact = exact_solution(example, x, y)
+                error = abs(exact - approx)
+            cells.append(TableCell(y, x, *pair, approx, exact, error))
+    return tuple(cells)
 
 
 # -- reference data ----------------------------------------------------------
@@ -206,6 +192,20 @@ REFERENCE_TABLES: dict[int, dict[tuple[float, float], tuple[float, ...]]] = {
     },
 }
 
+# Each fractional column of REFERENCE_TABLES is Phi_N at the depth N of its
+# example's classical column, but at orders that differ from its label.  Per
+# example: N, then the recovered (alpha, beta) of the column labelled
+# (0.5, 0.5) and of the one labelled (0.75, 0.75).  Example 1's first column
+# is the beta -> 1/2 limit of the formal power rule: at beta = 1/2 exactly,
+# u_2 holds the x-constant x^(1 - 2 beta), whose Caputo derivative is 0,
+# while the derivative's beta-formula tends to x^-0.5 / Gamma(0.5).
+REFERENCE_ORDERS: dict[int, tuple[int, tuple[float, float], tuple[float, float]]] = {
+    1: (4, (0.5, 0.5 + 1e-7), (0.75, 0.75)),
+    2: (4, (0.5, 0.75), (0.75, 0.9)),
+    3: (4, (0.5, 0.75), (0.75, 0.9)),
+    4: (6, (0.5, 0.75), (0.75, 0.9)),
+}
+
 # Reference error entries below this many ulps of the exact value cannot be
 # resolved by double-precision subtraction and are excluded from deviation
 # metrics (affects the y = 0.01 row of table 1 only).
@@ -226,17 +226,18 @@ def _rel_dev(mine: float, ref: float) -> float:
 def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
     """Deviation of each truncation depth's table from the reference table.
 
-    Each order pair is solved once, to n_max, and the table at depth n is
-    tabulated from that solution's partial sum Phi_n, which equals a solve
-    to depth n because components do not depend on the truncation depth.
-    Every depth's table is compared cell by cell against REFERENCE_TABLES.
+    Each order pair is solved once, to n_max, and its values at depth n are
+    those of that solution's partial sum Phi_n on the grid, one
+    ``evaluate_grid`` call per pair and depth, pairs in order; Phi_n equals
+    a solve to depth n because components do not depend on the truncation
+    depth.  Each pair's values are compared point by point with its column
+    of REFERENCE_TABLES, read by (y, x) in the grid's row order.
     ``max_deviation`` covers all columns; ``error_column_deviation`` covers
     only the classical-pair absolute errors, which is the column that
-    actually pins down the depth (the fractional columns are reproduced only
-    at orders other than their labels: see the tests of
-    ``tests/test_problems.py`` under "the paper's fractional columns").  A
-    pair whose solve fails at u_k still supplies depths 1..k; at deeper
-    depths its columns contribute ``inf``.
+    actually pins down the depth (the fractional columns are reproduced
+    only at orders other than their labels: see REFERENCE_ORDERS).  A pair
+    whose solve fails at u_k still supplies depths 1..k; at deeper depths
+    it contributes one ``inf``.
     The scan ends at n_max or at the first depth no pair reached, whose row
     reads ``inf`` twice, as every deeper row would.
     """
@@ -248,22 +249,25 @@ def truncation_scan(example: int, n_max: int) -> list[ScanRow]:
             sols.append(solve(builtin_problem(example, *pair, n_max)))
         except SolveError as exc:
             sols.append(exc.solution)
-    ref = REFERENCE_TABLES[example]
+    points = [(y, x) for y in Y_GRID for x in X_GRID]
+    columns = list(zip(*[REFERENCE_TABLES[example][point] for point in points]))
+    exact = [exact_solution(example, x, y) for y, x in points]
+    resolvable = [_error_resolvable(r, e) for r, e in zip(columns[4], exact)]
     rows = []
     for n in range(1, min(n_max, max(len(sol.components) for sol in sols) + 1) + 1):
         devs = []
         err_devs = []
-        for y, x, alpha, beta, approx, exact, error in _tabulate(example, sols, n):
-            if approx is None:
+        for pair, sol, column in zip(ORDER_PAIRS, sols, columns):
+            if n > len(sol.components):
                 devs.append(math.inf)
                 continue
-            row = ref[y, x]
-            devs.append(_rel_dev(approx, row[ORDER_PAIRS.index((alpha, beta))]))
-            if error is not None and _error_resolvable(row[4], exact):
-                err_dev = _rel_dev(error, row[4])
-                devs.append(err_dev)
-                err_devs.append(err_dev)
-        rows.append(ScanRow(n, max(devs), max(err_devs, default=math.inf)))
+            approxs = sol.partial_sum(n).evaluate_grid(X_GRID, Y_GRID)
+            devs += map(_rel_dev, approxs, column)
+            if pair == CLASSICAL_PAIR:
+                err_devs = [_rel_dev(abs(e - a), r)
+                            for a, e, r, ok in zip(approxs, exact, columns[4], resolvable)
+                            if ok]
+        rows.append(ScanRow(n, max(devs + err_devs), max(err_devs, default=math.inf)))
     return rows
 
 

@@ -1,6 +1,10 @@
 """Benchmark catalogue, closed-form solutions, tables, and depth recovery."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,6 +14,7 @@ from fracadm.problems import (
     CLASSICAL_PAIR,
     EXAMPLE_IDS,
     ORDER_PAIRS,
+    REFERENCE_ORDERS,
     REFERENCE_TABLES,
     ScanRow,
     X_GRID,
@@ -275,18 +280,7 @@ def test_reference_error_columns_match_geometric_tails():
 # -- the paper's fractional columns ----------------------------------------------------
 
 # Each fractional column of REFERENCE_TABLES is Phi_N at the depth N of its
-# example's classical column, but at orders that differ from its label.  Per
-# example: N, then the recovered (alpha, beta) of the column labelled
-# (0.5, 0.5) and of the one labelled (0.75, 0.75).  Example 1's first column
-# is the beta -> 1/2 limit of the formal power rule: at beta = 1/2 exactly,
-# u_2 holds the x-constant x^(1 - 2 beta), whose Caputo derivative is 0,
-# while the derivative's beta-formula tends to x^-0.5 / Gamma(0.5).
-RECOVERED_ORDERS = {
-    1: (4, (0.5, 0.5 + 1e-7), (0.75, 0.75)),
-    2: (4, (0.5, 0.75), (0.75, 0.9)),
-    3: (4, (0.5, 0.75), (0.75, 0.9)),
-    4: (6, (0.5, 0.75), (0.75, 0.9)),
-}
+# example's classical column, at the orders REFERENCE_ORDERS records.
 # A deviation this small is what rounding to the table's six digits leaves.
 ROUNDING_LEVEL = 5e-6
 
@@ -294,7 +288,7 @@ ROUNDING_LEVEL = 5e-6
 def _column_deviation(example, column, alpha, beta, problem=None):
     """The largest relative deviation of Phi_N from a fractional column of
     the reference table over its nine cells."""
-    depth = RECOVERED_ORDERS[example][0]
+    depth = REFERENCE_ORDERS[example][0]
     phi = solve(problem or builtin_problem(example, alpha, beta, depth)).partial_sum(depth)
     return max(abs(phi.evaluate(x, y) - row[column]) / abs(row[column])
                for (y, x), row in REFERENCE_TABLES[example].items())
@@ -327,7 +321,7 @@ def test_a_fractional_column_at_its_recovered_orders(example, column, measured):
     """Measured: example 1's second column 4.5e-6 at (0.75, 0.75); examples
     2, 3 and 4 at (0.5, 0.75) 4.8e-6, 4.3e-6 and 1.5e-6, and at (0.75, 0.9)
     1.7e-6, 3.1e-6 and 1.4e-6 (the ``measured`` parameter)."""
-    deviation = _column_deviation(example, column, *RECOVERED_ORDERS[example][1 + column])
+    deviation = _column_deviation(example, column, *REFERENCE_ORDERS[example][1 + column])
     assert deviation < ROUNDING_LEVEL
     assert deviation == pytest.approx(measured, rel=0.05)
 
@@ -340,10 +334,48 @@ def test_examples_2_to_4_are_not_reproduced_at_their_labels_or_near_the_recovere
     (1.17e-3, example 4's second column)."""
     for column, label in enumerate(ORDER_PAIRS[:2]):
         assert _column_deviation(example, column, *label) > 1e-3
-        alpha, beta = RECOVERED_ORDERS[example][1 + column]
+        alpha, beta = REFERENCE_ORDERS[example][1 + column]
         for moved in ((alpha + 0.01, beta), (alpha - 0.01, beta),
                       (alpha, beta + 0.01), (alpha, beta - 0.01)):
             assert _column_deviation(example, column, *moved) > 1e-3, moved
+
+
+@pytest.mark.parametrize("example, column", [(1, 1), (2, 0), (2, 1), (3, 0), (3, 1)])
+def test_five_fractional_columns_take_a_formal_derivative(example, column):
+    """At the recovered orders u_2 carries x^(1 - 2 beta), x^-0.5 or x^-0.8,
+    so the u_3 inside Phi_4 is built from its formal (Riemann-Liouville)
+    derivative."""
+    depth, *orders = REFERENCE_ORDERS[example]
+    alpha, beta = orders[column]
+    u2 = solve(builtin_problem(example, alpha, beta, depth)).components[2]
+    lowest = min(t.px for t in u2.terms)
+    assert lowest == pytest.approx(1 - 2 * beta)
+    assert -1 < lowest < 0
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_example_4_columns_are_caputo_series(column):
+    """No component of Phi_6 at example 4's recovered orders has an
+    x-exponent below 1."""
+    depth, *orders = REFERENCE_ORDERS[4]
+    sol = solve(builtin_problem(4, *orders[column], depth))
+    assert min(t.px for u in sol.components for t in u.terms) == 1.0
+
+
+def test_the_table_script_compares_example_4_at_its_recovered_orders():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_tables.py"), "--example", "4"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "recovered depth: 6" in lines
+    recovered = [float(line.rsplit(":", 1)[1]) for line in lines
+                 if "at recovered orders" in line]
+    assert len(recovered) == 2
+    assert max(recovered) < ROUNDING_LEVEL
 
 
 # -- truncation scan -----------------------------------------------------------------
@@ -376,8 +408,10 @@ def test_truncation_scan_survives_fractional_failures():
 @pytest.mark.parametrize("example", EXAMPLE_IDS)
 def test_truncation_scan_matches_one_solve_per_depth(example):
     # examples 1-3 fail at u_5 for (0.75, 0.75), so this covers the depths a
-    # failed pair still supplies and the ones it cannot
-    assert truncation_scan(example, 8) == per_depth_scan_oracle(example, 8)
+    # failed pair still supplies and the ones it cannot; 20 and 28 are the
+    # depths the depth_scan workload runs
+    for n_max in (8, 28 if example == 4 else 20):
+        assert truncation_scan(example, n_max) == per_depth_scan_oracle(example, n_max)
 
 
 def test_truncation_scan_ends_at_the_first_depth_no_pair_reached():
