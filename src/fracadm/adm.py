@@ -52,13 +52,10 @@ from .series import (
 
 __all__ = ["ProblemSpec", "SolutionSeries", "SolveError", "solve"]
 
-# A solve counts at most this many raw products, one per pair of terms of u_i
-# and D_x^beta u_j over all its A_n, and one for a pair of series with none; a
-# step that would pass it fails before it forms any.  A term of u_j with no
-# image also forms uncounted zeros: one with each term of u_i that has an
-# image (which forms a counted product with it) and on the diagonal its
-# square; a step whose products are all zero leaves the next component empty.
-# The largest benchmark solve counts 137,256.  On a 2-core x86 VM with Python
+# A solve counts at most this many raw products, as ``_convolve`` counts them
+# over all its A_n; a step that would pass it fails before it forms any, and
+# one whose products are all zero leaves the next component empty.  The
+# largest benchmark solve counts 137,256.  On a 2-core x86 VM with Python
 # 3.11, example 1 at generic orders stops at u_76 after 0.21 s of solve and
 # 18.3 MB peak RSS (in process); one A_0 of 1,224 x 1,224 products on nearly
 # distinct exponents, the worst case for memory, took 2.8-3.6 s and 284 MB.
@@ -175,24 +172,33 @@ def _split(u: FracSeries, beta: float, frame: tuple[int, int]) -> tuple:
     return terms, imaged, u_max, max(map(abs, images), default=0.0)
 
 
-def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int) -> FracSeries:
-    """A_n = sum_{i+j=n} u_i * D_x^beta u_j from the splits of u_0..u_n, normalized once.
+def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int, work: int) -> tuple:
+    """(A_n, work): A_n = sum_{i+j=n} u_i * D_x^beta u_j from the splits of
+    u_0..u_n, normalized once, and the solve's raw product count after it.
 
+    One walk over the ordered pairs (u_i, D u_{n-i}) adds to work a raw
+    product per pair of a term of u_i and an imaged term of u_{n-i}, or one
+    for a pair with none, and takes the merge's bound, the largest |u_i|max *
+    |D u_j|max.  Past ``_WORK_BUDGET`` it raises before forming any product.
     Over each unordered pair i <= j = n - i, term a of u_i and term b of u_j
     put u_i[a] * D u_j[b] and u_j[b] * D u_i[a] in the one cell of key k_a +
     k_b - shift; on the diagonal i = j a term meets itself once and each
-    later term once.  A term without an image meets only those with one,
-    so each of its zero products comes with a raw product, or is its square.
-    Each raw product is the float multiply of the ordered pairs' sum, and
-    the merge's bound is that sum's: the largest |u_i|max * |D u_j|max.
+    later term once.  A term without an image meets only those with one, so
+    each of its uncounted zero products comes with a raw product, or is its
+    square.  Each raw product is the float multiply of the ordered pairs' sum.
     """
     n = len(splits) - 1
     cells: dict[int, list[float]] = {}
     get = cells.get
     bound = 0.0
-    for (_, _, u_max, _), (_, _, _, d_max) in zip(splits, reversed(splits)):
+    for (terms, _, u_max, _), (_, imaged, _, d_max) in zip(splits, reversed(splits)):
+        work += max(1, len(terms) * len(imaged))
         if u_max * d_max > bound:
             bound = u_max * d_max
+    if work > _WORK_BUDGET:
+        raise ArithmeticError(
+            f"would take the solve to {work} raw products, past its budget of {_WORK_BUDGET}"
+        )
     for i in range(n // 2 + 1):
         terms, (other, imaged, _, _) = splits[i][0], splits[n - i]
         diagonal = 2 * i == n
@@ -215,7 +221,7 @@ def _convolve(splits: list[tuple], frame: tuple[int, int], shift: int) -> FracSe
                 else:
                     cell.append(c * f)
                     cell.append(e * d)
-    return _merge(cells, *frame, bound)
+    return _merge(cells, *frame, bound), work
 
 
 def solve(problem: ProblemSpec) -> SolutionSeries:
@@ -226,7 +232,7 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
     equals partial_sum(n) of a solve to depth n.  Any ArithmeticError or
     ValueError while building u_n is raised as a SolveError whose
     ``solution`` holds u_0..u_{n-1}: what a solve to depth n returns.  So is
-    a step whose raw products would take the solve past ``_WORK_BUDGET``.
+    a step whose raw products would pass the budget that ``_convolve`` checks.
     """
     alpha, beta = problem.alpha, problem.beta
     components: list[FracSeries] = []
@@ -240,14 +246,8 @@ def solve(problem: ProblemSpec) -> SolutionSeries:
         for n in range(problem.n_terms - 1):
             # split lazily: u_{N-1} itself is never split
             splits.append(_split(components[n], beta, frame))
-            # counted per ordered pair (u_i, D u_{n-i}) of terms
-            work += sum(max(1, len(u) * len(t[1])) for u, t in zip(components, reversed(splits)))
-            if work > _WORK_BUDGET:
-                raise ArithmeticError(
-                    f"would take the solve to {work} raw products, "
-                    f"past its budget of {_WORK_BUDGET}"
-                )
-            components.append(-rl_integral(_convolve(splits, frame, shift), alpha, Axis.Y))
+            a_n, work = _convolve(splits, frame, shift, work)
+            components.append(-rl_integral(a_n, alpha, Axis.Y))
     except (ArithmeticError, ValueError) as exc:
         raise SolveError(str(exc), SolutionSeries(tuple(components))) from exc
     return SolutionSeries(tuple(components))

@@ -140,7 +140,8 @@ def _splits(components, beta):
 
 def _paired_polynomial(components, n, beta):
     """A_n as ``adm.solve`` forms it, from the splits of u_0..u_n."""
-    return adm._convolve(*_splits(components[: n + 1], beta))
+    a_n, _ = adm._convolve(*_splits(components[: n + 1], beta), work=0)
+    return a_n
 
 
 @st.composite
@@ -246,7 +247,9 @@ def test_the_split_takes_each_image_from_the_power_rule(case):
 @example(([S((1, -2.2250738585072034e-309, 0))], 0, 1.0))
 def test_a_term_without_an_image_meets_only_imaged_terms(case):
     # the products _convolve forms: the counted ones, one zero with each
-    # imaged term for a term without an image, and on the diagonal its square
+    # imaged term for a term without an image, and on the diagonal its square;
+    # and the count it returns: one per pair of a term of u_i and an imaged
+    # term of u_{n-i}, or one for an ordered pair with none
     components, n, beta = case
     splits, frame, shift = _splits(components, beta)
     for (terms, imaged, _, _), u in zip(splits, components):
@@ -257,8 +260,9 @@ def test_a_term_without_an_image_meets_only_imaged_terms(case):
     if n % 2 == 0:
         want += lengths[n // 2][0] - lengths[n // 2][1]
     with mock.patch.object(adm, "_merge", side_effect=lambda cells, *_: cells) as merge:
-        adm._convolve(splits, frame, shift)
+        _, work = adm._convolve(splits, frame, shift, work=0)
     assert sum(map(len, merge.call_args.args[0].values())) == want
+    assert work == sum(max(1, lu * mj) for (lu, _), (_, mj) in zip(lengths, reversed(lengths)))
 
 
 # -- lambda oracle ---------------------------------------------------------------
@@ -797,7 +801,7 @@ def _budget(value):
 
 
 def test_solve_over_budget_raises_with_its_count():
-    with _budget(5), mock.patch.object(adm, "_convolve", wraps=adm._convolve) as products:
+    with _budget(5), mock.patch.object(adm, "_merge", wraps=adm._merge) as merges:
         with pytest.raises(
             SolveError,
             match=r"^component u_2: would take the solve to 6 raw products, "
@@ -805,7 +809,7 @@ def test_solve_over_budget_raises_with_its_count():
         ):
             solve(_BUDGET_PROBLEM)
     # A_0 was formed; A_1, which would pass the budget, was not
-    assert products.call_count == 1
+    assert merges.call_count == 1
 
 
 def test_solve_at_exactly_the_budget_passes():

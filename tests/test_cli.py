@@ -78,11 +78,27 @@ def test_grid_mixed_forms():
 @pytest.mark.parametrize(
     "spec",
     ["x=0.5", "y=0.1", "x=0.5;y=", "x=a;y=0.1", "x=1:0:0.1;y=0.1", "x=0:1:-1;y=0.1", "z=1;y=1",
-     "x=0:inf:1;y=0.1", "x=nan;y=0.1", "x=0:1:nan;y=0.1", "x=1;x=2;y=0.1"],
+     "x=0:inf:1;y=0.1", "x=nan;y=0.1", "x=0:1:nan;y=0.1", "x=1;x=2;y=0.1", "x=0:1;y=0.1",
+     "x;y=0.1"],
 )
 def test_grid_rejects_malformed_specs(spec):
     with pytest.raises(UsageError):
         parse_grid(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("x=0:1;y=0.1", "grid range for x must be start:stop:step"),
+     ("x;y=0.1", "grid component 'x' is not axis=values")],
+)
+def test_grid_names_what_is_malformed(spec, message):
+    with pytest.raises(UsageError) as raised:
+        parse_grid(spec)
+    assert str(raised.value) == message
+
+
+def test_grid_skips_empty_components():
+    assert parse_grid("x=0.5;;y=0.1") == parse_grid("x=0.5;y=0.1")
 
 
 def test_grid_point_cap():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,12 @@ from fracadm.problems import (
     recovered_depth,
     truncation_scan,
 )
-from fracadm.adm import ProblemSpec, solve
+from fracadm.adm import ProblemSpec, SolveError, solve
+from fracadm.gammafn import GammaPoleError
 from fracadm.parser import parse_series
 from fracadm.series import FracSeries, FracTerm
 from helpers import assert_series_close, cells_by_key
-from oracles import grouped_evaluate_oracle, per_depth_scan_oracle
+from oracles import grouped_evaluate_oracle, per_depth_scan_oracle, similarity_series_oracle
 
 G = math.gamma
 
@@ -360,6 +362,109 @@ def test_example_4_columns_are_caputo_series(column):
     depth, *orders = REFERENCE_ORDERS[4]
     sol = solve(builtin_problem(4, *orders[column], depth))
     assert min(t.px for u in sol.components for t in u.terms) == 1.0
+
+
+# -- where the series stops being a Caputo series ---------------------------------
+
+# u_n carries x^(1 - n beta), and the Caputo derivative of an x-constant is 0,
+# so the chain of exponents ends only where 1/beta is an integer.  Otherwise
+# u_{floor(1/beta) + 1} is the first component with a negative x-exponent,
+# and every later one is built from a formal derivative.  Each case solves to
+# 30 terms at alpha = 0.5.
+
+
+def _components_to_30(example, beta):
+    """u_0..u_29 of the example at (0.5, beta), or the components a solve
+    finished before it stopped, and the SolveError it stopped on or None."""
+    try:
+        return solve(builtin_problem(example, 0.5, beta, 30)).components, None
+    except SolveError as exc:
+        return exc.solution.components, exc
+
+
+def _first_negative_x_exponent(components):
+    return next((n for n, u in enumerate(components) if any(t.px < 0 for t in u.terms)), None)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+@pytest.mark.parametrize("beta, first, pole", [(0.3, 4, 11), (0.4, 3, 11), (0.6, 2, 6), (0.75, 2, 5)])
+def test_examples_1_to_3_leave_the_caputo_domain_at_u_floor_1_over_beta_plus_1(example, beta, first, pole):
+    """The first negative x-exponent is in u_4, u_3, u_2 and u_2 at beta =
+    0.3, 0.4, 0.6 and 0.75, and those solves stop at a Gamma pole at u_11,
+    u_11, u_6 and u_5."""
+    components, err = _components_to_30(example, beta)
+    assert first == math.floor(1 / beta) + 1
+    assert _first_negative_x_exponent(components) == first
+    assert isinstance(err.__cause__, GammaPoleError)
+    assert err.depth == pole
+
+
+@pytest.mark.parametrize("example, beta", [
+    *((example, beta) for example in (1, 2, 3) for beta in (0.25, 0.5, 1.0)),
+    *((4, beta) for beta in (0.25, 0.3, 0.4, 0.5, 0.6, 0.75, 1.0)),
+])
+def test_a_series_stays_caputo_to_30_terms(example, beta):
+    """Examples 1-3 where 1/beta is an integer, and example 4 at every beta."""
+    components, err = _components_to_30(example, beta)
+    assert err is None
+    assert _first_negative_x_exponent(components) is None
+
+
+# -- example 4's radius of convergence ---------------------------------------------
+
+# Example 4's solution is x * sum_n c_n zeta^n with zeta = x^(1 - beta) y^alpha
+# (ic = x, no forcing), so its radius R in zeta comes from the c_n alone.  Two
+# estimates from the similarity oracle's c_0..c_60: the ratio |c_58/c_59|, and
+# a Domb-Sykes least-squares fit of c_n/c_{n-1} against 1/n over n = 30..59,
+# R = 1/|intercept|.  Measured, to four places (ratio, Domb-Sykes):
+EXAMPLE_4_RADII = {
+    (0.5, 0.5): (0.2758, 0.2701),  # the labels
+    (0.75, 0.75): (0.4210, 0.4124),
+    (0.5, 0.75): (0.2654, 0.2558),  # the recovered orders
+    (0.75, 0.9): (0.4853, 0.4743),
+}
+# The cells of example 4's fractional columns outside the radius, as (column,
+# y, x), by both estimates.  The paper printed Phi_6 there, 0.442692 and
+# 0.624414: partial sums of a series that diverges at those points.
+OUTSIDE_THE_RADIUS = {(0, 0.1, 0.6), (0, 0.1, 0.9)}
+
+
+def _radius_estimates(alpha, beta):
+    """(ratio, Domb-Sykes) estimates of example 4's radius in zeta."""
+    c = [row.coeff for row in similarity_series_oracle(1, 1, alpha, beta, 61)]
+    inv_n = [1 / n for n in range(30, 60)]
+    steps = [float(c[n] / c[n - 1]) for n in range(30, 60)]
+    _, intercept = statistics.linear_regression(inv_n, steps)
+    return float(abs(c[58] / c[59])), 1 / abs(intercept)
+
+
+@pytest.mark.parametrize("orders", list(EXAMPLE_4_RADII))
+def test_example_4_radius_estimates(orders):
+    """Within 5e-5 of the four-place figures; the ratio estimate is the
+    larger, an upper bound on R here."""
+    ratio, domb_sykes = _radius_estimates(*orders)
+    assert (ratio, domb_sykes) == pytest.approx(EXAMPLE_4_RADII[orders], abs=5e-5)
+    assert ratio > domb_sykes
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_example_4_cells_inside_and_outside_the_radius(column):
+    """At the recovered orders (0.5, 0.75) of the column labelled (0.5, 0.5),
+    zeta/R at y = 0.1 and x = 0.3, 0.6, 0.9 is 0.91, 1.09 and 1.20 by
+    Domb-Sykes and 0.88, 1.05 and 1.16 by the ratio; at (0.75, 0.9) of the
+    other column it is at most 0.371 (0.363 by the ratio) on all nine cells."""
+    alpha, beta = REFERENCE_ORDERS[4][1 + column]
+    radii = _radius_estimates(alpha, beta)
+    reach = {(y, x): [x ** (1 - beta) * y ** alpha / r for r in radii] for y, x in REFERENCE_TABLES[4]}
+    for (y, x), over in reach.items():
+        assert [q > 1 for q in over] == [(column, y, x) in OUTSIDE_THE_RADIUS] * 2, (y, x)
+    if column == 0:
+        at_y_01 = [reach[0.1, x] for x in X_GRID]
+        assert at_y_01 == [pytest.approx([r, d], abs=5e-3) for r, d in
+                           ((0.88, 0.91), (1.05, 1.09), (1.16, 1.20))]
+        assert [REFERENCE_TABLES[4][0.1, x][0] for x in X_GRID[1:]] == [0.442692, 0.624414]
+    else:
+        assert max(q for over in reach.values() for q in over) == pytest.approx(0.371, abs=5e-4)
 
 
 def test_the_table_script_compares_example_4_at_its_recovered_orders():

@@ -341,6 +341,18 @@ def test_product_is_series_by_series_only():
             s * c
 
 
+def test_sum_and_difference_are_series_by_series_only():
+    with pytest.raises(TypeError):
+        FracSeries() + 1
+    with pytest.raises(TypeError):
+        FracSeries() - 1
+
+
+def test_an_infinite_exponent_is_refused():
+    with pytest.raises(ValueError, match=r"^exponent must be finite, got inf$"):
+        FracSeries([FracTerm(1.0, px=math.inf)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_raw_terms)
 @example([FracTerm(1.0, -0.0, 0.0), FracTerm(-2.0, 1.0, -0.0), FracTerm(0.0, 2.0, 0.0)])
@@ -412,6 +424,18 @@ def test_an_overflowing_power_names_its_variable_value_and_exponent(term, x, y, 
         with pytest.raises(OverflowError) as raised:
             evaluate()
         assert str(raised.value) == message
+
+
+def test_grouping_can_overflow_where_the_term_order_sum_does_not():
+    # grouped by x (two exponents to y's three): group x^20 sums 1e10*10^2
+    # and 1e10*10^300 = 1e310, which overflows, while in term order
+    # 1e10*0.1^20*10^300 is 1e290
+    s = FracSeries([FracTerm(1e10, 20, 300), FracTerm(1e10, 20, 2), FracTerm(1, 0, 1)])
+    term_order = math.fsum(t.coeff * 0.1 ** t.px * 10.0 ** t.py for t in s.terms)
+    assert term_order == 1.0000000000000013e+290
+    for evaluate in (lambda: s.evaluate(0.1, 10.0), lambda: s.evaluate_grid([0.1], [10.0])):
+        with pytest.raises(OverflowError, match=r"^value at x = 0\.1, y = 10\.0 is inf$"):
+            evaluate()
 
 
 def test_evaluate_negative_x_integer_exponents():
