@@ -16,15 +16,17 @@ Usage, from the repository root:
 
 ``record`` runs every call in this process through ``fracadm.cli.run`` and
 rewrites the file.  ``check`` replays the file's calls, in process or, with
-``--cli``, as subprocesses of that command (an installed entry point), and
-exits 1 naming each call whose exit code, stdout or stderr differs.  A
-change that alters an entry re-records the file and names the entry.
+``--cli``, as subprocesses of that command (an installed entry point), each
+within ``TIMEOUT`` seconds, and exits 1 naming each call whose exit code,
+stdout or stderr differs or that timed out.  A change that alters an entry
+re-records the file and names the entry.
 
-The corpus is the calls of the CI workflow's runtime-only job, a set of
-dash-led option values and help calls, and pass 0 of seeds 1 and 2 of each
-benchmark workload, generated read-only by ``perfbench/workloads.py``.
-``LEFT_OUT`` lists the calls kept out of it, and why.  Only the standard
-library is used.
+The corpus is the runtime calls that CI checks only through this file
+(``CI_CALLS``), a set of dash-led option values and help calls, and pass 0
+of seeds 1 and 2 of each benchmark workload, generated read-only by
+``perfbench/workloads.py``.  CI runs by hand only the calls of ``LEFT_OUT``,
+which the corpus cannot hold, and a start-up import check.  Only the
+standard library is used.
 """
 
 import argparse
@@ -41,33 +43,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
 FULL_TEXT_BYTES = 4096
+TIMEOUT = 30  # seconds a call of ``check --cli`` may take
 
 _DENSE = ["solve", "--example", "1", "--alpha", "0.5", "--beta", "0.5", "--terms", "20",
           "--grid", "x=0.05:0.9:0.01;y=0.001:0.1:0.001"]
 _GENERIC = ["--alpha", "0.897148293561466", "--beta", "0.7433369009864794"]
 _IC30 = " + ".join(f"{k + 1}*x^{k / 7!r}" for k in range(30))
 
-# The calls of the CI workflow's runtime-only job (the clean-venv start-up
-# check's table call, the run step, the digits step and the exit-code step)
-# that write no file and take under about 0.5 s in process.
+# The runtime calls that CI checks only through the corpus: calls that write
+# no file and take under about 0.5 s in process.  The digits pairs also run
+# by hand in CI, where a memory bound holds them.
 CI_CALLS = [
     ["table", "--example", "4", "--terms", "2"],
     ["--help"],
     ["table", "--example", "4", "--terms", "6"],
     ["scan", "--example", "3", "--terms", "8"],
+    # at (0.75, 0.75) the solve fails at u_5: depths 1-5 come from the
+    # components finished before it
     ["scan", "--example", "1", "--terms", "20"],
     _DENSE,
     [*_DENSE, "--digits", "767", "--format", "tsv"],
+    # 211 terms with 211 x-exponents and 40 y-exponents: grouped by y
     ["solve", "--example", "1", *_GENERIC, "--terms", "20",
      "--grid", "x=0.05:0.9:0.01;y=0.001:0.05:0.001"],
     ["solve", "--example", "1", "--terms", "40", *_GENERIC, "--grid", "x=0.3,0.6;y=0.001"],
+    # coefficients reach 1e17, and the constant term survives: approx 0.767190
     ["solve", "--example", "4", "--alpha", "0.5", "--beta", "1", "--terms", "50",
      "--grid", "x=1;y=0.1"],
     ["solve", "--ic", "1 + x^1e-13", "--terms", "1", "--dump-series"],
     ["solve", "--ic", "x", "--terms", "1", "--grid", "x=0:2.9999999999:1;y=0"],
+    # the fourth x is 0.3 (0.29999999999999999), not 0 + 3*0.1
     ["solve", "--ic", "x", "--terms", "1", "--grid", "x=0:1:0.1;y=0"],
+    # 140,955 raw products to depth 4: no single product is capped
     ["solve", "--ic", _IC30, "--g", "1", "--alpha", "0.9", "--beta", "0.8", "--terms", "4",
      "--dump-series"],
+    # the exact value is 5e307 where 2x overflows
     ["solve", "--example", "2", "--terms", "1", "--grid", "x=1e308;y=3"],
     ["solve", "--example", "4", "--terms", "2", "--grid=x=1;y=0.1", "--digits", "2147483647"],
     ["solve", "--example", "4", "--terms", "2", "--grid=x=1;y=0.1", "--digits", "767"],
@@ -76,7 +86,9 @@ CI_CALLS = [
     [*_DENSE, "--digits", "2147483647"],
     [*_DENSE, "--digits", "767"],
     ["solve", "--ic", "1e400", "--terms", "3", "--grid", "x=0.5;y=0.1"],
+    # the merged coefficient is refused before the missing grid is noticed
     ["solve", "--ic", "1e308*x + 1e308*x", "--terms", "1"],
+    # the exact sum, 1e308, decides in either order: the same bytes
     ["solve", "--ic", "1e308 + 1e308 - 1e308", "--g", "0", "--terms", "1", "--grid", "x=0.5;y=0.1"],
     ["solve", "--ic", "1e308 - 1e308 + 1e308", "--g", "0", "--terms", "1", "--grid", "x=0.5;y=0.1"],
     ["solve", "--ic", "1e154*x + 6e153*x^2", "--terms", "3", "--grid", "x=0.5;y=0.1"],
@@ -92,6 +104,7 @@ CI_CALLS = [
     ["solve", "--ic", "1e300*x", "--terms", "1", "--grid", "x=1e10;y=0"],
     ["solve", "--ic", "x^2", "--terms", "1", "--grid", "x=1e300;y=0"],
     ["solve", "--example", "2", "--terms", "1", "--grid", "x=1e308;y=0.5"],
+    # the grid is read before the solve, which would fail at u_5
     ["solve", "--ic", "1+x", "--g", "1", "--alpha", "0.75", "--beta", "0.75", "--terms", "8",
      "--grid", "x=1"],
     ["scan", "--example", "4", "--terms", "2", "--digits", "-1"],
@@ -181,8 +194,12 @@ def run_in_process(argv: list[str]) -> tuple[int, str, str]:
 
 
 def run_command(command: list[str], argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of ``command argv`` as a subprocess."""
-    proc = subprocess.run([*command, *argv], capture_output=True, encoding="utf-8", check=False)
+    """(exit code, stdout, stderr) of ``command argv`` as a subprocess.
+
+    Raises ``subprocess.TimeoutExpired`` after ``TIMEOUT`` seconds.
+    """
+    proc = subprocess.run([*command, *argv], capture_output=True, encoding="utf-8",
+                          timeout=TIMEOUT, check=False)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -233,8 +250,13 @@ def check(command: list[str] | None) -> int:
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
     failed = 0
     for entry in corpus["entries"]:
-        got = run_command(command, entry["argv"]) if command else run_in_process(entry["argv"])
-        for diff in differences(entry, got):
+        try:
+            got = run_command(command, entry["argv"]) if command else run_in_process(entry["argv"])
+        except subprocess.TimeoutExpired:
+            diffs = [f"timed out after {TIMEOUT} s"]
+        else:
+            diffs = differences(entry, got)
+        for diff in diffs:
             failed += 1
             print(f"{entry['argv']!r}: {diff}", file=sys.stderr)
     if failed and corpus["platform"] != this_platform():

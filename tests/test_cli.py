@@ -63,6 +63,11 @@ def test_grid_range_form():
     assert list(xs) == [0.0, 1.0, 2.0]
     xs, _ = parse_grid("x=0:0.3:0.1;y=0")
     assert len(xs) == 4
+    # the dense and deep grids of the corpus: 8600 and 4300 rows
+    xs, ys = parse_grid("x=0.05:0.9:0.01;y=0.001:0.1:0.001")
+    assert (len(xs), len(ys)) == (86, 100)
+    xs, ys = parse_grid("x=0.05:0.9:0.01;y=0.001:0.05:0.001")
+    assert (len(xs), len(ys)) == (86, 50)
     # and each point is the decimal start + k*step, correctly rounded: the
     # third tenth is 0.3, not 0 + 3*0.1 = 0.30000000000000004
     xs, _ = parse_grid("x=0:1:0.1;y=0")
@@ -204,7 +209,8 @@ def test_bad_digits_exit_1_before_any_work(command, digits, capsys):
     with _no_work():
         code = run([command, "--example", "4", "--terms", "2", "--digits", digits])
     assert code == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # not even a header
     assert "--digits" in err and "integer >= 1" in err
 
 

@@ -1,9 +1,9 @@
 """The CLI's exact bytes on a recorded corpus of calls (``tests/data/cli_corpus.json``).
 
 Each entry is replayed in process through ``fracadm.cli.run``, and its exit
-code, stdout and stderr must equal the recorded ones.  A change that alters
-an entry re-records the file with ``scripts/cli_corpus.py record`` and names
-the entry.
+code, stdout and stderr must equal the recorded ones, and the file must hold
+the script's calls in order.  A change that alters an entry re-records the
+file with ``scripts/cli_corpus.py record`` and names the entry.
 """
 
 import importlib.util
@@ -37,3 +37,18 @@ def test_the_corpus_covers_every_source():
     assert sources == {"ci", "dash", "paper_tables", "depth_scan", "deep_generic", "dense_grid"}
     assert len({tuple(e["argv"]) for e in ENTRIES}) == len(ENTRIES)
     assert {e["code"] for e in ENTRIES} == {0, 1, 2}
+
+
+def test_the_record_is_current():
+    # a change to the calls or to LEFT_OUT fails here until the file is re-recorded
+    assert [(e["source"], e["argv"]) for e in ENTRIES] == cli_corpus.corpus_argvs()
+    assert CORPUS["left_out"] == cli_corpus.LEFT_OUT
+
+
+def test_an_exact_sum_gives_the_same_bytes_in_either_order():
+    # one order of the terms overflows a partial sum; the exact sum, 1e308, decides
+    by_ic = {e["argv"][2]: e for e in ENTRIES if e["argv"][:2] == ["solve", "--ic"]}
+    first, second = (by_ic[ic] for ic in ("1e308 + 1e308 - 1e308", "1e308 - 1e308 + 1e308"))
+    assert (first["code"], first["stdout"], first["stderr"]) == (
+        second["code"], second["stdout"], second["stderr"])
+    assert first["code"] == 0
